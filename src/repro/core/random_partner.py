@@ -59,17 +59,33 @@ def sample_partners(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.where(draw >= ids, draw + 1, draw).astype(np.int64)
 
 
+# Largest ``n`` whose packed link keys ``lo * n + hi`` fit in int64.
+_MAX_KEYED_NODES = 3_037_000_499
+
+
 def sample_partner_links(n: int, rng: np.random.Generator) -> np.ndarray:
     """One round's link set: canonical, deduplicated ``(m, 2)`` array.
 
-    ``n <= m <= n`` picks collapse to ``m in [n/2, n]`` distinct links
-    (mutual picks merge).
+    The ``n`` picks collapse to ``m in [ceil(n/2), n]`` distinct links.
+    Node ``i``'s link always contains ``i``, so two picks can only name
+    the same pair when they are mutual (``p[p[i]] == i``); of such a pair
+    only the lower node's copy is kept.  Rows are ``(lo, hi)`` with
+    ``lo < hi``, in strictly increasing lexicographic order — the order
+    the scatter accumulates flows in — as a C-contiguous int64 array.
     """
+    if n > _MAX_KEYED_NODES:
+        raise ValueError(
+            f"n={n} nodes overflow the int64 link keys (at most {_MAX_KEYED_NODES})"
+        )
     partners = sample_partners(n, rng)
     ids = np.arange(n, dtype=np.int64)
-    lo = np.minimum(ids, partners)
-    hi = np.maximum(ids, partners)
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    keep = (partners[partners] != ids) | (ids < partners)
+    ids, partners = ids[keep], partners[keep]
+    keys = np.minimum(ids, partners) * n + np.maximum(ids, partners)
+    keys.sort()
+    links = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n, out=(links[:, 0], links[:, 1]))
+    return links
 
 
 def link_degrees(n: int, links: np.ndarray) -> np.ndarray:
@@ -100,14 +116,16 @@ def _apply(loads: np.ndarray, links: np.ndarray, flows: np.ndarray) -> np.ndarra
 
 
 def _apply_batch_links(
-    loads: np.ndarray, link_sets: list[np.ndarray], discrete: bool
+    loads: np.ndarray, link_sets: list[np.ndarray], discrete: bool,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply one presampled link set per replica to a node-major batch.
 
     Each replica's links live in the flattened slot space
     ``node * B + b``, so degrees, flows and the scatter for all replicas
     are single vectorized operations.  Returns the new ``(n, B)`` loads
-    and the per-replica link-degree matrix (also ``(n, B)``).
+    (written into ``out`` when given) and the per-replica link-degree
+    matrix (also ``(n, B)``).
     """
     n, B = loads.shape
     counts = np.asarray([lk.shape[0] for lk in link_sets])
@@ -123,10 +141,14 @@ def _apply_batch_links(
         flows = np.sign(diff) * (np.abs(diff) // denom)
     else:
         flows = diff / denom.astype(np.float64)
-    out = flat.copy()
-    np.subtract.at(out, U, flows)
-    np.add.at(out, V, flows)
-    return out.reshape(n, B), deg.reshape(n, B)
+    if out is None:
+        out = loads.copy()
+    else:
+        np.copyto(out, loads)
+    new = out.reshape(-1)
+    np.subtract.at(new, U, flows)
+    np.add.at(new, V, flows)
+    return new.reshape(n, B), deg.reshape(n, B)
 
 
 def _round_batch_node_major(
@@ -202,11 +224,12 @@ class RandomPartnerBalancer(Balancer):
         """One lockstep round for a node-major ``(n, B)`` replica batch.
 
         ``last_links``/``last_degrees`` become per-replica lists (see the
-        class docstring).
+        class docstring).  The new loads are written into ``out`` when
+        it is given.
         """
         self.advance_round()
         link_sets = [sample_partner_links(loads.shape[0], rng) for rng in rngs]
-        new, deg = _apply_batch_links(loads, link_sets, discrete=self.mode == DISCRETE)
+        new, deg = _apply_batch_links(loads, link_sets, self.mode == DISCRETE, out)
         self.last_links = link_sets
         self.last_degrees = [deg[:, b] for b in range(deg.shape[1])]
         return new

@@ -104,8 +104,10 @@ def test_partner_links_structure(n, seed):
 
     rng = np.random.default_rng(seed)
     links = sample_partner_links(n, rng)
-    # canonical, no self-loops, every node covered
+    # canonical, no self-loops, strictly lexicographically sorted (so
+    # unique), every node covered
     assert (links[:, 0] < links[:, 1]).all()
+    assert (np.diff(links[:, 0] * n + links[:, 1]) > 0).all()
     deg = link_degrees(n, links)
     assert (deg >= 1).all()
-    assert n / 2 <= links.shape[0] <= n
+    assert -(-n // 2) <= links.shape[0] <= n
