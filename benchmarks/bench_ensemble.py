@@ -806,7 +806,7 @@ def measure_telemetry_overhead(side, mode, rounds, repeats: int = 5,
             current = sim.balancer.step(current, rng)
             trace.record(current)
             if sim.check_conservation:
-                sim._audit_conservation(current, initial_sum)
+                sim._audit_conservation(current, trace._sums[-1], initial_sum)
             rule = first_satisfied(sim.stopping, trace)
         trace.stopped_by = rule.reason
         return time.perf_counter() - start

@@ -166,7 +166,8 @@ class KernelBackend:
 
     ``matvec``/``add_matvec`` are mandatory; the ``fused_*`` hooks may
     return None, in which case the operator runs its staged reference
-    formulation (gather → divide → scatter) on this backend's products.
+    formulation (difference product → divide → scatter) on this
+    backend's products.
     """
 
     name = "abstract"
@@ -257,8 +258,12 @@ class ScipyBackend(KernelBackend):
             n_row, n_col = csr.shape
             try:
                 out.fill(0)
-                if x.ndim == 1:
-                    _matvec_fns[0](n_row, n_col, csr.indptr, csr.indices, csr.data, x, out)
+                # A one-column matmat is a matvec: same per-row stored-order
+                # fold, without csr_matvecs' per-entry inner loop.
+                if x.ndim == 1 or x.shape[1] == 1:
+                    _matvec_fns[0](
+                        n_row, n_col, csr.indptr, csr.indices, csr.data, x.ravel(), out.ravel()
+                    )
                 else:
                     _matvec_fns[1](
                         n_row,

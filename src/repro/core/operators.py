@@ -3,7 +3,8 @@
 Every balancing round is built from the same three primitives over a
 topology's canonical ``(m, 2)`` edge array:
 
-1. per-edge *differences* ``l_u - l_v`` (a gather),
+1. per-edge *differences* ``l_u - l_v`` (one sparse product with the
+   cached ``(m, n)`` difference operator ``D``),
 2. per-edge *flows* (differences damped by ``4 max(d_u, d_v)``), and
 3. the *scatter* that applies signed flows back onto the endpoints.
 
@@ -20,6 +21,11 @@ An :class:`EdgeOperator` precomputes, once per
   ``A[u_e, e] = -1`` and ``A[v_e, e] = +1``, so applying flows becomes
   the sparse product ``loads + A @ flows`` (an int64 twin keeps the
   discrete algorithms integer-exact);
+- its negated transpose, the **difference operator** ``D = -A^T``
+  of shape ``(m, n)`` (``+1`` at ``(e, u_e)``, ``-1`` at ``(e, v_e)``),
+  so the staged discrete round's edge differences are ``D @ loads`` —
+  built lazily on the first discrete round, float64 for the
+  reciprocal fast path and int64 beyond it;
 - for the *linear* continuous schemes (Algorithm 1 and FOS), the full
   **round matrix** ``M`` with ``M @ loads`` equal to one concurrent
   round, so a round is a single cached sparse matvec — and a whole
@@ -41,8 +47,8 @@ primitive                  numpy    scipy    numba
 CSR matvec / matmat        ELL fold C kernel prange JIT
 signed incidence scatter   ELL fold C kernel prange JIT
 continuous round           cached M cached M cached M
-discrete round             staged   staged   **fused** (one traversal,
-                                             no ``(m, B)`` temporaries)
+discrete round             D, A     D, A     **fused** (one traversal,
+                           products products no ``(m, B)`` temporaries)
 FOS / Richardson round     cached M cached M **fused** (no matrix built;
                                              per-round ``alpha`` free)
 availability               always   optional optional (JIT)
@@ -50,7 +56,7 @@ availability               always   optional optional (JIT)
 
 All backends are **bit-for-bit identical** — the numpy reference fold,
 SciPy's C kernels and the numba JIT loops accumulate each output in the
-same stored order (and the discrete path is pure integer arithmetic), so
+same stored order (and every discrete value is an exact integer), so
 serial, batched and sharded trajectories agree exactly across backends
 (property-tested).  Pick one with ``EdgeOperator(topo, backend=...)``,
 ``Balancer.backend``, engine/CLI ``--backend`` flags, or the
@@ -149,6 +155,7 @@ class EdgeOperator:
         self.denominators_recip = (1.0 / self.denominators) * (1.0 + 2.0**-48)
         self.denominators_recip.setflags(write=False)
         self._incidence_plain: dict[str, PlainCSR] = {}
+        self._difference_plain: dict[str, PlainCSR] = {}
         self._round_plain: PlainCSR | None = None
         self._fos_plain: dict[float, PlainCSR] = {}
         self._linear_pattern = None
@@ -163,14 +170,11 @@ class EdgeOperator:
         Callers own the buffer only until their next call into the
         operator; returned *results* are never scratch-backed.  Scratch
         buffers belong to one ``(topology, backend)`` operator — distinct
-        backends never share them.
+        backends never share them.  One buffer is kept per ``(key,
+        dtype)``: a request with a new shape replaces it, so a sweep over
+        replica counts does not pin one buffer per batch width.
         """
-        full_key = (key, shape, np.dtype(dtype).char)
-        buf = self._scratch.get(full_key)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._scratch[full_key] = buf
-        return buf
+        return _scratch_buffer(self._scratch, key, shape, dtype)
 
     # ------------------------------------------------------------------
     # Construction / caching
@@ -216,6 +220,25 @@ class EdgeOperator:
             A = self._sorted_csr(heads, cols, vals, (self.n, self.m))
             self._incidence_plain[key] = A
         return A
+
+    def difference_csr(self, dtype=np.float64) -> PlainCSR:
+        """Edge difference operator ``(m, n)``: ``+1`` at ``(e, u_e)``, ``-1``
+        at ``(e, v_e)``, so ``D @ loads`` is every edge's ``l_u - l_v``.
+
+        Each row holds two stored entries, so the product is one exact
+        subtraction per edge on every backend (float64 while the loads
+        stay below ``2**53``, int64 always).
+        """
+        key = np.dtype(dtype).char
+        D = self._difference_plain.get(key)
+        if D is None:
+            ones = np.ones(self.m, dtype=dtype)
+            heads = np.concatenate([np.arange(self.m)] * 2)
+            cols = np.concatenate([self.u, self.v])
+            vals = np.concatenate([ones, -ones])
+            D = self._sorted_csr(heads, cols, vals, (self.m, self.n))
+            self._difference_plain[key] = D
+        return D
 
     def round_csr(self) -> PlainCSR:
         """Algorithm 1's continuous round matrix as a backend-neutral CSR.
@@ -443,13 +466,61 @@ class EdgeOperator:
             np.multiply(diff, recip, out=qf)
             np.copyto(out, qf, casting="unsafe")  # trunc toward zero
             return out
-        denom = self.denominators_int if diff.ndim == 1 else self.denominators_int[:, None]
         mag = self.scratch("disc-mag", diff.shape, np.int64)
-        np.abs(diff, out=mag)
-        np.floor_divide(mag, denom, out=mag)
-        sgn = np.sign(diff)
-        np.multiply(sgn, mag, out=out)
-        return out
+        return _signed_floor_divide(diff, self.denominators_int, mag, out)
+
+    def discrete_flows(
+        self,
+        loads: np.ndarray,
+        bound: int,
+        difference=None,
+        recip: np.ndarray | None = None,
+        denom_int: np.ndarray | None = None,
+        scratch=None,
+        tag: str = "disc",
+    ) -> np.ndarray:
+        """Discrete Algorithm-1 flows ``sign(diff) * (|diff| // d_e)`` per edge.
+
+        ``diff`` is the edge difference ``l_u - l_v``; ``bound`` must
+        bound every ``|l|`` and every ``|diff|`` (``max - min(min, 0)``
+        does).  The remaining arguments default to this operator's whole
+        edge set: ``difference(dtype)`` returns the edge rows' difference
+        operator (:meth:`difference_csr`), ``recip``/``denom_int`` their
+        biased reciprocals and int64 denominators, and
+        ``scratch(name, shape, dtype)`` the work buffers.  A partition block passes its row slices instead, so
+        both discrete rounds run this one flow step.  The returned int64
+        ``(m,)`` / ``(m, B)`` flows live in scratch (``tag + "-flows"``).
+
+        Fast branch (``bound < RECIP_DIV_LIMIT = 2**46``): the loads are
+        copied to float64 and the differences come from the float64
+        product ``D @ loads``, multiplied in place by the reciprocals and
+        truncated.  This is bit-exact: every load and every difference
+        is below ``2**46`` and so exactly representable in float64, each
+        row of ``D`` folds ``0 + l_u - l_v`` (or ``0 - l_v + l_u``)
+        without rounding, and the product therefore equals
+        ``float(l_u - l_v)`` — after which the reciprocal multiply is the
+        same single rounding the int64-times-float64 formulation made
+        (exactness of that step: :attr:`denominators_recip`).
+        Exact branch (larger loads): the int64 product ``D @ loads`` and
+        an int64 floor division.
+        """
+        difference = difference or self.difference_csr
+        recip = self.denominators_recip if recip is None else recip
+        denom_int = self.denominators_int if denom_int is None else denom_int
+        scratch = scratch or self.scratch
+        shape = recip.shape + loads.shape[1:]
+        flows = scratch(tag + "-flows", shape, np.int64)
+        if bound < RECIP_DIV_LIMIT:
+            lf = scratch(tag + "-lf", loads.shape, np.float64)
+            np.copyto(lf, loads)
+            qf = scratch(tag + "-qf", shape, np.float64)
+            self.kernels.matvec(difference(np.float64), lf, qf)
+            np.multiply(qf, recip if qf.ndim == 1 else recip[:, None], out=qf)
+            np.copyto(flows, qf, casting="unsafe")  # trunc toward zero
+            return flows
+        self.kernels.matvec(difference(np.int64), loads, flows)
+        mag = scratch(tag + "-mag", shape, np.int64)
+        return _signed_floor_divide(flows, denom_int, mag, flows)
 
     def round_discrete(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One discrete Algorithm-1 round; int64 in, int64 out, exact.
@@ -457,11 +528,13 @@ class EdgeOperator:
         Backends with a fused kernel (numba) run the whole round —
         adjacency gather, reciprocal floor-divide, signed scatter — as a
         single node-parallel traversal with no ``(m, B)`` intermediates.
-        The staged reference path gathers diffs and flow arithmetic in
-        reusable scratch buffers — allocation-free in steady state.
-        Either way the values are identical to the serial expressions
-        (integer arithmetic; the reciprocal floor-division fast path is
-        bit-exact).
+        The staged path is two cached sparse products: the difference
+        operator gives the edge differences, :meth:`discrete_flows`
+        turns them into flows, and the signed incidence scatters the
+        flows back — in reusable scratch buffers, allocation-free in
+        steady state.  Either way the values are identical to the serial
+        expressions (integer arithmetic; the float64 fast path is
+        bit-exact, see :meth:`discrete_flows`).
         """
         # The fused kernels read neighbour values while writing out, so an
         # aliased buffer would corrupt silently — reject it loudly here,
@@ -480,17 +553,28 @@ class EdgeOperator:
         )
         if fused is not None:
             return fused
-        if loads.ndim == 1:
-            diff = self.differences(loads)
-            flows = self.floor_divide_denominators(diff, diff, bound)
-            return self.apply_flows(loads, flows, out)
-        shape = (self.m, loads.shape[1])
-        diff = self.scratch("disc-diff", shape, np.int64)
-        tmp = self.scratch("disc-tmp", shape, np.int64)
-        np.take(loads, self.u, axis=0, out=diff)
-        np.take(loads, self.v, axis=0, out=tmp)
-        np.subtract(diff, tmp, out=diff)
-        return self.apply_flows(loads, self.floor_divide_denominators(diff, tmp, bound), out)
+        return self.apply_flows(loads, self.discrete_flows(loads, bound), out)
+
+
+def _scratch_buffer(cache: dict, key: str, shape: tuple, dtype) -> np.ndarray:
+    """The ``(key, dtype)`` buffer of ``cache``, reallocated on a new shape."""
+    full_key = (key, np.dtype(dtype).char)
+    buf = cache.get(full_key)
+    if buf is None or buf.shape != shape:
+        buf = cache[full_key] = np.empty(shape, dtype=dtype)
+    return buf
+
+
+def _signed_floor_divide(
+    diff: np.ndarray, denom: np.ndarray, mag: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``sign(diff) * (|diff| // denom)`` in int64 (``out`` may alias ``diff``)."""
+    if diff.ndim > 1:
+        denom = denom[:, None]
+    np.abs(diff, out=mag)
+    np.floor_divide(mag, denom, out=mag)
+    np.multiply(np.sign(diff), mag, out=out)
+    return out
 
 
 def edge_operator(topo: Topology, backend: str | None = None) -> EdgeOperator:

@@ -31,6 +31,7 @@ halos.
 
 from __future__ import annotations
 
+import gc
 import os
 import socket as _socket
 import sys
@@ -861,6 +862,11 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
                     raise _JobError(f"unknown job kind {kind!r}")
             finally:
                 progress.job_done()
+                # A job's topology and its cached operators form reference
+                # cycles; collect them now so a long-lived worker holds
+                # one job's structures at a time, not every job since the
+                # last full collection.
+                gc.collect()
             log(f"worker: job done (kind={kind})")
     finally:
         hb_stop.set()

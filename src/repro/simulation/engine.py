@@ -108,7 +108,7 @@ class Simulator:
             if monitor is not None:
                 monitor.observe(trace._potentials[-1])
             if self.check_conservation:
-                self._audit_conservation(current, initial_sum)
+                self._audit_conservation(current, trace._sums[-1], initial_sum)
             rule = first_satisfied(self.stopping, trace)
             if traced:
                 rec.record_span("round", _t0, round=r, engine="serial")
@@ -118,8 +118,9 @@ class Simulator:
         trace.stopped_by = rule.reason
         return trace
 
-    def _audit_conservation(self, loads: np.ndarray, initial_sum: float) -> None:
-        s = float(np.asarray(loads, dtype=np.float64).sum())
+    def _audit_conservation(self, loads: np.ndarray, s: float, initial_sum: float) -> None:
+        """Raise unless ``s`` (the float64 sum of ``loads`` that
+        :meth:`Trace.record` just appended) conserves ``initial_sum``."""
         if not np.isfinite(s):
             raise AssertionError(
                 f"{self.balancer.name} leaked load: non-finite sum {s} (NaN/inf in loads)"

@@ -74,7 +74,7 @@ import numpy as np
 
 from repro.core.backends import PlainCSR, resolve_backend
 from repro.observability.recorder import get_recorder
-from repro.core.operators import RECIP_DIV_LIMIT, EdgeOperator, edge_operator
+from repro.core.operators import EdgeOperator, _scratch_buffer, edge_operator
 from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
 from repro.distributed.worker import run_block_loop
@@ -203,22 +203,17 @@ class BlockLocal:
         self.edge_ids = np.flatnonzero(emask)
         self.u_loc = colmap[op.u[self.edge_ids]]
         self.v_loc = colmap[op.v[self.edge_ids]]
-        self.denominators_int = np.ascontiguousarray(op.denominators_int[self.edge_ids])
-        self.denominators_recip = np.ascontiguousarray(op.denominators_recip[self.edge_ids])
         self._round_rows: PlainCSR | None = None
         self._fos_rows: dict[float, PlainCSR] = {}
-        self._incidence_rows: PlainCSR | None = None
         self._scratch: dict[tuple, np.ndarray] = {}
         # Split-phase caches: per row-subset operator slices (lazy).
         self._sub_matvec: dict[tuple, PlainCSR] = {}
-        self._sub_discrete: dict[str, tuple] = {}
+        self._sub_discrete: dict[str | None, tuple] = {}
+        self._sub_difference: dict[tuple, PlainCSR] = {}
 
     def _get_scratch(self, key: str, shape: tuple, dtype) -> np.ndarray:
-        full = (key, shape, np.dtype(dtype).char)
-        buf = self._scratch.get(full)
-        if buf is None:
-            buf = self._scratch[full] = np.empty(shape, dtype=dtype)
-        return buf
+        """One work buffer per ``(key, dtype)``, reallocated on a new shape."""
+        return _scratch_buffer(self._scratch, key, shape, dtype)
 
     # ------------------------------------------------------------------
     # Row-sliced operators (lazy; cached for the block's lifetime)
@@ -240,21 +235,6 @@ class BlockLocal:
                 self.op.fos_csr(key), self.owned, self._colmap, self.n_ext, self.op.idx_dtype
             )
         return M
-
-    def incidence_rows(self) -> PlainCSR:
-        """This block's rows of the signed int64 incidence matrix, with
-        columns renumbered to block-local edge positions."""
-        if self._incidence_rows is None:
-            ecolmap = np.full(self.op.m, -1, dtype=np.int64)
-            ecolmap[self.edge_ids] = np.arange(self.edge_ids.size, dtype=np.int64)
-            self._incidence_rows = _slice_csr_rows(
-                self.op.incidence_csr(np.int64),
-                self.owned,
-                ecolmap,
-                self.edge_ids.size,
-                self.op.idx_dtype,
-            )
-        return self._incidence_rows
 
     # ------------------------------------------------------------------
     # Row-subset plumbing (split-phase interior/boundary execution)
@@ -306,31 +286,32 @@ class BlockLocal:
             out[pos] = buf
         return out
 
-    def _discrete_subset(self, rows: str) -> tuple:
+    def _discrete_subset(self, rows: str | None) -> tuple:
         """Edge/incidence structure restricted to one owned-row subset.
 
-        The subset's incident edges (ascending global edge id, the full
-        fold order) plus the matching incidence row slice with columns
-        renumbered to subset-edge positions.  ``owned_only`` records
-        whether every endpoint is an owned node — true for the interior
-        subset by construction, which is what lets the interior phase
-        run on stale ghost values.
+        The subset's incident edges as ascending global edge ids (the
+        full fold order), their biased reciprocals and int64
+        denominators, the matching incidence row slice with columns
+        renumbered to subset-edge positions, and the owned-row
+        positions.  ``rows=None`` is the whole block.  ``owned_only`` records whether every endpoint is
+        an owned node — true for the interior subset by construction,
+        which is what lets the interior phase run on stale ghost values.
         """
         cached = self._sub_discrete.get(rows)
         if cached is None:
             pos = self._rows_positions(rows)
+            if pos is None:
+                pos = np.arange(self.n_owned, dtype=np.int64)
             member = np.zeros(self.n_ext, dtype=bool)
             member[pos] = True
             epos = np.flatnonzero(member[self.u_loc] | member[self.v_loc])
-            u_sub = np.ascontiguousarray(self.u_loc[epos])
-            v_sub = np.ascontiguousarray(self.v_loc[epos])
-            den_int = np.ascontiguousarray(self.denominators_int[epos])
-            den_recip = np.ascontiguousarray(self.denominators_recip[epos])
+            eids = self.edge_ids[epos]
             owned_only = bool(
-                (u_sub < self.n_owned).all() and (v_sub < self.n_owned).all()
+                (self.u_loc[epos] < self.n_owned).all()
+                and (self.v_loc[epos] < self.n_owned).all()
             )
             ecolmap = np.full(self.op.m, -1, dtype=np.int64)
-            ecolmap[self.edge_ids[epos]] = np.arange(epos.size, dtype=np.int64)
+            ecolmap[eids] = np.arange(epos.size, dtype=np.int64)
             inc = _slice_csr_rows(
                 self.op.incidence_csr(np.int64),
                 self.owned[pos],
@@ -339,9 +320,34 @@ class BlockLocal:
                 self.op.idx_dtype,
             )
             cached = self._sub_discrete[rows] = (
-                epos, u_sub, v_sub, den_int, den_recip, inc, owned_only
+                eids,
+                np.ascontiguousarray(self.op.denominators_recip[eids]),
+                np.ascontiguousarray(self.op.denominators_int[eids]),
+                inc,
+                pos,
+                owned_only,
             )
         return cached
+
+    def _difference_rows(self, rows: str | None, dtype) -> PlainCSR:
+        """The subset's edge rows of the global difference operator.
+
+        Columns are renumbered into the extended space; an owned-only
+        subset gets only the owned columns, so its product reads nothing
+        past the owned region.
+        """
+        key = (rows, np.dtype(dtype).char)
+        D = self._sub_difference.get(key)
+        if D is None:
+            eids, *_, owned_only = self._discrete_subset(rows)
+            D = self._sub_difference[key] = _slice_csr_rows(
+                self.op.difference_csr(dtype),
+                eids,
+                self._colmap,
+                self.n_owned if owned_only else self.n_ext,
+                self.op.idx_dtype,
+            )
+        return D
 
     # ------------------------------------------------------------------
     # Round kernels (extended loads in, owned loads out)
@@ -380,43 +386,30 @@ class BlockLocal:
     ) -> np.ndarray:
         """One discrete Algorithm-1 round on this block (int64, exact).
 
-        Per-edge flows over the block's incident edges (same gather /
-        biased-reciprocal floor-divide / signed scatter as the global
-        kernel), folded onto owned nodes through the incidence row
-        slice.  Integer arithmetic end to end, so the owned results
-        equal the global round's rows exactly.  With ``rows``, only the
-        subset's incident edges and incidence rows participate; the
-        interior subset's edges have owned-only endpoints, so its
-        magnitude bound (which merely *selects* between two exact
-        division paths) is taken over the owned region alone and never
-        reads a ghost value.
+        The block's rows of the global difference operator give the
+        per-edge differences over its incident edges, the operator's own
+        :meth:`~repro.core.operators.EdgeOperator.discrete_flows` step
+        turns them into flows, and the incidence row slice folds those
+        onto owned nodes.  Integer-exact end to end, so the owned results
+        equal the global round's rows.  With ``rows``, only the subset's
+        incident edges and incidence rows participate; the interior
+        subset's edges have owned-only endpoints, so its difference
+        slice, float copy and magnitude bound (which merely *selects*
+        between two exact division paths) cover the owned region alone
+        and never read a ghost value.
         """
-        if rows is None:
-            shape = (self.edge_ids.size,) + ext.shape[1:]
-            diff = self._get_scratch("diff", shape, np.int64)
-            tmp = self._get_scratch("tmp", shape, np.int64)
-            np.take(ext, self.u_loc, axis=0, out=diff)
-            np.take(ext, self.v_loc, axis=0, out=tmp)
-            np.subtract(diff, tmp, out=diff)
-            bound = int(ext.max(initial=0)) - min(int(ext.min(initial=0)), 0)
-            flows = self._floor_divide(
-                diff, tmp, bound, self.denominators_int, self.denominators_recip
-            )
-            out = self._out(ext, out, dtype=np.int64)
-            return self.op.kernels.add_matvec(
-                self.incidence_rows(), ext[: self.n_owned], flows, out
-            )
-        epos, u_sub, v_sub, den_int, den_recip, inc, owned_only = self._discrete_subset(rows)
-        pos = self._rows_positions(rows)
-        shape = (epos.size,) + ext.shape[1:]
-        diff = self._get_scratch("diff_" + rows, shape, np.int64)
-        tmp = self._get_scratch("tmp_" + rows, shape, np.int64)
-        np.take(ext, u_sub, axis=0, out=diff)
-        np.take(ext, v_sub, axis=0, out=tmp)
-        np.subtract(diff, tmp, out=diff)
+        _, recip, den_int, inc, pos, owned_only = self._discrete_subset(rows)
         region = ext[: self.n_owned] if owned_only else ext
         bound = int(region.max(initial=0)) - min(int(region.min(initial=0)), 0)
-        flows = self._floor_divide(diff, tmp, bound, den_int, den_recip)
+        flows = self.op.discrete_flows(
+            region,
+            bound,
+            difference=lambda dtype: self._difference_rows(rows, dtype),
+            recip=recip,
+            denom_int=den_int,
+            scratch=self._get_scratch,
+            tag=f"disc-{rows}",
+        )
         out = self._out(ext, out, dtype=np.int64)
         rng = self._contiguous_range(pos)
         if rng is not None:
@@ -428,33 +421,6 @@ class BlockLocal:
             buf = self._get_scratch("dsc_" + rows, (pos.size,) + ext.shape[1:], np.int64)
             self.op.kernels.add_matvec(inc, base, flows, buf)
             out[pos] = buf
-        return out
-
-    def _floor_divide(
-        self,
-        diff: np.ndarray,
-        out: np.ndarray,
-        bound: int,
-        den_int: np.ndarray,
-        den_recip: np.ndarray,
-    ) -> np.ndarray:
-        """``sign(diff) * (|diff| // denominators)`` over the given edges
-        (the block-local clone of ``EdgeOperator.floor_divide_denominators``).
-        Both paths are exact, so the ``bound`` threshold only picks the
-        cheaper one — never the result."""
-        if diff.size == 0:
-            return out
-        if bound < RECIP_DIV_LIMIT:
-            recip = den_recip if diff.ndim == 1 else den_recip[:, None]
-            qf = self._get_scratch("qf", diff.shape, np.float64)
-            np.multiply(diff, recip, out=qf)
-            np.copyto(out, qf, casting="unsafe")  # trunc toward zero
-            return out
-        denom = den_int if diff.ndim == 1 else den_int[:, None]
-        mag = self._get_scratch("mag", diff.shape, np.int64)
-        np.abs(diff, out=mag)
-        np.floor_divide(mag, denom, out=mag)
-        np.multiply(np.sign(diff), mag, out=out)
         return out
 
 

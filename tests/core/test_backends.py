@@ -167,6 +167,11 @@ class TestPrimitiveParity:
         assert np.array_equal(op.round_continuous(X), ref.round_continuous(X))
         assert np.array_equal(op.round_discrete(xi), ref.round_discrete(xi))
         assert np.array_equal(op.round_discrete(Xi), ref.round_discrete(Xi))
+        # One-column slabs (a block worker's B=1 state) equal the 1-D round.
+        x1, xi1 = x[:, None].copy(), xi[:, None].copy()
+        assert np.array_equal(op.round_continuous(x1), ref.round_continuous(x1))
+        assert np.array_equal(op.round_continuous(x1)[:, 0], op.round_continuous(x))
+        assert np.array_equal(op.round_discrete(xi1)[:, 0], ref.round_discrete(xi))
         for alpha in (0.01, 1.0 / (topo.max_degree + 1)):
             assert np.array_equal(op.fos_round(alpha, x), ref.fos_round(alpha, x))
             assert np.array_equal(op.fos_round(alpha, X), ref.fos_round(alpha, X))

@@ -1,11 +1,19 @@
 """Unit tests for the cached per-topology EdgeOperator."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
-from repro.core.operators import EdgeOperator, edge_operator
+from repro.core.diffusion import DiffusionBalancer, diffusion_flows
+from repro.core.operators import HAVE_SCIPY, RECIP_DIV_LIMIT, EdgeOperator, edge_operator
 from repro.graphs import generators as g
+from repro.graphs.partition import make_partition
 from repro.graphs.topology import Topology
+from repro.simulation.ensemble import EnsembleSimulator
+from repro.simulation.partitioned import BlockLocal, PartitionedSimulator
+from repro.simulation.stopping import MaxRounds
 
 
 class TestCaching:
@@ -108,6 +116,170 @@ class TestScratch:
         assert a is b
         assert op.scratch("x", (4, 3), np.float64) is not a
         assert op.scratch("y", (4, 2), np.float64) is not a
+
+    def test_new_shape_replaces_buffer(self, torus):
+        op = EdgeOperator(torus)
+        op.scratch("x", (4, 2), np.float64)
+        wide = op.scratch("x", (4, 3), np.float64)
+        assert wide.shape == (4, 3)
+        assert op.scratch("x", (4, 3), np.float64) is wide
+        assert len(op._scratch) == 1
+
+    def test_replica_sweep_keeps_one_buffer_per_name(self):
+        topo = g.torus_2d(6, 6)
+        op = EdgeOperator(topo, backend="numpy")
+        loc = BlockLocal(make_partition(topo, 2, "bfs"), 0, backend="numpy")
+        rng = np.random.default_rng(3)
+        for B in range(1, 17):
+            loads = rng.integers(0, 1000, (topo.n, B)).astype(np.int64)
+            op.round_discrete(loads)
+            ext = np.ascontiguousarray(loads[loc.ext_ids])
+            for rows in (None, "interior", "boundary"):
+                loc.round_discrete(ext, rows=rows)
+        for cache in (op._scratch, loc._scratch):
+            names = [key[0] for key in cache]
+            assert names and len(names) == len(set(names))
+        assert op._scratch[("disc-flows", np.dtype(np.int64).char)].shape == (topo.m, 16)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _literal_round(topo, loads):
+    """The literal discrete round: ``diffusion_flows`` + ``np.add.at``.
+
+    ``loads`` is node-major ``(n,)`` or ``(n, B)``."""
+    flows = diffusion_flows(loads.T, topo, discrete=True).T
+    new = np.array(loads, dtype=np.int64, copy=True)
+    np.add.at(new, topo.edges[:, 0], -flows)
+    np.add.at(new, topo.edges[:, 1], flows)
+    return new
+
+
+def _planted_loads(topo, top, B, seed, peaks=(0,)):
+    """Loads whose edge differences sit at ``k d`` and ``k d +- 1``.
+
+    Every load is ``top - k L - o`` with ``L`` the lcm of the edge
+    denominators and ``o`` in {0, 1}, so each edge difference is a
+    multiple of its own denominator ``d`` (``d | L``) plus -1, 0 or +1.
+    Nodes in ``peaks`` hold exactly ``top``, the maximum."""
+    L = math.lcm(*np.unique(topo.edge_denominators_int).tolist())
+    rng = np.random.default_rng(seed)
+    shape = (topo.n,) if B is None else (topo.n, B)
+    small = rng.integers(0, 4, shape)  # flows of 0..3 tokens
+    large = rng.integers(0, top // L, shape)  # differences near the bound
+    k = np.where(rng.random(shape) < 0.5, small, large)
+    loads = top - k * L - rng.integers(0, 2, shape)
+    loads[list(peaks)] = top
+    return loads.astype(np.int64)
+
+
+# star:50 is irregular and its denominator 196 is one where an unbiased
+# reciprocal 1/d truncates exact multiples one short.
+ORACLE_GRAPHS = ["torus:6x6", "hypercube:4", "star:50", "path:9"]
+ORACLE_BACKENDS = [
+    "numpy",
+    pytest.param("scipy", marks=pytest.mark.skipif(not HAVE_SCIPY, reason="SciPy unavailable")),
+]
+# The largest loads the float64 fast branch accepts, and the smallest
+# that take the exact int64 branch.
+ORACLE_TOPS = [RECIP_DIV_LIMIT - 1, RECIP_DIV_LIMIT]
+
+
+class TestDiscreteRoundOracle:
+    """Both discrete rounds equal the literal flows-and-scatter round."""
+
+    @pytest.mark.parametrize("top", ORACLE_TOPS, ids=["fast", "exact"])
+    @pytest.mark.parametrize("B", [None, 1, 3, 64], ids=lambda b: f"B{b}")
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+    @pytest.mark.parametrize("spec", ORACLE_GRAPHS)
+    def test_operator_round(self, spec, backend, B, top):
+        topo = g.by_name(spec)
+        op = edge_operator(topo, backend)
+        for seed in range(3):
+            loads = _planted_loads(topo, top, B, seed)
+            got = op.round_discrete(loads)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _literal_round(topo, loads)), seed
+
+    @pytest.mark.parametrize("top", ORACLE_TOPS, ids=["fast", "exact"])
+    @pytest.mark.parametrize("B", [None, 3], ids=lambda b: f"B{b}")
+    @pytest.mark.parametrize("rows", [None, "interior", "boundary"])
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS + ["numba"])
+    @pytest.mark.parametrize("spec", ORACLE_GRAPHS)
+    def test_block_round(self, spec, backend, rows, B, top, monkeypatch):
+        """Blocks run the staged round on every backend, numba included
+        (its pure-Python kernel shims stand in when numba is absent)."""
+        import repro.core.backends as backends_mod
+
+        if backend == "numba" and not backends_mod.NumbaBackend.available():
+            monkeypatch.setattr(
+                backends_mod.NumbaBackend, "available", classmethod(lambda cls: True)
+            )
+        topo = g.by_name(spec)
+        part = make_partition(topo, 2, "bfs")
+        peaks = [int(owned[0]) for owned in part.owned]
+        loads = _planted_loads(topo, top, B, seed=7, peaks=peaks)
+        want = _literal_round(topo, loads)
+        for p in range(part.blocks):
+            loc = BlockLocal(part, p, backend=backend)
+            ext = np.ascontiguousarray(loads[loc.ext_ids])
+            pos = np.arange(loc.n_owned) if rows is None else loc._rows_positions(rows)
+            got = loc.round_discrete(ext, rows=rows)
+            assert np.array_equal(got[pos], want[loc.owned[pos]]), p
+
+    def test_interior_copies_only_owned_rows(self):
+        topo = g.torus_2d(6, 6)
+        loc = BlockLocal(make_partition(topo, 2, "bfs"), 0, backend="numpy")
+        loads = _planted_loads(topo, RECIP_DIV_LIMIT - 1, 3, seed=1)
+        want = _literal_round(topo, loads)
+        ext = np.ascontiguousarray(loads[loc.ext_ids])
+        # Ghost values far past the fast-branch limit: reading any of
+        # them would change the bound and the copied region.
+        ext[loc.n_owned :] = RECIP_DIV_LIMIT * 64
+        got = loc.round_discrete(ext, rows="interior")
+        pos = loc.interior
+        assert pos.size
+        assert np.array_equal(got[pos], want[loc.owned[pos]])
+        lf = loc._scratch[("disc-interior-lf", np.dtype(np.float64).char)]
+        assert lf.shape == (loc.n_owned, 3)
+        assert ("disc-interior-mag", np.dtype(np.int64).char) not in loc._scratch
+
+
+# Final loads captured from the gather-based discrete round; the
+# difference-operator round must reproduce them bit-for-bit.
+GOLDEN_ENSEMBLE = "6e1e14ca046b9e7e8225fc9fccb84b321b3cd5ca0f9cc06ae496c253d5a282e9"
+GOLDEN_PARTITIONED = "ca62d91e6a34e8702fcad3a6089ccdf4f2012da625131ab83c46609ef552cd93"
+
+
+class TestDiscreteGolden:
+    def test_ensemble_b8(self):
+        topo = g.torus_2d(8, 8)
+        rng = np.random.default_rng(2026)
+        batch = rng.integers(0, 1 << 20, (8, topo.n)).astype(np.int64)
+        trace = EnsembleSimulator(
+            DiffusionBalancer(topo, mode="discrete"),
+            stopping=[MaxRounds(40)],
+            serial_singleton=False,
+        ).run(batch, seed=0)
+        assert _digest(trace.final_loads) == GOLDEN_ENSEMBLE
+
+    def test_partitioned_p2_inprocess(self):
+        topo = g.torus_2d(12, 12)
+        rng = np.random.default_rng(2027)
+        loads = rng.integers(0, 1 << 20, topo.n).astype(np.int64)
+        trace = PartitionedSimulator(
+            DiffusionBalancer(topo, mode="discrete"),
+            partitions=2,
+            stopping=[MaxRounds(40)],
+        ).run(loads)
+        assert _digest(trace.final_loads) == GOLDEN_PARTITIONED
 
 
 class TestReciprocalFloorDivision:

@@ -86,7 +86,22 @@ class _LeakyDiscrete(Balancer):
         return out
 
 
+class _NaNBalancer(Balancer):
+    name = "nan"
+    mode = "continuous"
+
+    def step(self, loads, rng):
+        out = loads.copy()
+        out[0] = np.nan
+        return out
+
+
 class TestConservationAudit:
+    def test_non_finite_sum_detected(self):
+        sim = Simulator(_NaNBalancer(), stopping=[MaxRounds(5)])
+        with pytest.raises(AssertionError, match="non-finite sum nan"):
+            sim.run(np.asarray([5.0, 5.0]), 0)
+
     def test_continuous_leak_detected(self):
         sim = Simulator(_LeakyBalancer(), stopping=[MaxRounds(5)])
         with pytest.raises(AssertionError, match="leaked"):
