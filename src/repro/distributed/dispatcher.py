@@ -536,8 +536,6 @@ class _RemoteBlockExecutor:
         self.blocks_of = {
             w: [p for p in range(P) if self.worker_of[p] == w] for w in range(W)
         }
-        want_disc = sim._record_disc()
-        want_mov = sim.record == "full"
         # Fresh per-job nonce: peer-link headers are signed against it,
         # so a stale (replayed) link header from an earlier mesh cannot
         # attach to this job's halo exchange.
@@ -560,20 +558,8 @@ class _RemoteBlockExecutor:
         specs = []
         for w in range(W):
             payloads = {
-                p: (
-                    sim.balancer,
-                    self.assignment,
-                    sim.strategy,
-                    p,
-                    L[self.owned[p]],
-                    sim.backend,
-                    want_disc,
-                    want_mov,
-                    getattr(sim, "overlap", False),
-                    getattr(sim, "delta_frames", False),
-                    start_round,
-                    self._telemetry,
-                )
+                p: sim.block_job(self.assignment, p, L[self.owned[p]],
+                                 start_round=start_round, telemetry=self._telemetry)
                 for p in self.blocks_of[w]
             }
             spec = {

@@ -60,10 +60,11 @@ class _MpiBlockExecutor:
     """Block executor over MPI ranks (rank 0 side of the seam).
 
     Block ``p`` lives on rank ``p + 1``.  The constructor ships each
-    rank its payload over the control channel — message order per
-    (source, tag) pair is MPI-guaranteed, so no mesh barrier is needed:
-    halo links are plain ``(comm, rank, tag)`` triples that exist as
-    soon as both ends construct their channel objects.  Ranks beyond
+    rank its :class:`~repro.distributed.worker.BlockJob` over the control
+    channel — message order per (source, tag) pair is MPI-guaranteed,
+    so no mesh barrier is needed: halo links are plain
+    ``(comm, rank, tag)`` triples that exist as soon as both ends
+    construct their channel objects.  Ranks beyond
     ``P + 1`` are told to idle out immediately.
     """
 
@@ -81,26 +82,12 @@ class _MpiBlockExecutor:
             )
         self.P = P
         self.owned = [np.flatnonzero(assignment == p) for p in range(P)]
-        want_disc = sim._record_disc()
-        want_mov = sim.record == "full"
         self.conns = [_ctrl_channel(comm, p + 1) for p in range(P)]
         self._spare = [_ctrl_channel(comm, r) for r in range(P + 1, size)]
         for ch in self._spare:
             ch.send(("idle",))
         for p, ch in enumerate(self.conns):
-            payload = (
-                sim.balancer,
-                assignment,
-                sim.strategy,
-                p,
-                L[self.owned[p]],
-                sim.backend,
-                want_disc,
-                want_mov,
-                getattr(sim, "overlap", False),
-                getattr(sim, "delta_frames", False),
-            )
-            ch.send(("block", payload))
+            ch.send(("block", sim.block_job(assignment, p, L[self.owned[p]])))
 
     def _ask_all(self, msg) -> list:
         for c in self.conns:
@@ -152,7 +139,7 @@ class _MpiBlockExecutor:
 def serve_block_rank(comm, *, timeout: float | None = None) -> None:
     """Nonzero-rank entry point: host one block (or idle out).
 
-    Waits for rank 0's ``("block", payload)`` assignment, builds halo
+    Waits for rank 0's ``("block", job)`` assignment, builds halo
     channels to every peer block's rank, and hands control to the same
     :func:`~repro.distributed.worker.run_block_loop` the process and
     remote-worker modes run.  ``("idle",)`` — sent to surplus ranks and
@@ -168,15 +155,14 @@ def serve_block_rank(comm, *, timeout: float | None = None) -> None:
     if msg[0] != "block":  # pragma: no cover - defensive
         ctrl.close()
         raise TransportError(f"expected a block assignment, got {msg[0]!r}")
-    payload = msg[1]
-    assignment, block_id = payload[1], payload[3]
-    P = int(assignment.max()) + 1
+    job = msg[1]
+    P = int(job.assignment.max()) + 1
     peers = {
         q: MpiChannel(comm, q + 1, send_tag=HALO_TAG)
         for q in range(P)
-        if q != block_id
+        if q != job.block_id
     }
-    run_block_loop(ctrl, peers, payload, peer_timeout=timeout)
+    run_block_loop(ctrl, peers, job, peer_timeout=timeout)
 
 
 def run_partitioned_mpi(

@@ -50,9 +50,9 @@ A frame is encoded once, transport-independently, by
 3. the raw buffer bytes themselves, untouched.
 
 Because the slab bytes never pass through the pickler, a halo or trace
-slab is not copied on the sending side: ``tcp`` writes header, metadata
-and buffer views with one vectored ``socket.sendmsg`` batch, ``mp-pipe``
-hands each view straight to ``Connection.send_bytes``, ``loopback``
+slab is not copied on the sending side: the stream channels (``mp-pipe``
+and ``tcp``) write a 4-byte header length, the header, the metadata and
+the buffer views with vectored ``socket.sendmsg`` batches, ``loopback``
 passes the buffer views by reference (the receiver aliases the sender's
 memory — senders must not mutate a slab after sending it, which the halo
 and trace paths honour by always sending freshly materialized arrays),
@@ -65,27 +65,29 @@ No segment is ever written (or received) in pieces larger than the
 module-level :data:`MAX_CHUNK_BYTES` — monkey-patchable, recorded in
 each frame's header so both peers always agree on the chunk geometry —
 which bounds the largest contiguous write a single frame can demand and
-keeps message-oriented backends (``mp-pipe``, ``mpi``) within their
-per-message limits for arbitrarily large payloads.
+keeps the message-oriented ``mpi`` backend within its per-message limits
+for arbitrarily large payloads.
 
 Byte accounting counts the *logical frame*: length prefix + header +
 metadata + buffer bytes.  The encoding is transport-independent, so the
 counters are bit-for-bit comparable across every backend (asserted by
-``TestTransportParity``); transport-private envelopes (the pipe's own
-per-message prefix, MPI's envelope) are not counted.
+``TestTransportParity``); transport-private envelopes (MPI's per-message
+envelope) are not counted.
 
 Backends
 --------
 ``mp-pipe``
-    A ``multiprocessing`` pipe pair (refactored out of the PR-4 process
-    mode).  Spans processes on one host under any start method; this is
-    the default for :class:`~repro.simulation.partitioned.PartitionedSimulator`'s
+    A :class:`StreamChannel` over an AF_UNIX :func:`socket.socketpair`
+    — the socket ``multiprocessing.Pipe()`` uses on Linux.  Spans
+    processes on one host; an endpoint pickles as a ``Process`` argument
+    under any start method.  This is the default for
+    :class:`~repro.simulation.partitioned.PartitionedSimulator`'s
     process mode and the sharded ensemble pool.
 ``tcp``
-    Frames over a persistent TCP connection via vectored ``sendmsg``
-    writes, with configurable ``TCP_NODELAY`` (default on — halo
-    messages are latency-bound) and socket buffer sizes.  Spans hosts;
-    also the wire behind ``repro-lb worker`` / ``repro-lb dispatch``.
+    The same :class:`StreamChannel` over a persistent TCP connection,
+    with configurable ``TCP_NODELAY`` (default on — halo messages are
+    latency-bound) and socket buffer sizes.  Spans hosts; also the wire
+    behind ``repro-lb worker`` / ``repro-lb dispatch``.
 ``loopback``
     An in-memory queue pair.  Same-process (or same-process-different-
     thread) endpoints with zero OS dependencies — the deterministic
@@ -159,12 +161,10 @@ __all__ = [
     "Frame",
     "encode_frame",
     "LoopbackChannel",
-    "PipeChannel",
-    "TcpChannel",
+    "StreamChannel",
     "TcpListener",
     "MpiChannel",
     "loopback_pair",
-    "pipe_pair",
     "tcp_pair",
     "mpi_pair",
     "make_pair",
@@ -181,8 +181,9 @@ __all__ = [
 #: delta-frame flags; version 4 added the hello options dict (heartbeat
 #: interval, auth announcement), the HMAC challenge–response, signed
 #: peer-link headers, and the ``start_round`` block-payload field that
-#: checkpoint replay resumes from.
-PROTOCOL_VERSION = 4
+#: checkpoint replay resumes from; version 5 replaced the positional
+#: block-payload tuple with the typed ``BlockJob`` record.
+PROTOCOL_VERSION = 5
 
 #: Channel backends that are always available (the core ``transport=``
 #: choices).  ``mpi`` joins via :func:`available_transports` when
@@ -212,8 +213,8 @@ INLINE_BUFFER_LIMIT = 4096
 HEAD_FIXED = struct.Struct(">IQQ")
 _LEN = struct.Struct(">Q")
 
-#: ``tcp`` length prefix for the header blob (the stream needs one
-#: explicit delimiter; message-oriented backends self-delimit).  Counted
+#: Stream-channel length prefix for the header blob (a byte stream needs
+#: one explicit delimiter; message-oriented backends self-delimit).  Counted
 #: in the logical frame bytes on every backend so counters stay equal.
 _HEAD_PREFIX = struct.Struct(">I")
 
@@ -548,7 +549,7 @@ class Channel(abc.ABC):
         return frame.nbytes
 
     def send_nowait(self, obj) -> int:
-        """Like :meth:`send`, but never blocks on a full pipe/socket.
+        """Like :meth:`send`, but never blocks on a full socket.
 
         The frame is booked and enqueued; whatever the OS will not take
         immediately stays in this channel's backlog, which every
@@ -738,255 +739,9 @@ def loopback_pair() -> tuple[LoopbackChannel, LoopbackChannel]:
 
 
 # ----------------------------------------------------------------------
-# mp-pipe: multiprocessing pipe pair
+# mp-pipe + tcp: vectored frames over a connected stream socket
 # ----------------------------------------------------------------------
-#: Poll slice while a channel pumps its outbound backlog inside a recv —
-#: short enough that a peer blocked mid-frame on us drains promptly.
-_PUMP_SLICE_S = 0.05
-
-_PIPE_PREFIX = struct.Struct("!i")
-_PIPE_LONG = struct.Struct("!Q")
-
-
-class PipeChannel(Channel):
-    """A ``multiprocessing.connection.Connection`` behind the seam.
-
-    Each frame part rides as its own pipe message (the pipe is message
-    oriented), so slab views go straight from the array to the pipe
-    write with no join copy; the receiver rebuilds each segment with
-    ``recv_bytes_into`` on a preallocated buffer.  Writes go through
-    ``os.write`` with ``Connection``'s exact message framing (a 4-byte
-    ``!i`` length prefix, the large-message escape above 2 GiB) so the
-    channel can toggle the fd nonblocking for :meth:`send_nowait`'s
-    backlog pump while staying wire-compatible with ``recv_bytes``.
-    Picklable the same way a raw ``Connection`` is — i.e. as a
-    ``Process`` argument under any start method — which is how the
-    sharded pool ships a worker its endpoint.
-    """
-
-    transport = "mp-pipe"
-
-    def __init__(self, conn):
-        super().__init__()
-        self._conn = conn
-        #: pending outbound wire views (flat bytes, FIFO)
-        self._backlog: deque = deque()
-        #: serializes enqueue + pump (see TcpChannel._send_lock)
-        self._send_lock = threading.RLock()
-
-    # -- outbound: Connection-framed wire views + backlog pump ---------
-    @staticmethod
-    def _wire_views(part):
-        """``part`` as wire views matching ``Connection._send_bytes``."""
-        mv = part if isinstance(part, memoryview) else memoryview(part)
-        n = mv.nbytes
-        if n > 0x7FFFFFFF:  # pragma: no cover - needs a >2 GiB message
-            yield memoryview(_PIPE_PREFIX.pack(-1) + _PIPE_LONG.pack(n))
-            yield mv
-        elif n > 16384:
-            yield memoryview(_PIPE_PREFIX.pack(n))
-            yield mv
-        else:
-            # Small message: join prefix + payload (one syscall), exactly
-            # like Connection does for wire compatibility.
-            yield memoryview(_PIPE_PREFIX.pack(n) + mv.tobytes())
-
-    def _enqueue(self, frame: Frame) -> None:
-        first, rest = _frame_messages(frame)
-        self._backlog.extend(self._wire_views(first))
-        for part in rest:
-            self._backlog.extend(self._wire_views(part))
-
-    def _pump(self) -> bool:
-        """Write backlog bytes until the pipe would block; True = empty."""
-        with self._send_lock:
-            if not self._backlog:
-                return True
-            try:
-                fd = self._conn.fileno()
-                os.set_blocking(fd, False)
-            except OSError as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-            try:
-                while self._backlog:
-                    view = self._backlog[0]
-                    try:
-                        n = os.write(fd, view)
-                    except BlockingIOError:
-                        return False
-                    except (BrokenPipeError, OSError) as exc:
-                        raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-                    if n == view.nbytes:
-                        self._backlog.popleft()
-                    else:
-                        self._backlog[0] = view[n:]
-            finally:
-                try:
-                    os.set_blocking(fd, True)
-                except OSError:  # pragma: no cover - closed mid-pump
-                    pass
-            return True
-
-    def _send_frame_nowait(self, frame: Frame) -> None:
-        with self._send_lock:
-            self._enqueue(frame)
-            self._pump()
-
-    def _send_frame(self, frame: Frame) -> None:
-        with self._send_lock:
-            self._enqueue(frame)
-        self.flush()
-
-    def flush(self, timeout: float | None = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._pump():
-            budget = None
-            if deadline is not None:
-                budget = deadline - time.monotonic()
-                if budget <= 0:
-                    raise TransportTimeout(
-                        f"pipe send backlog made no progress within {timeout}s"
-                    )
-            try:
-                select.select([], [self._conn.fileno()], [], budget)
-            except OSError as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-
-    def poll(self, timeout: float = 0.0) -> bool:
-        if self._backlog:
-            self._pump()
-        try:
-            return bool(self._conn.poll(timeout))
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-
-    # -- inbound: pump-aware incremental reads -------------------------
-    # ``Connection.recv_bytes_into`` blocks for the *whole* message, so a
-    # peer waiting on our backlog could deadlock us mid-message.  The
-    # channel reads the (Connection-framed) stream itself with short
-    # ``os.readv`` slices instead, pumping the outbound backlog between
-    # reads — progress on both directions is guaranteed as long as each
-    # endpoint is either reading or flushing.
-    def _wait_readable(self, deadline: float | None) -> None:
-        while True:
-            if self._backlog:
-                self._pump()
-            budget = None if deadline is None else deadline - time.monotonic()
-            if budget is not None and budget <= 0:
-                raise TransportTimeout("no complete frame before deadline on pipe channel")
-            if self._backlog:
-                # Outbound residue pending: wait in short slices, pumping
-                # between them, so a peer blocked mid-frame on us drains.
-                piece = _PUMP_SLICE_S if budget is None else min(_PUMP_SLICE_S, budget)
-            else:
-                piece = budget
-            try:
-                if self._conn.poll(piece):
-                    return
-            except (BrokenPipeError, EOFError, OSError) as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-            if not self._backlog and budget is not None:
-                raise TransportTimeout("no complete frame before deadline on pipe channel")
-
-    def _read_exact(self, mv: memoryview, deadline: float | None) -> None:
-        """Read exactly ``mv.nbytes`` stream bytes into ``mv``."""
-        pos = 0
-        total = mv.nbytes
-        while pos < total:
-            self._wait_readable(deadline)
-            try:
-                got = os.readv(self._conn.fileno(), [mv[pos:]])
-            except BlockingIOError:  # pragma: no cover - raced a pump toggle
-                continue
-            except OSError as exc:
-                raise ChannelClosed(f"pipe peer is gone: {exc}") from exc
-            if got == 0:
-                raise ChannelClosed("pipe peer closed the connection")
-            pos += got
-
-    def _read_message_size(self, deadline: float | None) -> int:
-        """Read one Connection message length prefix."""
-        hdr = bytearray(_PIPE_PREFIX.size)
-        self._read_exact(memoryview(hdr), deadline)
-        (n,) = _PIPE_PREFIX.unpack(hdr)
-        if n == -1:  # pragma: no cover - needs a >2 GiB message
-            big = bytearray(_PIPE_LONG.size)
-            self._read_exact(memoryview(big), deadline)
-            (n,) = _PIPE_LONG.unpack(big)
-        if n < 0:
-            raise TransportError(f"pipe frame desync: negative message size {n}")
-        return n
-
-    def _recv_segment(self, nbytes: int, chunk: int, deadline: float | None,
-                      prefix: memoryview, target: memoryview | None = None):
-        """Reassemble one ``nbytes`` segment from chunked pipe messages.
-
-        ``target``, when given, is a preallocated writable byte view the
-        segment lands in (the :meth:`recv_into` fast path); otherwise a
-        fresh ``bytearray`` is allocated.
-        """
-        out = bytearray(nbytes) if target is None else target
-        mv = memoryview(out) if target is None else target
-        pos = prefix.nbytes
-        if pos:
-            mv[:pos] = prefix
-        while pos < nbytes:
-            want = min(chunk, nbytes - pos)
-            got = self._read_message_size(deadline)
-            if got != want:
-                raise TransportError(
-                    f"pipe frame desync: expected a {want} B chunk, got {got} B"
-                )
-            self._read_exact(mv[pos : pos + want], deadline)
-            pos += got
-        return out
-
-    def _recv_frame(self, timeout: float | None, alloc=None):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        n0 = self._read_message_size(deadline)
-        if not HEAD_FIXED.size <= n0 <= _MAX_HEAD_BYTES:
-            raise TransportError(f"undecodable frame header ({n0} B)")
-        msg0 = bytearray(n0)
-        self._read_exact(memoryview(msg0), deadline)
-        info = _split_head(memoryview(msg0))
-        meta = self._recv_segment(info.meta_len, info.chunk, deadline, info.meta_prefix)
-        empty = memoryview(b"")
-        buffers = [
-            self._recv_segment(
-                n, info.chunk, deadline, empty,
-                target=alloc(i, n) if alloc is not None else None,
-            )
-            for i, n in enumerate(info.buf_lens)
-        ]
-        return info.head_len, meta, buffers
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - double close
-            pass
-
-    def fileno(self) -> int:
-        return self._conn.fileno()
-
-    def __reduce__(self):
-        # Counters are per-endpoint-per-process; a pickled channel starts
-        # fresh on the other side (exactly like a pickled Connection).
-        return (PipeChannel, (self._conn,))
-
-
-def pipe_pair(ctx=None) -> tuple[PipeChannel, PipeChannel]:
-    """Two connected pipe endpoints (``ctx`` defaults to ``multiprocessing``)."""
-    import multiprocessing as mp
-
-    left, right = (ctx or mp).Pipe()
-    return PipeChannel(left), PipeChannel(right)
-
-
-# ----------------------------------------------------------------------
-# tcp: vectored frames over a persistent socket
-# ----------------------------------------------------------------------
-#: Default ceiling on one TCP send.  Generous — a send only stalls
+#: Default ceiling on one stream send.  Generous — a send only stalls
 #: this long when the peer stops draining entirely — but finite, so a
 #: SIGSTOPped/wedged peer surfaces as a TransportTimeout instead of
 #: hanging the dispatcher or worker forever.
@@ -996,35 +751,51 @@ DEFAULT_SEND_TIMEOUT = 600.0
 #: and forced-chunking tests can produce thousands of views.
 _IOV_BATCH = 64
 
-class TcpChannel(Channel):
-    """One endpoint of a persistent TCP connection.
+#: Poll slice while a channel pumps its outbound backlog inside a recv —
+#: short enough that a peer blocked mid-frame on us drains promptly.
+_PUMP_SLICE_S = 0.05
 
-    Wire format: a 4-byte big-endian header length, the frame header,
-    then metadata and raw buffer bytes — all written as one vectored
+_INET_FAMILIES = (socket.AF_INET, socket.AF_INET6)
+
+
+class StreamChannel(Channel):
+    """One endpoint of a connected stream socket: ``mp-pipe`` or ``tcp``.
+
+    ``mp-pipe`` runs over an AF_UNIX :func:`socket.socketpair` (what
+    ``multiprocessing.Pipe()`` is on Linux), ``tcp`` over a TCP
+    connection; :attr:`transport` names which, per instance.  Wire
+    format: a 4-byte big-endian header length, the frame header, then
+    metadata and raw buffer bytes — all written as one vectored
     ``socket.sendmsg`` batch, so slabs go from array memory to the
     kernel without an intermediate join.  ``nodelay`` (default on)
-    disables Nagle — halo frames are small and latency-bound, and the
-    pairwise protocol serializes round trips.  ``buffer_size`` sets
-    ``SO_SNDBUF``/``SO_RCVBUF`` when given (large ``(n_block, B)`` slabs
-    benefit from roomy kernel buffers); ``send_timeout`` bounds each
-    send (see :data:`DEFAULT_SEND_TIMEOUT`).
+    disables Nagle on TCP sockets — halo frames are small and
+    latency-bound, and the pairwise protocol serializes round trips.
+    ``buffer_size`` sets ``SO_SNDBUF``/``SO_RCVBUF`` when given (large
+    ``(n_block, B)`` slabs benefit from roomy kernel buffers);
+    ``send_timeout`` bounds each send (see :data:`DEFAULT_SEND_TIMEOUT`).
+
+    Picklable as a ``Process`` argument under any start method: the
+    socket travels through :mod:`multiprocessing`'s fd-passing
+    reduction and the endpoint is rebuilt around it with fresh
+    counters (counters are per endpoint, per process).
     """
 
-    transport = "tcp"
-
-    def __init__(self, sock: socket.socket, *, nodelay: bool = True,
-                 buffer_size: int | None = None,
+    def __init__(self, sock: socket.socket, *, transport: str = "tcp",
+                 nodelay: bool = True, buffer_size: int | None = None,
                  send_timeout: float | None = DEFAULT_SEND_TIMEOUT):
         super().__init__()
+        self.transport = transport
         self._sock = sock
         self._closed = False
+        self._nodelay = nodelay
         self._send_timeout = send_timeout
         #: pending outbound wire views (flat bytes, FIFO)
         self._backlog: deque = deque()
         #: serializes enqueue + pump so two sender threads (job + heartbeat)
         #: never interleave frame fragments; never held across a blocking wait
         self._send_lock = threading.RLock()
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1 if nodelay else 0)
+        if sock.family in _INET_FAMILIES:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1 if nodelay else 0)
         if buffer_size is not None:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, int(buffer_size))
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, int(buffer_size))
@@ -1033,6 +804,12 @@ class TcpChannel(Channel):
         # sender thread (e.g. a worker's heartbeat loop) is safe
         # alongside a receiver blocked on the same socket.
         sock.setblocking(False)
+
+    def __reduce__(self):
+        # The socket pickles via multiprocessing's fd-passing reducer;
+        # socket options live on the shared socket, not on this object.
+        return (_rebuild_stream, (self._sock, self.transport, self._nodelay,
+                                  self._send_timeout))
 
     # -- outbound: backlog + nonblocking vectored pump -----------------
     def _enqueue(self, frame: Frame) -> None:
@@ -1060,7 +837,7 @@ class TcpChannel(Channel):
                 except (BlockingIOError, InterruptedError):
                     return False
                 except (BrokenPipeError, ConnectionError, OSError) as exc:
-                    raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+                    raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
                 while sent > 0:
                     v = self._backlog[0]
                     if sent >= v.nbytes:
@@ -1093,14 +870,14 @@ class TcpChannel(Channel):
                 budget = deadline - time.monotonic()
                 if budget <= 0:
                     raise TransportTimeout(
-                        f"tcp send backlog made no progress within {timeout}s "
+                        f"{self.transport} send backlog made no progress within {timeout}s "
                         f"(peer wedged?)"
                     )
             piece = 0.25 if budget is None else min(0.25, budget)
             try:
                 select.select([], [self._sock], [], piece)
             except OSError as exc:
-                raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+                raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
 
     def poll(self, timeout: float = 0.0) -> bool:
         if self._backlog:
@@ -1108,7 +885,7 @@ class TcpChannel(Channel):
         try:
             ready, _, _ = select.select([self._sock], [], [], timeout)
         except OSError as exc:
-            raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+            raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
         return bool(ready)
 
     # -- inbound -------------------------------------------------------
@@ -1120,7 +897,9 @@ class TcpChannel(Channel):
             if deadline is not None:
                 budget = deadline - time.monotonic()
                 if budget <= 0:
-                    raise TransportTimeout("no complete frame before deadline on tcp channel")
+                    raise TransportTimeout(
+                        f"no complete frame before deadline on {self.transport} channel"
+                    )
             if self._backlog:
                 # Outbound residue pending: read in short slices, pumping
                 # between them, so a peer blocked mid-frame on us drains.
@@ -1136,14 +915,14 @@ class TcpChannel(Channel):
                     if not ready:
                         if budget is None or slice_ < budget:
                             continue  # partial slice expired, budget has not
-                        raise TransportTimeout("tcp recv timed out mid-frame")
+                        raise TransportTimeout(f"{self.transport} recv timed out mid-frame")
                 got = self._sock.recv_into(mv[pos:])
             except (BlockingIOError, InterruptedError):
                 continue  # readable raced away (concurrent drain/EINTR)
             except (ConnectionError, OSError) as exc:
-                raise ChannelClosed(f"tcp peer is gone: {exc}") from exc
+                raise ChannelClosed(f"{self.transport} peer is gone: {exc}") from exc
             if not got:
-                raise ChannelClosed("tcp peer closed the connection")
+                raise ChannelClosed(f"{self.transport} peer closed the connection")
             pos += got
 
     def _recv_frame(self, timeout: float | None, alloc=None):
@@ -1187,6 +966,9 @@ class TcpChannel(Channel):
 
     @property
     def peer_address(self) -> tuple[str, int] | None:
+        """``(host, port)`` of a TCP peer; ``None`` on a socketpair."""
+        if self._sock.family not in _INET_FAMILIES:
+            return None
         try:
             host, port = self._sock.getpeername()[:2]
             return str(host), int(port)
@@ -1194,8 +976,13 @@ class TcpChannel(Channel):
             return None
 
 
+def _rebuild_stream(sock, transport, nodelay, send_timeout) -> StreamChannel:
+    return StreamChannel(sock, transport=transport, nodelay=nodelay,
+                         send_timeout=send_timeout)
+
+
 class TcpListener:
-    """A listening socket that accepts :class:`TcpChannel` connections.
+    """A listening socket that accepts ``tcp`` :class:`StreamChannel` connections.
 
     ``port=0`` binds an ephemeral port; :attr:`address` reports the one
     actually bound (what a worker advertises in its rendezvous hello).
@@ -1225,7 +1012,7 @@ class TcpListener:
         host, port = self._sock.getsockname()[:2]
         return str(host), int(port)
 
-    def accept(self, timeout: float | None = None) -> TcpChannel:
+    def accept(self, timeout: float | None = None) -> StreamChannel:
         self._sock.settimeout(timeout)
         try:
             conn, _ = self._sock.accept()
@@ -1233,7 +1020,7 @@ class TcpListener:
             raise TransportTimeout(f"no inbound connection within {timeout}s") from None
         except OSError as exc:
             raise TransportError(f"accept failed: {exc}") from exc
-        return TcpChannel(conn, **self._opts)
+        return StreamChannel(conn, **self._opts)
 
     def close(self) -> None:
         self._sock.close()
@@ -1255,7 +1042,7 @@ def tcp_connect(address: tuple[str, int], *, timeout: float | None = 30.0,
                 retries: int = 40, retry_delay: float = 0.25,
                 deadline: float | None = None,
                 nodelay: bool = True, buffer_size: int | None = None,
-                send_timeout: float | None = DEFAULT_SEND_TIMEOUT) -> TcpChannel:
+                send_timeout: float | None = DEFAULT_SEND_TIMEOUT) -> StreamChannel:
     """Connect to a listening peer, retrying while it comes up.
 
     Workers and dispatchers start asynchronously (two terminals, two CI
@@ -1279,8 +1066,8 @@ def tcp_connect(address: tuple[str, int], *, timeout: float | None = 30.0,
         try:
             sock.connect((host, int(port)))
             sock.settimeout(None)
-            return TcpChannel(sock, nodelay=nodelay, buffer_size=buffer_size,
-                              send_timeout=send_timeout)
+            return StreamChannel(sock, nodelay=nodelay, buffer_size=buffer_size,
+                                 send_timeout=send_timeout)
         except (ConnectionError, socket.timeout, OSError) as exc:
             sock.close()
             last = exc
@@ -1302,7 +1089,7 @@ def tcp_connect(address: tuple[str, int], *, timeout: float | None = 30.0,
     )
 
 
-def tcp_pair(**options) -> tuple[TcpChannel, TcpChannel]:
+def tcp_pair(**options) -> tuple[StreamChannel, StreamChannel]:
     """Two connected TCP endpoints over localhost (for same-host meshes)."""
     with TcpListener("127.0.0.1", 0, **options) as listener:
         client = tcp_connect(listener.address, retries=0, **options)
@@ -1525,19 +1312,21 @@ def mpi_pair(comm=None) -> tuple[MpiChannel, MpiChannel]:
 # ----------------------------------------------------------------------
 # registry + addresses
 # ----------------------------------------------------------------------
-def make_pair(transport: str = "mp-pipe", *, ctx=None, **options) -> tuple[Channel, Channel]:
+def make_pair(transport: str = "mp-pipe", **options) -> tuple[Channel, Channel]:
     """Two connected endpoints of the named transport.
 
-    ``mp-pipe`` accepts ``ctx`` (a multiprocessing context); ``tcp``
-    accepts the socket options of :class:`TcpChannel`; ``loopback``
-    takes no options; ``mpi`` (available when ``mpi4py`` is importable)
+    ``mp-pipe`` (an AF_UNIX socketpair) and ``loopback`` take no
+    options; ``tcp`` accepts the socket options of
+    :class:`StreamChannel`; ``mpi`` (available when ``mpi4py`` is importable)
     accepts ``comm``.  This is the seam the local runtimes build their
     worker links through — swapping the string swaps the wire.
     """
     if transport == "mp-pipe":
         if options:
             raise ValueError(f"mp-pipe transport takes no options, got {sorted(options)}")
-        return pipe_pair(ctx=ctx)
+        left, right = socket.socketpair()
+        return (StreamChannel(left, transport="mp-pipe"),
+                StreamChannel(right, transport="mp-pipe"))
     if transport == "tcp":
         return tcp_pair(**options)
     if transport == "loopback":

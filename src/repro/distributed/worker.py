@@ -2,13 +2,15 @@
 
 Three layers share this module:
 
-- :func:`run_block_loop` — the persistent partition-block worker (PR 4's
-  pipe worker, refactored onto the :mod:`~repro.distributed.transport`
-  seam).  It owns one ``(n_block, B)`` slab, exchanges halos peer-to-peer
-  through whatever :class:`~repro.distributed.transport.Channel` objects
-  it is handed (pipes on one host, TCP across hosts, loopback between
-  two blocks in one process), and streams per-round statistic partials
-  back to its coordinator.
+- :func:`run_block_loop` — the persistent partition-block worker.  It
+  starts from one typed :class:`BlockJob`, owns one ``(n_block, B)``
+  slab, exchanges halos peer-to-peer through whatever
+  :class:`~repro.distributed.transport.Channel` objects it is handed
+  (socketpairs on one host, TCP across hosts, loopback between two
+  blocks in one process, MPI between ranks), and streams per-round
+  statistic partials back to its coordinator.  One round body
+  (:meth:`_SlabRunner.round`) serves both halo schedules, traced or
+  not: tracing only swaps an enabled recorder in for the disabled one.
 - :func:`shard_process_main` — the replica-shard worker behind
   :func:`~repro.simulation.sharding.run_sharded_ensemble`: receive one
   pickled shard payload, run it through a process-local ensemble, send
@@ -37,13 +39,15 @@ import socket as _socket
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from repro.core.backends import resolve_backend
+from repro.core.protocols import Balancer
 from repro.observability.logs import ensure_handler
-from repro.observability.recorder import Recorder, get_recorder
+from repro.observability.recorder import NULL_RECORDER, Recorder, get_recorder
 from repro.distributed.transport import (
     PROTOCOL_VERSION,
     AuthenticationError,
@@ -63,7 +67,7 @@ from repro.distributed.transport import (
 )
 
 __all__ = [
-    "exchange_halos",
+    "BlockJob",
     "run_block_loop",
     "shard_process_main",
     "serve",
@@ -73,40 +77,35 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Halo exchange + block loop (any Channel implementation)
+# Block job + round driver (any Channel implementation)
 # ----------------------------------------------------------------------
-def exchange_halos(local, owned: np.ndarray, peers: dict[int, Channel],
-                   timeout: float | None = None) -> tuple[np.ndarray, int]:
-    """Peer-to-peer halo exchange; returns the extended matrix + values sent.
+@dataclass(frozen=True)
+class BlockJob:
+    """Everything one partition block's worker needs to start.
 
-    Deadlock-free pairwise protocol: links are walked in ascending peer
-    order and the lower-id side of each pair sends before it receives.
-    The lowest-id block can always complete its first exchange, and by
-    induction every pair drains (at most one in-flight direction per
-    pair at any time).  The protocol only needs ordered, message-framed
-    channels — the transport seam's contract — so it is identical over
-    pipes, TCP and loopback queues.
-
-    This is the standalone, allocation-per-call form of the exchange;
-    :class:`_SlabRunner` is the persistent-slab round driver the block
-    loop actually runs on.
+    Built by :meth:`~repro.simulation.partitioned.PartitionedSimulator.block_job`
+    for the local, remote and MPI executors alike, and read by name in
+    :func:`run_block_loop`.
     """
-    ghost = np.empty((local.n_ghost,) + owned.shape[1:], dtype=owned.dtype)
-    sent = 0
-    width = int(np.prod(owned.shape[1:], dtype=np.int64)) if owned.ndim > 1 else 1
-    for link in local.links:
-        ch = peers[link.peer]
-        # Fancy indexing already yields a fresh C-contiguous array, so the
-        # send side needs no extra copy.
-        if local.p < link.peer:
-            ch.send(owned[link.send_idx])
-            ghost[link.recv_idx] = ch.recv(timeout)
-        else:
-            chunk = ch.recv(timeout)
-            ch.send(owned[link.send_idx])
-            ghost[link.recv_idx] = chunk
-        sent += int(link.send_idx.size) * width
-    return np.concatenate([owned, ghost], axis=0), sent
+
+    balancer: Balancer
+    #: node -> block vector of the whole run
+    assignment: np.ndarray
+    strategy: str
+    block_id: int
+    #: this block's initial ``(n_block, B)`` loads
+    owned: np.ndarray
+    backend: str | None
+    want_disc: bool
+    want_mov: bool
+    #: split-phase rounds with nonblocking sends
+    overlap: bool
+    #: changed-rows halo frames
+    delta: bool
+    #: round counter to resume from (checkpoint replay)
+    start_round: int
+    #: record per-phase spans and ship them back with each chunk reply
+    telemetry: bool
 
 
 class _SlabRunner:
@@ -118,16 +117,26 @@ class _SlabRunner:
     frames land directly in ``cur``'s per-peer ghost slices via
     :meth:`Channel.recv_into`.  The slabs ping-pong each round.
 
-    Two round protocols, bit-for-bit identical results:
+    Two round schedules, bit-for-bit identical results:
 
     - *sync* (default): the classic pairwise ordered exchange (lower
-      block id sends first), then one full ``block_step``.
+      block id sends first), then one full ``block_step``.  The
+      protocol only needs ordered, message-framed channels, so it is
+      deadlock-free on every transport: the lowest-id block can always
+      complete its first exchange, and by induction every pair drains.
     - *overlap*: post every link's send with :meth:`Channel.send_nowait`,
       compute the interior rows (owned-only operator support — ghost
       staleness cannot reach them), drain the receives into the ghost
       slices, then compute the boundary rows.  Row updates are
       independent given the extended vector, so the split phases equal
       the full round exactly.
+
+    ``recorder`` gets one span per step: ``halo_send``/``halo_wait``
+    per link (with the link's frame-byte delta) and
+    ``interior``/``boundary`` compute spans — sync's single full
+    ``block_step`` is recorded as ``interior``.  The default, the
+    disabled ``NULL_RECORDER``, drops them; the message order and
+    arithmetic do not depend on it.
 
     Delta frames (opt-in): each link remembers the rows it sent in the
     last *two* rounds — the receiver's double-buffered ghost slice holds
@@ -138,15 +147,15 @@ class _SlabRunner:
     """
 
     def __init__(self, peers: dict[int, Channel], *, overlap: bool = False,
-                 delta: bool = False, timeout: float | None = None):
+                 delta: bool = False, timeout: float | None = None,
+                 recorder: Recorder = NULL_RECORDER):
         self.peers = peers
         self.overlap = bool(overlap)
         self.delta = bool(delta)
         self.timeout = timeout
+        self.recorder = recorder
         #: logical halo values shipped (sum of send rows x batch width)
         self.halo_values = 0
-        #: set (with an enabled Recorder) before using :meth:`round_traced`
-        self.recorder: Recorder | None = None
         self._local = None
         self._cur: np.ndarray | None = None
         self._nxt: np.ndarray | None = None
@@ -183,7 +192,9 @@ class _SlabRunner:
         self._snap = {link.peer: [None, None] for link in local.links}
 
     def _post_send(self, link, owned: np.ndarray, r: int, blocking: bool) -> None:
+        t0 = perf_counter()
         ch = self.peers[link.peer]
+        b0 = ch.bytes_sent
         rows = owned[link.send_idx]  # fresh contiguous copy
         self.halo_values += int(link.send_idx.size) * int(
             np.prod(rows.shape[1:], dtype=np.int64)
@@ -205,11 +216,18 @@ class _SlabRunner:
             ch.send(payload)
         else:
             ch.send_nowait(payload)
+        if self.recorder.enabled:
+            self.recorder.record_span("halo_send", t0, round=r,
+                                      link=f"{self._local.p}->{link.peer}",
+                                      bytes=ch.bytes_sent - b0)
 
-    def _drain_recv(self, link) -> None:
+    def _drain_recv(self, link, r: int) -> None:
+        t0 = perf_counter()
+        ch = self.peers[link.peer]
+        b0 = ch.bytes_received
         a, b = self._local.recv_slices[link.peer]
         region = self._cur[self._local.n_owned + a : self._local.n_owned + b]
-        msg = self.peers[link.peer].recv_into(region, self.timeout)
+        msg = ch.recv_into(region, self.timeout)
         if msg[0] == "dense":
             arr = msg[1]
             if not np.shares_memory(arr, region):
@@ -219,115 +237,46 @@ class _SlabRunner:
             region[idx] = vals.reshape((idx.size,) + region.shape[1:])
         else:  # pragma: no cover - defensive
             raise TransportError(f"unexpected halo frame tag {msg[0]!r}")
+        if self.recorder.enabled:
+            self.recorder.record_span("halo_wait", t0, round=r,
+                                      link=f"{link.peer}->{self._local.p}",
+                                      bytes=ch.bytes_received - b0)
 
     def round(self, local, balancer, frozen, r: int,
               want_disc: bool, want_mov: bool):
         """Advance one round; returns the round's statistics partial."""
         self.bind(local)
-        cur, nxt = self._cur, self._nxt
-        owned = cur[: local.n_owned]
-        out = nxt[: local.n_owned]
-        if self.overlap:
-            for link in local.links:
-                self._post_send(link, owned, r, blocking=False)
-            if local.interior.size:
-                balancer.block_step(local, cur, out=out, rows="interior")
-            for link in local.links:
-                self._drain_recv(link)
-            if local.boundary.size:
-                balancer.block_step(local, cur, out=out, rows="boundary")
-        else:
-            for link in local.links:
-                if local.p < link.peer:
-                    self._post_send(link, owned, r, blocking=True)
-                    self._drain_recv(link)
-                else:
-                    self._drain_recv(link)
-                    self._post_send(link, owned, r, blocking=True)
-            balancer.block_step(local, cur, out=out)
-        if frozen is not None and frozen.any():
-            out[:, frozen] = owned[:, frozen]
-        from repro.simulation.partitioned import _partial_stats
-
-        stats = _partial_stats(out, owned, want_disc, want_mov)
-        self._cur, self._nxt = nxt, cur
-        return stats
-
-    def round_traced(self, local, balancer, frozen, r: int,
-                     want_disc: bool, want_mov: bool):
-        """:meth:`round` with per-phase spans on :attr:`recorder`.
-
-        A separate sibling (selected once per job, not per round) so the
-        untraced hot path stays byte-identical to before telemetry
-        existed.  Records ``halo_send``/``halo_wait`` per link (with the
-        link's frame-byte delta), plus ``interior``/``boundary`` compute
-        spans — sync mode's single full ``block_step`` is recorded as
-        ``interior``, since no boundary split exists there.  Arithmetic,
-        buffers and message ordering are identical to :meth:`round`, so
-        results stay bit-for-bit equal with tracing on or off.
-        """
         rec = self.recorder
-        self.bind(local)
         cur, nxt = self._cur, self._nxt
         owned = cur[: local.n_owned]
         out = nxt[: local.n_owned]
-        p = local.p
         if self.overlap:
             for link in local.links:
-                ch = self.peers[link.peer]
-                b0 = ch.bytes_sent
-                t0 = perf_counter()
                 self._post_send(link, owned, r, blocking=False)
-                rec.record_span("halo_send", t0, round=r,
-                                link=f"{p}->{link.peer}", bytes=ch.bytes_sent - b0)
             t0 = perf_counter()
             if local.interior.size:
                 balancer.block_step(local, cur, out=out, rows="interior")
-            rec.record_span("interior", t0, round=r, rows=int(local.interior.size))
+            if rec.enabled:
+                rec.record_span("interior", t0, round=r, rows=int(local.interior.size))
             for link in local.links:
-                ch = self.peers[link.peer]
-                b0 = ch.bytes_received
-                t0 = perf_counter()
-                self._drain_recv(link)
-                rec.record_span("halo_wait", t0, round=r,
-                                link=f"{link.peer}->{p}",
-                                bytes=ch.bytes_received - b0)
+                self._drain_recv(link, r)
             t0 = perf_counter()
             if local.boundary.size:
                 balancer.block_step(local, cur, out=out, rows="boundary")
-            rec.record_span("boundary", t0, round=r, rows=int(local.boundary.size))
+            if rec.enabled:
+                rec.record_span("boundary", t0, round=r, rows=int(local.boundary.size))
         else:
             for link in local.links:
-                ch = self.peers[link.peer]
                 if local.p < link.peer:
-                    b0 = ch.bytes_sent
-                    t0 = perf_counter()
                     self._post_send(link, owned, r, blocking=True)
-                    rec.record_span("halo_send", t0, round=r,
-                                    link=f"{p}->{link.peer}",
-                                    bytes=ch.bytes_sent - b0)
-                    b0 = ch.bytes_received
-                    t0 = perf_counter()
-                    self._drain_recv(link)
-                    rec.record_span("halo_wait", t0, round=r,
-                                    link=f"{link.peer}->{p}",
-                                    bytes=ch.bytes_received - b0)
+                    self._drain_recv(link, r)
                 else:
-                    b0 = ch.bytes_received
-                    t0 = perf_counter()
-                    self._drain_recv(link)
-                    rec.record_span("halo_wait", t0, round=r,
-                                    link=f"{link.peer}->{p}",
-                                    bytes=ch.bytes_received - b0)
-                    b0 = ch.bytes_sent
-                    t0 = perf_counter()
+                    self._drain_recv(link, r)
                     self._post_send(link, owned, r, blocking=True)
-                    rec.record_span("halo_send", t0, round=r,
-                                    link=f"{p}->{link.peer}",
-                                    bytes=ch.bytes_sent - b0)
             t0 = perf_counter()
             balancer.block_step(local, cur, out=out)
-            rec.record_span("interior", t0, round=r, rows=int(local.n_owned))
+            if rec.enabled:
+                rec.record_span("interior", t0, round=r, rows=int(local.n_owned))
         if frozen is not None and frozen.any():
             out[:, frozen] = owned[:, frozen]
         from repro.simulation.partitioned import _partial_stats
@@ -342,7 +291,7 @@ class _SlabRunner:
             ch.flush(self.timeout)
 
 
-def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
+def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
                    peer_timeout: float | None = None,
                    inherited: list[Channel] | None = None,
                    progress: "WorkerProgress | None" = None) -> None:
@@ -357,16 +306,11 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
     ``("stop",)`` exits.  Any exception is reported as ``("error", msg)``
     so the coordinator can fail loudly instead of hanging.
 
-    The payload tuple may carry trailing flags beyond the classic eight
-    fields: ``overlap`` (split-phase rounds with nonblocking sends),
-    ``delta`` (changed-rows halo frames), ``start_round`` (checkpoint
-    replay) and ``telemetry`` — when set, the block records per-phase
-    spans through a private buffering :class:`Recorder` and appends the
-    drained event list as a 5th element of the chunk reply (coordinators
-    that predate telemetry index only the first four, so the extra
-    element is backward-compatible).  ``progress``, when given, is this
-    worker's live :class:`WorkerProgress` aggregate for the periodic
-    stats frames.
+    ``job`` is the block's :class:`BlockJob`.  With ``job.telemetry``
+    set, the block records per-phase spans through a private buffering
+    :class:`Recorder` and appends the drained event list as a 5th element
+    of the chunk reply.  ``progress``, when given, is this worker's live
+    :class:`WorkerProgress` aggregate for the periodic stats frames.
     """
     from repro.simulation.partitioned import _PartitionMemo, block_local
 
@@ -378,32 +322,22 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
     # instead of waiting forever.
     for channel in inherited or ():
         channel.detach()
-    (balancer, assignment, strategy, block_id, owned, backend,
-     want_disc, want_mov, *rest) = payload
-    overlap = bool(rest[0]) if len(rest) > 0 else False
-    delta = bool(rest[1]) if len(rest) > 1 else False
-    # Checkpoint replay resumes mid-run: the round counter must continue
-    # from the snapshot's round so dynamic topologies replay identically.
-    start_round = int(rest[2]) if len(rest) > 2 else 0
-    telemetry = bool(rest[3]) if len(rest) > 3 else False
     try:
+        balancer = job.balancer
         balancer.reset()
-        if backend is not None:
-            balancer.backend = backend
-        resolved = resolve_backend(backend)
-        parts = _PartitionMemo(assignment, strategy)
-        runner = _SlabRunner(peers, overlap=overlap, delta=delta, timeout=peer_timeout)
-        rec: Recorder | None = None
-        if telemetry:
-            rec = Recorder(enabled=True, role=f"block:{block_id}",
-                           base={"block": block_id})
-            runner.recorder = rec
-        # Selected once per job, never per round: the untraced loop body
-        # is byte-identical to the pre-telemetry one.
-        do_round = runner.round_traced if telemetry else runner.round
-        L = np.ascontiguousarray(owned)
+        if job.backend is not None:
+            balancer.backend = job.backend
+        resolved = resolve_backend(job.backend)
+        parts = _PartitionMemo(job.assignment, job.strategy)
+        rec = NULL_RECORDER
+        if job.telemetry:
+            rec = Recorder(enabled=True, role=f"block:{job.block_id}",
+                           base={"block": job.block_id})
+        runner = _SlabRunner(peers, overlap=job.overlap, delta=job.delta,
+                             timeout=peer_timeout, recorder=rec)
+        L = np.ascontiguousarray(job.owned)
         bound = False
-        r = start_round
+        r = job.start_round
         while True:
             msg = ctrl.recv()
             if msg[0] == "run":
@@ -414,12 +348,12 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
                 chunk_t0 = time.monotonic() if progress is not None else 0.0
                 for _ in range(nrounds):
                     topo = balancer.partition_topology(r)
-                    local = block_local(parts.get(topo), block_id, resolved)
+                    local = block_local(parts.get(topo), job.block_id, resolved)
                     if not bound:
                         runner.bind(local, L)
                         bound = True
-                    rows.append(do_round(local, balancer, frozen, r,
-                                         want_disc, want_mov))
+                    rows.append(runner.round(local, balancer, frozen, r,
+                                             job.want_disc, job.want_mov))
                     r += 1
                 # Mandatory before going quiet: a peer may still be
                 # blocked on our last frame's unpumped backlog bytes.
@@ -427,7 +361,7 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], payload: tuple,
                 bytes_by_peer = {
                     q: ch.bytes_sent - sent_before[q] for q, ch in peers.items()
                 }
-                if telemetry:
+                if job.telemetry:
                     # One count per chunk (not per send — the per-link
                     # breakdown is already on the halo_send spans): ships
                     # with the events, so every ingesting recorder up the

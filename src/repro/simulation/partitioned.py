@@ -41,8 +41,8 @@ Execution modes
 ``mode="process"``
     ``P`` persistent worker processes, one block each, exchanging halos
     **peer-to-peer** through :mod:`repro.distributed.transport` channels
-    (``transport="mp-pipe"`` pipes by default, or ``"tcp"`` sockets —
-    the same wire the multi-host dispatcher uses; deadlock-free pairwise
+    (``transport="mp-pipe"`` socketpairs by default, or ``"tcp"`` sockets
+    — the same wire the multi-host dispatcher uses; deadlock-free pairwise
     protocol: the lower-id block of each pair sends first).  Workers
     hold an ``(n_block, B)`` slab — the node axis composes with the
     replica axis — and return per-round statistic *partials* (sums,
@@ -57,7 +57,7 @@ Execution modes
 
 The coordinator half of process mode is factored behind a small *block
 executor* seam (``run_chunk`` / ``gather`` / ``close``):
-:class:`_LocalProcessExecutor` drives forked per-block processes on this
+:class:`_LocalProcessExecutor` drives per-block processes on this
 host, and :mod:`repro.distributed.dispatcher` plugs a remote executor
 into the **same** :meth:`PartitionedSimulator.run_with_executor` loop to
 span hosts — one statistics combine, one stopping policy, any transport.
@@ -77,7 +77,7 @@ from repro.observability.recorder import get_recorder
 from repro.core.operators import EdgeOperator, _scratch_buffer, edge_operator
 from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
-from repro.distributed.worker import run_block_loop
+from repro.distributed.worker import BlockJob, run_block_loop
 from repro.graphs.partition import HaloLink, Partition, make_partition, parse_partitions
 from repro.simulation.ensemble import (
     EnsembleTrace,
@@ -509,7 +509,7 @@ def _combine_stats(partials: list[tuple], n: int) -> tuple:
 # Local process-mode block executor
 # ----------------------------------------------------------------------
 class _LocalProcessExecutor:
-    """``P`` forked per-block processes linked by transport channels.
+    """``P`` per-block processes linked by transport channels.
 
     The local implementation of the block-executor seam (``run_chunk`` /
     ``gather`` / ``close``) that :meth:`PartitionedSimulator.run_with_executor`
@@ -519,8 +519,11 @@ class _LocalProcessExecutor:
     channel back to the coordinator and a full mesh of peer channels for
     the halo exchange, all built by
     :func:`repro.distributed.transport.make_pair` for the configured
-    transport (``mp-pipe`` pipes, or ``tcp`` sockets over localhost —
-    the same wire a multi-host run uses).
+    transport (``mp-pipe`` socketpairs, or ``tcp`` sockets over
+    localhost — the same wire a multi-host run uses).  Workers fork
+    where the platform can (they then inherit the warmed operator
+    caches) and spawn elsewhere; both transports' endpoints pickle as
+    ``Process`` arguments, so either works under either start method.
     """
 
     def __init__(self, sim: "PartitionedSimulator", L: np.ndarray, B: int,
@@ -529,8 +532,6 @@ class _LocalProcessExecutor:
         self.n = L.shape[0]
         P = int(assignment.max()) + 1
         self.owned = [np.flatnonzero(assignment == p) for p in range(P)]
-        want_disc = sim._record_disc()
-        want_mov = sim.record == "full"
         self._telemetry = get_recorder().enabled
 
         # Pre-build the partition and every block's operator slices in
@@ -543,20 +544,13 @@ class _LocalProcessExecutor:
         )
         for p in range(P):
             block_local(part0, p, resolved)
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
-        if sim.transport != "mp-pipe" and "fork" not in methods:
-            raise RuntimeError(
-                f"transport {sim.transport!r} requires the fork start method for "
-                "local process mode (its channels cannot be pickled to a spawned "
-                "worker); use transport='mp-pipe' on this platform"
-            )
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
 
-        ctrl = [make_pair(sim.transport, ctx=ctx) for _ in range(P)]
+        ctrl = [make_pair(sim.transport) for _ in range(P)]
         mesh: dict[tuple[int, int], tuple] = {}
         for p in range(P):
             for q in range(p + 1, P):
-                mesh[(p, q)] = make_pair(sim.transport, ctx=ctx)
+                mesh[(p, q)] = make_pair(sim.transport)
         forked = ctx.get_start_method() == "fork"
         all_ends = [end for pair in ctrl for end in pair]
         all_ends += [end for pair in mesh.values() for end in pair]
@@ -569,25 +563,8 @@ class _LocalProcessExecutor:
                     continue
                 a, b = min(p, q), max(p, q)
                 peers[q] = mesh[(a, b)][0 if p == a else 1]
-            payload = (
-                sim.balancer,
-                assignment,
-                sim.strategy,
-                p,
-                L[self.owned[p]],
-                sim.backend,
-                want_disc,
-                want_mov,
-                sim.overlap,
-                sim.delta_frames,
-                # Explicit start round (protocol 4): local runs always
-                # begin at 0; the remote dispatcher ships checkpoint
-                # rounds here so replayed blocks continue the counter.
-                0,
-                # Telemetry flag (optional 12th field): workers record
-                # per-phase spans and ship them back in the chunk reply.
-                self._telemetry,
-            )
+            job = sim.block_job(assignment, p, L[self.owned[p]],
+                                telemetry=self._telemetry)
             mine = [ctrl[p][1], *peers.values()]
             worker_ends.append(mine)
             # Forked workers inherit every endpoint; handing each the
@@ -603,7 +580,7 @@ class _LocalProcessExecutor:
             self.procs.append(
                 ctx.Process(
                     target=run_block_loop,
-                    args=(ctrl[p][1], peers, payload),
+                    args=(ctrl[p][1], peers, job),
                     kwargs={"inherited": inherited},
                     daemon=True,
                 )
@@ -700,9 +677,11 @@ class PartitionedSimulator:
         degrades to the in-process path.
     transport:
         Channel backend under process mode's halo links and control
-        plane: ``"mp-pipe"`` (default) or ``"tcp"`` (localhost sockets —
-        the exact wire a multi-host dispatch uses, so TCP parity on one
-        host certifies the distributed protocol).  For HPC clusters the
+        plane: ``"mp-pipe"`` (default; AF_UNIX socketpairs) or ``"tcp"``
+        (localhost sockets — the exact wire a multi-host dispatch uses,
+        so TCP parity on one host certifies the distributed protocol).
+        Both run the same stream-channel code and work under any
+        multiprocessing start method.  For HPC clusters the
         same block loop runs rank-per-block over MPI channels — see
         :mod:`repro.distributed.mpi`.  Trajectories are bit-for-bit
         identical across transports.
@@ -796,6 +775,31 @@ class PartitionedSimulator:
     def _record_disc(self) -> bool:
         return self.record == "full" or (
             self.record == "auto" and any(isinstance(r, DiscrepancyBelow) for r in self.stopping)
+        )
+
+    def block_job(self, assignment: np.ndarray, block_id: int, owned: np.ndarray, *,
+                  start_round: int = 0, telemetry: bool = False) -> BlockJob:
+        """The :class:`~repro.distributed.worker.BlockJob` for one block.
+
+        ``owned`` is the block's initial ``(n_block, B)`` loads.  Every
+        executor (local processes, remote workers, MPI ranks) ships this
+        to its block workers; ``start_round`` lets checkpoint replay
+        continue the round counter, ``telemetry`` asks the block for
+        per-phase spans.
+        """
+        return BlockJob(
+            balancer=self.balancer,
+            assignment=assignment,
+            strategy=self.strategy,
+            block_id=block_id,
+            owned=owned,
+            backend=self.backend,
+            want_disc=self._record_disc(),
+            want_mov=self.record == "full",
+            overlap=self.overlap,
+            delta=self.delta_frames,
+            start_round=start_round,
+            telemetry=telemetry,
         )
 
     def _resolve_assignment(self, n: int) -> np.ndarray:

@@ -33,8 +33,8 @@ trace is indistinguishable from a single-process run of the full batch
 Shards execute over the :mod:`repro.distributed.transport` seam: each
 worker process receives its payload (balancer, stopping rules,
 per-replica generators, initial shard loads) through a per-shard channel
-and ships the finished trace back — ``mp-pipe`` pipes by default, or
-``tcp`` sockets, the same wire
+and ships the finished trace back — ``mp-pipe`` socketpairs by default,
+or ``tcp`` sockets, the same wire
 :func:`repro.distributed.dispatcher.dispatch_sharded` uses to send the
 *identical* payloads to remote hosts.  Payloads travel as protocol-5
 frames (pickled metadata, numpy slabs as zero-copy out-of-band
@@ -342,8 +342,9 @@ def run_sharded_ensemble(
     travels with the pickled balancer), so every shard runs the same —
     bit-for-bit interchangeable — kernels.  ``transport`` selects the
     channel backend each shard's payload/trace travels over (``mp-pipe``
-    pipes by default, ``tcp`` sockets) — a pure wire choice with no
-    effect on the merged trace.
+    socketpairs by default, ``tcp`` sockets; both run the same stream
+    channel under any multiprocessing start method) — a pure wire choice
+    with no effect on the merged trace.
     """
     # Validate up front, not on the multi-shard path only: a typo'd
     # transport must fail at the call that introduces it, not when the
@@ -383,7 +384,7 @@ def _run_shards_local(payloads: list[tuple], transport: str = "mp-pipe") -> list
     payload over the channel and ships the finished trace back; errors
     come back as ``("error", message)`` frames so a dead or failing
     shard surfaces as a diagnostic ``RuntimeError``, never a hang on a
-    half-closed pipe.
+    half-closed socket.
     """
     from repro.distributed.worker import shard_process_main
 
@@ -392,17 +393,11 @@ def _run_shards_local(payloads: list[tuple], transport: str = "mp-pipe") -> list
             f"transport must be one of {SHARD_TRANSPORTS}, got {transport!r} "
             "(loopback channels cannot cross a process boundary)"
         )
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
-    if transport != "mp-pipe" and "fork" not in methods:
-        raise RuntimeError(
-            f"transport {transport!r} requires the fork start method for the local "
-            "shard pool; use transport='mp-pipe' on this platform"
-        )
+    ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
     workers = []
     try:
         for payload in payloads:
-            parent, child = make_pair(transport, ctx=ctx)
+            parent, child = make_pair(transport)
             proc = ctx.Process(target=shard_process_main, args=(child,), daemon=True)
             proc.start()
             # Drop the parent's copy of the worker endpoint so a dead

@@ -316,6 +316,18 @@ class TestRendezvous:
         finally:
             channel.close()
 
+    def test_previous_protocol_version_refused(self, workers):
+        """A dispatcher that would still ship positional block payloads
+        (protocol 4) is refused at hello, before any job arrives."""
+        assert PROTOCOL_VERSION == 5
+        channel = tcp_connect(parse_address(workers[0]))
+        try:
+            channel.send(("hello", PROTOCOL_VERSION - 1, {}))
+            reply = channel.recv(timeout=10.0)
+            assert reply[0] == "error" and "version" in reply[1]
+        finally:
+            channel.close()
+
     def test_no_workers_rejected(self):
         topo = torus_2d(4, 4)
         with pytest.raises(DispatcherError, match="at least one worker"):

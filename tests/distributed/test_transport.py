@@ -387,3 +387,88 @@ class TestNonblockingPrimitives:
         t0 = time.monotonic()
         assert not b.poll(0.15)
         assert time.monotonic() - t0 < 5.0
+
+
+def _echo_once(channel) -> None:
+    """Child-process body: report the fresh counters, echo one frame."""
+    counters = channel.traffic()
+    channel.send(channel.recv(timeout=30.0))
+    channel.send(counters)
+    channel.close()
+
+
+def _detach_all(*channels) -> None:
+    """Forked-child body: drop the inherited endpoint copies."""
+    for channel in channels:
+        channel.detach()
+
+
+class TestStreamChannel:
+    """mp-pipe and tcp share one stream-socket channel class."""
+
+    def test_one_class_transport_named_per_instance(self):
+        pipe_a, pipe_b = make_pair("mp-pipe")
+        tcp_a, tcp_b = make_pair("tcp")
+        assert type(pipe_a) is type(tcp_a) is transport.StreamChannel
+        assert pipe_a.transport == pipe_b.transport == "mp-pipe"
+        assert tcp_a.transport == tcp_b.transport == "tcp"
+        for ch in (pipe_a, pipe_b, tcp_a, tcp_b):
+            ch.close()
+
+    def test_peer_address_none_on_socketpair(self):
+        pipe_a, pipe_b = make_pair("mp-pipe")
+        tcp_a, tcp_b = make_pair("tcp")
+        assert pipe_a.peer_address is None and pipe_b.peer_address is None
+        host, port = tcp_a.peer_address
+        assert host == "127.0.0.1" and port == tcp_b._sock.getsockname()[1]
+        for ch in (pipe_a, pipe_b, tcp_a, tcp_b):
+            ch.close()
+
+    def test_spawned_child_echoes_slab_zero_copy_with_fresh_counters(self):
+        import multiprocessing as mp
+
+        if "spawn" not in mp.get_all_start_methods():  # pragma: no cover
+            pytest.skip("spawn start method unavailable")
+        a, b = make_pair("mp-pipe")
+        a.send("warm-up")
+        assert b.recv(timeout=5.0) == "warm-up"
+        assert b.bytes_received > 0 and b.messages_received == 1
+        proc = mp.get_context("spawn").Process(target=_echo_once, args=(b,), daemon=True)
+        proc.start()
+        b.detach()
+        try:
+            slab = np.random.default_rng(11).standard_normal(1 << 17)  # 1 MiB
+            out = np.zeros_like(slab)
+            n = a.send(slab)
+            got = a.recv_into(out, timeout=30.0)
+            assert np.shares_memory(got, out) and np.array_equal(out, slab)
+            assert a.bytes_received == n
+            # The unpickled endpoint started its counters from zero.
+            assert a.recv(timeout=30.0) == {
+                "bytes_sent": 0, "bytes_received": 0,
+                "messages_sent": 0, "messages_received": 0,
+            }
+        finally:
+            proc.join(timeout=30)
+            a.close()
+        assert proc.exitcode == 0
+
+    @pytest.mark.parametrize("t", ["mp-pipe", "tcp"])
+    def test_detach_in_forked_child_keeps_link_and_close_is_eof(self, t):
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():  # pragma: no cover
+            pytest.skip("fork start method unavailable")
+        a, b = make_pair(t)
+        proc = mp.get_context("fork").Process(target=_detach_all, args=(a, b))
+        proc.start()
+        proc.join(timeout=30)
+        assert proc.exitcode == 0
+        a.send("still linked")
+        assert b.recv(timeout=5.0) == "still linked"
+        b.send("both ways")
+        assert a.recv(timeout=5.0) == "both ways"
+        a.close()
+        with pytest.raises(ChannelClosed):
+            b.recv(timeout=5.0)
+        b.close()

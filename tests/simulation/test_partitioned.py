@@ -201,6 +201,34 @@ class TestProcessMode:
         assert psim.halo_stats["halo_values"] > 0
         assert psim.halo_stats["halo_bytes"] > 0
 
+    @pytest.mark.parametrize("transport", ["mp-pipe", "tcp"])
+    def test_spawned_block_workers_match_serial(self, transport, monkeypatch):
+        """Without fork the executor spawns its block workers: every
+        endpoint and the BlockJob pickle across the ``Process`` boundary,
+        and the trajectory stays bit-for-bit the serial engine's."""
+        import multiprocessing as mp
+
+        real_get_context = mp.get_context
+        contexts = []
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+        monkeypatch.setattr(
+            mp, "get_context",
+            lambda method=None: contexts.append(method) or real_get_context(method),
+        )
+        topo = torus_2d(6, 6)
+        loads = _loads(topo, discrete=True)
+        expected = _serial_snapshots(DiffusionBalancer(topo, mode="discrete"), loads.copy())
+        psim = PartitionedSimulator(
+            DiffusionBalancer(topo, mode="discrete"), partitions=2,
+            stopping=[MaxRounds(ROUNDS)], keep_snapshots=True, mode="process",
+            transport=transport,
+        )
+        trace = psim.run(loads.copy())
+        assert contexts == ["spawn"]
+        for t, snap in enumerate(expected):
+            assert np.array_equal(snap, trace.snapshots[t][0]), f"round {t}"
+        assert psim.halo_stats["transport"] == transport
+
     def test_transports_move_identical_payload_bytes(self):
         """Same run, same pickled halo frames: the per-link byte totals
         are transport-independent (the counters count payloads, not wire

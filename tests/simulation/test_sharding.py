@@ -292,6 +292,38 @@ class TestShardTransports:
         for t in range(single.recorded_states):
             assert np.array_equal(single.snapshots[t], sharded.snapshots[t]), f"round {t}"
 
+    @pytest.mark.parametrize("transport", ["mp-pipe", "tcp"])
+    def test_spawned_shard_workers_bit_identical(self, transport, monkeypatch):
+        """Without fork the pool spawns its shard workers: both
+        transports' endpoints pickle across the ``Process`` boundary,
+        and the merged trace still equals the unsharded engine's."""
+        import multiprocessing as mp
+
+        from repro.graphs import generators as g
+
+        real_get_context = mp.get_context
+        contexts = []
+        monkeypatch.setattr(mp, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+        monkeypatch.setattr(
+            mp, "get_context",
+            lambda method=None: contexts.append(method) or real_get_context(method),
+        )
+        topo = g.torus_2d(4, 4)
+        loads = point_load(topo.n, total=100 * topo.n, discrete=True)
+        single = EnsembleSimulator(
+            DiffusionBalancer(topo, mode="discrete"),
+            stopping=[MaxRounds(8)], keep_snapshots=True, serial_singleton=False,
+        ).run(loads, seed=3, replicas=4)
+        sharded = run_sharded_ensemble(
+            DiffusionBalancer(topo, mode="discrete"), loads, seed=3, replicas=4,
+            workers=2, stopping=[MaxRounds(8)], keep_snapshots=True,
+            transport=transport,
+        )
+        assert contexts == ["spawn"]
+        assert np.array_equal(single.final_loads, sharded.final_loads)
+        for t in range(single.recorded_states):
+            assert np.array_equal(single.snapshots[t], sharded.snapshots[t]), f"round {t}"
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_loopback_transport_rejected(self, workers):
         """Invalid transports fail on the call that introduces them —
