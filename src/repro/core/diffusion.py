@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.operators import edge_operator, replica_major
+from repro.core.operators import EdgeOperator, edge_operator, replica_major
 from repro.core.protocols import CONTINUOUS, DISCRETE, Balancer, register_balancer
 from repro.graphs.dynamic import DynamicNetwork
 from repro.graphs.topology import Topology
@@ -143,6 +143,9 @@ class DiffusionBalancer(Balancer):
 
     supports_batch = True
     supports_partition = True
+    #: the operator resolved this run, and the ``backend`` it was resolved for
+    _op: EdgeOperator | None = None
+    _op_backend: str | None = None
 
     def __init__(
         self,
@@ -160,30 +163,53 @@ class DiffusionBalancer(Balancer):
         label = network.name if isinstance(network, Topology) else type(network).__name__
         self.name = f"diffusion[{mode}]@{label}"
 
+    def __getstate__(self) -> dict:
+        """Pickle without the resolved operator: the topology pickles its
+        structure only, so the operator would be rebuilt anyway, and a
+        shipped balancer stays the same bytes as a fresh one."""
+        state = self.__dict__.copy()
+        state.pop("_op", None)
+        state.pop("_op_backend", None)
+        return state
+
+    def reset(self) -> None:
+        """Forget per-run state, the resolved operator included."""
+        super().reset()
+        self._op = None
+
     def topology_for_round(self, k: int) -> Topology:
         """Graph used in round ``k``."""
         if self.dynamic:
             return self.network.topology_at(k)  # type: ignore[union-attr]
         return self.network  # type: ignore[return-value]
 
-    def _round_topology(self, n: int) -> Topology:
+    def _round_operator(self, n: int) -> EdgeOperator:
+        """The operator for the next round, over ``n`` nodes.
+
+        A static topology resolves it once per run — on first use after
+        :meth:`reset`, and again whenever ``backend`` changes; a dynamic
+        network looks up each round's graph.
+        """
         topo = self.topology_for_round(self.advance_round())
         if topo.n != n:
             raise ValueError(f"topology has {topo.n} nodes but loads has {n}")
-        return topo
+        if self.dynamic:
+            return edge_operator(topo, self.backend)
+        if self._op is None or self._op_backend != self.backend:
+            self._op = edge_operator(topo, self.backend)
+            self._op_backend = self.backend
+        return self._op
 
     def step(self, loads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         loads = self.validate_loads(loads)
-        topo = self._round_topology(loads.size)
-        op = edge_operator(topo, self.backend)
+        op = self._round_operator(loads.size)
         if self.mode == DISCRETE:
             return op.round_discrete(loads)
         return op.round_continuous(loads)
 
     def step_batch(self, loads: np.ndarray, rngs, out: np.ndarray | None = None) -> np.ndarray:
         """One lockstep round for a node-major ``(n, B)`` replica batch."""
-        topo = self._round_topology(loads.shape[0])
-        op = edge_operator(topo, self.backend)
+        op = self._round_operator(loads.shape[0])
         if self.mode == DISCRETE:
             return op.round_discrete(loads, out)
         return op.round_continuous(loads, out)

@@ -57,6 +57,8 @@ __all__ = [
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 class BalancerState:
     """Mutable per-run state shared by stateful balancers.
@@ -176,16 +178,21 @@ class Balancer(ABC):
         Discrete schemes require an integer-valued vector (float inputs
         holding integers are accepted and cast); continuous schemes cast
         to float64.  Negative loads are rejected — the model has tokens,
-        not debts.
+        not debts — and so are unsigned loads past the int64 range, which
+        the discrete cast would wrap.
         """
         arr = np.asarray(loads)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"loads must be a non-empty 1-D vector, got shape {arr.shape}")
-        if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
+        # min and max propagate NaN, and an inf is one of them.
+        lo, hi = arr.min(), arr.max()
+        if arr.dtype.kind == "f" and not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("loads must be finite (no NaN/inf)")
-        if (arr < 0).any():
+        if lo < 0:
             raise ValueError("loads must be non-negative")
         if self.mode == DISCRETE:
+            if arr.dtype.kind == "u" and int(hi) > _INT64_MAX:
+                raise ValueError(f"discrete loads must fit in int64, got {int(hi)}")
             cast = arr.astype(np.int64)
             if not np.array_equal(cast.astype(arr.dtype, copy=False), arr):
                 raise ValueError("discrete balancer requires integer loads")

@@ -102,8 +102,10 @@ class ConvergenceMonitor:
         else:
             self.drop_bound = self.lam2 / (4.0 * self.delta)
             self.threshold = 0.0
+        #: drops below this violate the bound
+        self._limit = self.drop_bound * (1.0 - _BOUND_TOL) - 1e-15
         self._round = 0
-        self._prev: np.ndarray | None = None
+        self._prev: np.ndarray | float | None = None
         self._floor = 0.0
         self._phi0 = math.nan
         self._phi_last = math.nan
@@ -113,8 +115,8 @@ class ConvergenceMonitor:
         self._rounds_checked = 0
         self._log_ratio_sum = 0.0
         self._log_ratio_obs = 0
-        self._stall_run: np.ndarray | None = None
-        self._stall_latched: np.ndarray | None = None
+        self._stall_run: np.ndarray | int | None = None
+        self._stall_latched: np.ndarray | bool | None = None
         self._recent: deque = deque(maxlen=180)
         self._finished = False
         rec.event(
@@ -131,20 +133,20 @@ class ConvergenceMonitor:
 
         ``phis`` is the per-replica potential row the trace just
         recorded (scalar for the serial engine); ``active`` optionally
-        masks replicas still running this round.
+        masks replicas still running this round.  A run feeds either
+        floats or rows throughout; a float with no mask takes a
+        float-arithmetic path that emits exactly the events the row
+        ``[phis]`` would.
         """
+        if active is None and isinstance(phis, float):
+            self._observe_scalar(float(phis))
+            return
         cur = np.array(phis, dtype=np.float64, copy=True).ravel()
         if self._prev is None:
+            self._begin(float(cur.max()) if cur.size else math.nan)
             self._prev = cur
-            self._phi0 = float(cur.max()) if cur.size else math.nan
-            self._phi_last = self._phi0
-            # Below this, float cancellation noise dominates the drop
-            # estimate — stop checking rather than emit fp ghosts.
-            self._floor = max(self._phi0 * 1e-13, 1e-300)
             self._stall_run = np.zeros(cur.size, dtype=np.int64)
             self._stall_latched = np.zeros(cur.size, dtype=bool)
-            self._recent.append((0, self._phi0))
-            self.rec.event("phi", round=0, value=self._phi0, bound=self.drop_bound)
             return
         self._round += 1
         r = self._round
@@ -161,19 +163,13 @@ class ConvergenceMonitor:
             if finite.any():
                 self._log_ratio_sum += float(np.log1p(-drops[finite]).sum())
                 self._log_ratio_obs += int(finite.sum())
-            limit = self.drop_bound * (1.0 - _BOUND_TOL) - 1e-15
-            bad = drops < limit
+            bad = drops < self._limit
             if bad.any():
-                self._violations += int(bad.sum())
-                if self._event_lines < _MAX_EVENT_LINES:
-                    self._event_lines += 1
-                    worst = int(np.argmin(drops))
-                    self.rec.event(
-                        "bound_violation", round=r,
-                        observed=float(drops[worst]), bound=self.drop_bound,
-                        replica=int(np.flatnonzero(eligible)[worst]),
-                        phi=float(prev[eligible][worst]), replicas=int(bad.sum()),
-                    )
+                worst = int(np.argmin(drops))
+                self._violation(
+                    r, float(drops[worst]), int(np.flatnonzero(eligible)[worst]),
+                    float(prev[eligible][worst]), int(bad.sum()),
+                )
             # Stall: no relative progress while the theory still promises
             # a fixed-fraction drop.
             stalled_now = drops <= 1e-12
@@ -182,26 +178,79 @@ class ConvergenceMonitor:
             self._stall_run[idx[~stalled_now]] = 0
             hit = (self._stall_run >= self.stall_patience) & ~self._stall_latched
             if hit.any():
-                self._stalls += int(hit.sum())
                 self._stall_latched |= hit
-                if self._event_lines < _MAX_EVENT_LINES:
-                    self._event_lines += 1
-                    self.rec.event(
-                        "stall_detected", round=r,
-                        replica=int(np.flatnonzero(hit)[0]),
-                        rounds_flat=self.stall_patience,
-                        phi=float(prev[np.flatnonzero(hit)[0]]),
-                    )
+                first = int(np.flatnonzero(hit)[0])
+                self._stall(r, first, float(prev[first]), int(hit.sum()))
         ineligible = ~eligible
         self._stall_run[ineligible] = 0
-        phi_now = float(cur[mask].max()) if mask.any() else float(cur.max())
+        self._phi(r, float(cur[mask].max()) if mask.any() else float(cur.max()), emp)
+        self._prev = cur
+
+    def _observe_scalar(self, phi: float) -> None:
+        """:meth:`observe` for one unmasked replica, in float arithmetic."""
+        prev = self._prev
+        if prev is None:
+            self._begin(phi)
+            self._prev, self._stall_run, self._stall_latched = phi, 0, False
+            return
+        self._round += 1
+        r = self._round
+        emp = math.nan
+        if prev > max(self._floor, self.threshold):
+            emp = drop = 1.0 - phi / prev
+            self._rounds_checked += 1
+            if math.isfinite(drop) and drop < 1.0:
+                # np.log1p, not math.log1p: the row path's ufunc, bit for bit.
+                self._log_ratio_sum += float(np.log1p(-drop))
+                self._log_ratio_obs += 1
+            if drop < self._limit:
+                self._violation(r, drop, 0, prev, 1)
+            self._stall_run = self._stall_run + 1 if drop <= 1e-12 else 0
+            if self._stall_run >= self.stall_patience and not self._stall_latched:
+                self._stall_latched = True
+                self._stall(r, 0, prev, 1)
+        else:
+            self._stall_run = 0
+        self._phi(r, phi, emp)
+        self._prev = phi
+
+    def _begin(self, phi0: float) -> None:
+        """Record the initial potential and emit round 0's ``phi`` event."""
+        self._phi0 = phi0
+        self._phi_last = phi0
+        # Below this, float cancellation noise dominates the drop
+        # estimate — stop checking rather than emit fp ghosts.
+        self._floor = max(phi0 * 1e-13, 1e-300)
+        self._recent.append((0, phi0))
+        self.rec.event("phi", round=0, value=phi0, bound=self.drop_bound)
+
+    def _phi(self, r: int, phi_now: float, emp: float) -> None:
+        """Emit round ``r``'s ``phi`` event (``drop`` when it was checked)."""
         self._phi_last = phi_now
         self._recent.append((r, phi_now))
         ev = {"round": r, "value": phi_now, "bound": self.drop_bound}
         if not math.isnan(emp):
             ev["drop"] = emp
         self.rec.event("phi", **ev)
-        self._prev = cur
+
+    def _violation(self, r: int, observed: float, replica: int, phi: float, count: int) -> None:
+        self._violations += count
+        if self._event_lines < _MAX_EVENT_LINES:
+            self._event_lines += 1
+            self.rec.event(
+                "bound_violation", round=r,
+                observed=observed, bound=self.drop_bound,
+                replica=replica, phi=phi, replicas=count,
+            )
+
+    def _stall(self, r: int, replica: int, phi: float, count: int) -> None:
+        self._stalls += count
+        if self._event_lines < _MAX_EVENT_LINES:
+            self._event_lines += 1
+            self.rec.event(
+                "stall_detected", round=r,
+                replica=replica, rounds_flat=self.stall_patience, phi=phi,
+            )
 
     # ------------------------------------------------------------------
     @property

@@ -21,6 +21,7 @@ every balancer, batched or not.
 
 from __future__ import annotations
 
+import math
 from time import perf_counter
 from typing import Sequence
 
@@ -87,7 +88,8 @@ class Simulator:
         current = self.balancer.validate_loads(loads)
         trace = Trace(balancer_name=self.balancer.name, keep_snapshots=self.keep_snapshots)
         trace.record(current)
-        initial_sum = float(np.asarray(current, dtype=np.float64).sum())
+        initial_sum = trace._sums[0]
+        exact = np.issubdtype(current.dtype, np.integer)
 
         rec = get_recorder()
         traced = rec.enabled
@@ -108,7 +110,7 @@ class Simulator:
             if monitor is not None:
                 monitor.observe(trace._potentials[-1])
             if self.check_conservation:
-                self._audit_conservation(current, trace._sums[-1], initial_sum)
+                self._audit_conservation(trace._sums[-1], initial_sum, exact)
             rule = first_satisfied(self.stopping, trace)
             if traced:
                 rec.record_span("round", _t0, round=r, engine="serial")
@@ -118,14 +120,15 @@ class Simulator:
         trace.stopped_by = rule.reason
         return trace
 
-    def _audit_conservation(self, loads: np.ndarray, s: float, initial_sum: float) -> None:
-        """Raise unless ``s`` (the float64 sum of ``loads`` that
-        :meth:`Trace.record` just appended) conserves ``initial_sum``."""
-        if not np.isfinite(s):
+    def _audit_conservation(self, s: float, initial_sum: float, exact: bool) -> None:
+        """Raise unless ``s`` (the float64 load sum :meth:`Trace.record`
+        just appended) conserves ``initial_sum`` — exactly when the loads
+        are integers (``exact``), within ``cons_tol`` otherwise."""
+        if not math.isfinite(s):
             raise AssertionError(
                 f"{self.balancer.name} leaked load: non-finite sum {s} (NaN/inf in loads)"
             )
-        if np.issubdtype(np.asarray(loads).dtype, np.integer):
+        if exact:
             if s != initial_sum:
                 raise AssertionError(
                     f"{self.balancer.name} leaked load: sum {s} != initial {initial_sum}"

@@ -537,8 +537,8 @@ class EnsembleSimulator:
             trace._movements = [np.asarray([mv]) for mv in t._movements]
         if self.keep_snapshots:
             trace._snapshots = [np.asarray(s, dtype=self.balancer.dtype)[None, :] for s in t._snapshots]
-        # Trace records sums/last-loads as float64; discrete values below
-        # 2**53 round-trip exactly, so the cast back is lossless.
+        # Trace holds the last loads in their own dtype, so discrete loads
+        # come back exact at any magnitude (float64 would round past 2**53).
         trace._final_loads = np.asarray(t._last_loads, dtype=self.balancer.dtype)[None, :]
         return trace
 

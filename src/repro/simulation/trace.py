@@ -10,6 +10,12 @@ factor?".
 Appending is O(1) amortized (Python lists); the numpy views are built on
 demand.  Snapshots are opt-in because an n x T float64 history dwarfs
 everything else at scale.
+
+Statistics use held buffers: :meth:`Trace.record` reads the loads in
+place, does its float64 work (centering for ``Phi``, the per-round
+difference for the movement) in one scratch vector kept on the trace,
+and copies the loads into a second held vector in their own dtype — a
+round allocates nothing of size n.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.potential import discrepancy as _discrepancy
-from repro.core.potential import potential as _potential
+from repro.core.potential import _as_vector
 
 __all__ = ["Trace"]
 
@@ -39,23 +44,46 @@ class Trace:
     _snapshots: list[np.ndarray] = field(default_factory=list)
     _movements: list[float] = field(default_factory=list)
     _last_loads: np.ndarray | None = field(default=None, repr=False)
+    _scratch: np.ndarray | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
     def record(self, loads: np.ndarray) -> None:
-        """Append one state (call with the initial state, then once per round)."""
-        self._potentials.append(_potential(loads))
-        self._discrepancies.append(_discrepancy(loads))
-        arr = np.asarray(loads, dtype=np.float64)
-        self._sums.append(float(arr.sum()))
-        if self._last_loads is not None:
+        """Append one state (call with the initial state, then once per round).
+
+        Bit-for-bit the values of :func:`~repro.core.potential.potential`,
+        :func:`~repro.core.potential.discrepancy` and a float64 sum, from
+        one float64 sum and the held buffers.
+        """
+        arr = _as_vector(loads)
+        buf = self._scratch
+        if buf is None:
+            buf = self._scratch = np.empty(arr.shape, dtype=np.float64)
+        if arr.dtype == np.float64:
+            flt = arr
+        else:
+            np.copyto(buf, arr, casting="unsafe")
+            flt = buf
+        # ``sum / n`` is exactly how ``mean()`` divides the same sum.
+        s = float(flt.sum())
+        np.subtract(flt, s / arr.size, out=buf)
+        self._potentials.append(float(buf @ buf))
+        self._discrepancies.append(float(arr.max() - arr.min()))
+        self._sums.append(s)
+        last = self._last_loads
+        if last is not None:
             # Net per-round movement: half the total |change| — the exact
             # shipped volume when no load passes *through* a node within a
             # round, and a lower bound otherwise.  Scheme-agnostic
             # communication-cost proxy (token-hops with 1-hop transfers).
-            self._movements.append(0.5 * float(np.abs(arr - self._last_loads).sum()))
-        self._last_loads = arr.copy()
+            np.subtract(arr, last, out=buf, dtype=np.float64)
+            np.abs(buf, out=buf)
+            self._movements.append(0.5 * float(buf.sum()))
+        if last is None or last.dtype != arr.dtype:
+            self._last_loads = arr.copy()
+        else:
+            np.copyto(last, arr)
         if self.keep_snapshots:
             self._snapshots.append(np.array(loads, copy=True))
 

@@ -1,5 +1,7 @@
 """Unit tests for Algorithm 1 (diffusion) kernels and balancer."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,13 @@ from repro.core.diffusion import (
     diffusion_round_discrete,
     edge_denominators,
 )
+from repro.core.backends import available_backends
 from repro.core.potential import potential
 from repro.graphs import generators as g
 from repro.graphs.dynamic import StaticDynamics
 from repro.graphs.topology import Topology
+from repro.simulation.engine import Simulator, run_balancer
+from repro.simulation.stopping import MaxRounds
 
 
 class TestFlows:
@@ -189,3 +194,82 @@ class TestBalancer:
     def test_name_mentions_mode_and_graph(self, torus):
         assert "discrete" in DiffusionBalancer(torus, mode="discrete").name
         assert torus.name in DiffusionBalancer(torus).name
+
+
+class TestOperatorCache:
+    """A static topology resolves its operator once per run."""
+
+    @staticmethod
+    def _count_lookups(monkeypatch) -> list:
+        import repro.core.diffusion as diffusion
+
+        calls = []
+        real = diffusion.edge_operator
+
+        def spy(topo, backend=None):
+            calls.append(backend)
+            return real(topo, backend)
+
+        monkeypatch.setattr(diffusion, "edge_operator", spy)
+        return calls
+
+    def test_static_topology_looks_up_once_per_run(self, torus, monkeypatch):
+        calls = self._count_lookups(monkeypatch)
+        bal = DiffusionBalancer(torus)
+        run_balancer(bal, np.arange(torus.n, dtype=np.float64), 12)
+        assert len(calls) == 1
+        run_balancer(bal, np.arange(torus.n, dtype=np.float64), 12)
+        assert len(calls) == 2  # reset() drops the resolved operator
+
+    def test_dynamic_network_looks_up_every_round(self, torus, monkeypatch):
+        calls = self._count_lookups(monkeypatch)
+        bal = DiffusionBalancer(StaticDynamics(torus))
+        run_balancer(bal, np.arange(torus.n, dtype=np.float64), 12)
+        assert len(calls) == 12
+
+    @pytest.mark.skipif("scipy" not in available_backends(), reason="scipy not installed")
+    def test_operator_follows_backend_switch_between_runs(self, torus):
+        loads = np.arange(torus.n, dtype=np.float64)
+        bal = DiffusionBalancer(torus)
+        bal.backend = "numpy"
+        ref = run_balancer(bal, loads, 5)
+        assert bal._op.backend == "numpy"
+        traced = Simulator(bal, stopping=[MaxRounds(5)], backend="scipy").run(loads, 0)
+        assert bal._op.backend == "scipy"
+        assert traced.potentials == ref.potentials
+
+    @pytest.mark.skipif("scipy" not in available_backends(), reason="scipy not installed")
+    def test_operator_follows_backend_switch_within_run(self, torus):
+        bal = DiffusionBalancer(torus, backend="numpy")
+        loads = np.arange(torus.n, dtype=np.float64)
+        bal.step(loads, np.random.default_rng(0))
+        bal.backend = "scipy"
+        bal.step(loads, np.random.default_rng(0))
+        assert bal._op.backend == "scipy"
+
+    def test_node_count_mismatch_after_caching_raises(self, torus):
+        bal = DiffusionBalancer(torus)
+        bal.step(np.ones(torus.n), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="nodes"):
+            bal.step(np.ones(torus.n + 1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="nodes"):
+            bal.step_batch(np.ones((torus.n - 1, 2)), None)
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_ran_balancer_pickles_no_operator(self, mode):
+        topo = g.torus_2d(16, 16)
+        fresh = pickle.dumps(DiffusionBalancer(topo, mode))
+        bal = DiffusionBalancer(topo, mode)
+        loads = np.zeros(topo.n, dtype=bal.dtype)
+        loads[0] = 25_600
+        Simulator(bal, stopping=[MaxRounds(20)]).run(loads, 0)
+        assert bal._op is not None
+        shipped = pickle.dumps(bal)
+        assert b"EdgeOperator" not in shipped
+        assert len(shipped) <= len(fresh)
+        clone = pickle.loads(shipped)
+        assert "_op" not in vars(clone) and "_op_backend" not in vars(clone)
+        clone.reset()
+        bal.reset()
+        rng = np.random.default_rng(0)
+        assert np.array_equal(clone.step(loads, rng), bal.step(loads, rng))

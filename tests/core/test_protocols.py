@@ -85,6 +85,51 @@ class TestValidation:
         with pytest.raises(ValueError):
             _NoopBalancer().validate_loads(np.asarray([]))
 
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    @pytest.mark.parametrize(
+        "values, dtype, match",
+        [
+            ([1.0, np.nan], np.float64, "finite"),
+            ([1.0, np.inf], np.float64, "finite"),
+            ([-np.inf, 1.0], np.float64, "finite"),
+            ([np.nan, -1.0], np.float64, "finite"),  # finiteness before sign
+            ([-1.0, 2.0], np.float64, "non-negative"),
+            ([-1, 2], np.int64, "non-negative"),
+        ],
+    )
+    def test_rejection_message_and_order(self, mode, values, dtype, match):
+        bal = _NoopBalancer()
+        bal.mode = mode
+        with pytest.raises(ValueError, match=match):
+            bal.validate_loads(np.asarray(values, dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "values, dtype, match",
+        [
+            ([1.5, 2.0], np.float64, "requires integer loads"),
+            ([-1.5, 0.5], np.float64, "non-negative"),  # sign before integrality
+            ([np.nan, 0.5], np.float64, "finite"),
+            ([2**63, 0, 0, 0], np.uint64, "int64"),
+            ([2**64 - 1, 0], np.uint64, "int64"),
+        ],
+    )
+    def test_discrete_rejection_message_and_order(self, values, dtype, match):
+        bal = _NoopBalancer()
+        bal.mode = "discrete"
+        with pytest.raises(ValueError, match=match):
+            bal.validate_loads(np.asarray(values, dtype=dtype))
+
+    def test_discrete_uint64_in_range_accepted(self):
+        bal = _NoopBalancer()
+        bal.mode = "discrete"
+        out = bal.validate_loads(np.asarray([2**63 - 1, 0], dtype=np.uint64))
+        assert out.dtype == np.int64
+        assert out.tolist() == [2**63 - 1, 0]
+
+    def test_continuous_uint64_above_int64_range_accepted(self):
+        out = _NoopBalancer().validate_loads(np.asarray([2**63, 0], dtype=np.uint64))
+        assert out.tolist() == [2.0**63, 0.0]
+
     def test_dtype_property(self):
         bal = _NoopBalancer()
         assert bal.dtype == np.dtype(np.float64)

@@ -7,6 +7,8 @@ the bounded-cost ``lambda_2`` acquisition, and the engine integration —
 including the non-negotiable bit-for-bit guarantee with tracing on.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,41 @@ class TestMonitorObserve:
         snap = get_status_board().snapshot()["convergence"]
         assert snap["rounds_observed"] == 0
         assert snap["phi_recent"] == [[0, 10.0]]
+
+
+def _stripped(rec: Recorder) -> str:
+    """The event stream without timestamps, as JSON (NaN compares equal)."""
+    return json.dumps([{k: v for k, v in ev.items() if k != "t"} for ev in rec.drain_events()])
+
+
+class TestScalarPath:
+    """Floats with no mask take the float path; it must match the row path."""
+
+    SERIES = {
+        "healthy": [1000.0 * 0.5**k for k in range(12)],
+        "violating": [1e6 * 0.999**k for k in range(40)],
+        "stalling": [100.0] * 9 + [50.0, 50.0],
+        "to-zero": [16.0, 4.0, 0.0, 0.0, 0.0],
+        "non-finite": [10.0, 5.0, float("inf"), float("nan"), 1.0],
+    }
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_scalar_matches_row(self, name, mode):
+        params = dict(n=16, delta=4, lam2=3.2, mode=mode, stall_patience=3)
+        if mode == "discrete":
+            params["lam2"] = 1e6  # Phi* < 0.1: the series stays checked
+        streams, summaries = [], []
+        for wrap in (float, lambda phi: [phi]):
+            rec = Recorder(enabled=True)
+            mon = ConvergenceMonitor(rec, **params)
+            for phi in self.SERIES[name]:
+                mon.observe(wrap(phi))
+            summaries.append(mon.finish())
+            streams.append(_stripped(rec))
+            get_status_board().clear()
+        assert streams[0] == streams[1]
+        assert repr(summaries[0]) == repr(summaries[1])
 
 
 class TestEngineIntegration:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.diffusion import DiffusionBalancer
 from repro.core.random_partner import RandomPartnerBalancer
+from repro.graphs.generators import cycle
 from repro.simulation.engine import Simulator
 from repro.simulation.ensemble import EnsembleSimulator, spawn_rngs
 from repro.simulation.initial import point_load
@@ -97,6 +98,24 @@ class TestRunBasics:
             DiffusionBalancer(torus, mode="discrete"), stopping=[MaxRounds(6)], keep_snapshots=True
         ).run(point_load(torus.n, total=64_000), spawn_rngs(1, 1)[0])
         assert np.array_equal(trace.final_loads[0], serial.snapshots[-1])
+
+    def test_singleton_discrete_final_loads_exact_above_2_53(self):
+        # float64 cannot hold 2**53 + 1: the repackaged final loads must
+        # come from the loads' own dtype, not a float64 copy of them.
+        topo = cycle(8)
+        loads = np.full(8, 2**53 + 1, dtype=np.int64)
+        loads[0] += 64
+        trace = EnsembleSimulator(
+            DiffusionBalancer(topo, "discrete"), stopping=[MaxRounds(3)]
+        ).run(loads, seed=0, replicas=1)
+        bal = DiffusionBalancer(topo, "discrete")
+        rng = np.random.default_rng(0)
+        ref = loads
+        for _ in range(3):
+            ref = bal.step(ref, rng)
+        assert trace.final_loads.dtype == np.int64
+        assert trace.final_loads[0].tolist() == ref.tolist()
+        assert ref[0] == 2**53 + 33  # odd: not representable in float64
 
     def test_singleton_runs_unbatchable_balancer(self, torus):
         """With serial dispatch, B=1 ensembles work for *any* balancer."""

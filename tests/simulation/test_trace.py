@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.potential import discrepancy, potential
 from repro.simulation.trace import Trace
 
 
@@ -56,6 +57,46 @@ class TestRecording:
         t.record(np.asarray([1.0, 2.0]))
         t.record(np.asarray([1.0, 1.0]))
         assert t.conservation_error() == pytest.approx(1.0)
+
+
+class TestHeldBuffers:
+    """``record`` matches the reference statistics and reuses its buffers."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int32, np.uint64])
+    @pytest.mark.parametrize("n", [1, 5, 8193])
+    def test_statistics_match_reference(self, dtype, n):
+        rng = np.random.default_rng(n)
+        states = [(rng.random(n) * 1e6).astype(dtype) for _ in range(3)]
+        states.append(states[-1][::-1])  # a strided view
+        t = Trace()
+        for x in states:
+            t.record(x)
+        as_f64 = [np.asarray(x, dtype=np.float64) for x in states]
+        assert t.potentials == [potential(x) for x in states]
+        assert t.discrepancies == [discrepancy(x) for x in states]
+        assert t._sums == [float(x.sum()) for x in as_f64]
+        assert t._movements == [
+            0.5 * float(np.abs(b - a).sum()) for a, b in zip(as_f64, as_f64[1:])
+        ]
+
+    def test_buffers_are_reused(self):
+        t = Trace()
+        t.record(np.arange(6, dtype=np.int64))
+        last, scratch = t._last_loads, t._scratch
+        t.record(np.arange(6, dtype=np.int64)[::-1])
+        assert t._last_loads is last and t._scratch is scratch
+        assert t._last_loads.tolist() == [5, 4, 3, 2, 1, 0]
+
+    def test_last_loads_keep_their_dtype(self):
+        t = Trace()
+        big = np.full(4, 2**53 + 1, dtype=np.int64)
+        t.record(big)
+        assert t._last_loads.dtype == np.int64
+        assert t._last_loads.tolist() == big.tolist()
+
+    def test_rejects_non_vector(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Trace().record(np.ones((2, 2)))
 
 
 class TestExtraction:
