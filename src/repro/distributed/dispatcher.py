@@ -861,7 +861,7 @@ def dispatch_partitioned(
 
     # Live /status provider (--serve-metrics): reads the executor's
     # round counter and recovery counters, and the simulator's halo
-    # stats (mutated in place each round by _coordinate).
+    # stats (mutated in place each chunk by the executor stepper).
     def _live_status() -> dict:
         out: dict = {
             "mode": "partitioned-dispatch",

@@ -182,8 +182,9 @@ __all__ = [
 #: interval, auth announcement), the HMAC challenge–response, signed
 #: peer-link headers, and the ``start_round`` block-payload field that
 #: checkpoint replay resumes from; version 5 replaced the positional
-#: block-payload tuple with the typed ``BlockJob`` record.
-PROTOCOL_VERSION = 5
+#: block-payload tuple with the typed ``BlockJob`` record; version 6 did
+#: the same for shard payloads with ``ShardJob``.
+PROTOCOL_VERSION = 6
 
 #: Channel backends that are always available (the core ``transport=``
 #: choices).  ``mpi`` joins via :func:`available_transports` when

@@ -13,7 +13,7 @@ Three layers share this module:
   not: tracing only swaps an enabled recorder in for the disabled one.
 - :func:`shard_process_main` — the replica-shard worker behind
   :func:`~repro.simulation.sharding.run_sharded_ensemble`: receive one
-  pickled shard payload, run it through a process-local ensemble, send
+  typed :class:`ShardJob`, run it through a process-local ensemble, send
   the trace back.
 - :func:`serve` — the ``repro-lb worker`` server: a rendezvous endpoint
   that accepts dispatcher connections, answers the hello handshake, and
@@ -68,6 +68,7 @@ from repro.distributed.transport import (
 
 __all__ = [
     "BlockJob",
+    "ShardJob",
     "run_block_loop",
     "shard_process_main",
     "serve",
@@ -106,6 +107,30 @@ class BlockJob:
     start_round: int
     #: record per-phase spans and ship them back with each chunk reply
     telemetry: bool
+
+
+@dataclass(frozen=True)
+class ShardJob:
+    """One replica shard of an ensemble: everything its worker needs.
+
+    Built by :func:`~repro.simulation.sharding.shard_payloads` for the
+    local shard pool and remote dispatch alike, and run by
+    :func:`~repro.simulation.sharding.run_shard_payload`.
+    """
+
+    balancer: Balancer
+    #: the shared ``(n,)`` initial loads, or this shard's ``(B_shard, n)`` rows
+    loads: np.ndarray
+    #: the shard's per-replica generators, derived by global replica index
+    rngs: list
+    stopping: list | None
+    record: str
+    keep_snapshots: bool
+    check_conservation: bool
+    cons_tol: float
+    #: the shard is the whole batch, so it keeps the engine's default
+    #: one-replica dispatch
+    whole_batch: bool
 
 
 class _SlabRunner:
@@ -406,12 +431,12 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
 # Shard worker (local pool + remote jobs)
 # ----------------------------------------------------------------------
 def shard_process_main(channel: Channel) -> None:
-    """Pool-process entry point: one shard payload in, one trace out."""
+    """Pool-process entry point: one :class:`ShardJob` in, one trace out."""
     from repro.simulation.sharding import run_shard_payload
 
     try:
-        payload = channel.recv()
-        channel.send(("trace", run_shard_payload(payload)))
+        job = channel.recv()
+        channel.send(("trace", run_shard_payload(job)))
     except Exception as exc:
         try:
             channel.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -816,8 +841,8 @@ def _run_shard_job(ctrl: Channel, spec: dict, timeout: float | None,
     from repro.simulation.sharding import run_shard_payload
 
     try:
-        for idx, payload in spec["payloads"]:
-            ctrl.send(("trace", idx, run_shard_payload(payload)))
+        for idx, job in spec["payloads"]:
+            ctrl.send(("trace", idx, run_shard_payload(job)))
             if progress is not None:
                 progress.shard_done()
         ctrl.send(("done",))

@@ -1,65 +1,41 @@
-"""The vectorized round loop.
+"""The serial engine: one replica, one load vector, one ``step`` per round.
 
 `Simulator` wires a :class:`~repro.core.protocols.Balancer` to an initial
 load vector, a list of stopping rules and an RNG, and produces a
-:class:`~repro.simulation.trace.Trace`.  It owns exactly the
-orchestration concerns — recording, stopping, RNG threading, conservation
-auditing — so the balancers stay pure round kernels.
+:class:`~repro.simulation.trace.Trace`.  Its stepper is one ``step`` plus
+``Trace.record``; everything else a round does — monitor, conservation
+audit, stopping rules, ``round`` span — is the round driver of
+:class:`~repro.simulation.ensemble.RoundEngine`, which every engine
+shares, so the balancers stay pure round kernels.  The serial stepper
+works for every balancer, batched or not, and keeps its one replica in
+scalars.
 
 Determinism: a run is fully determined by ``(balancer, loads, seed)``.
 The RNG handed to the balancer each round is a single generator advanced
 across rounds (not reseeded), matching how a long-lived distributed
 system would consume randomness.
-
-`Simulator` is the serial (``B = 1``) special case of
-:class:`~repro.simulation.ensemble.EnsembleSimulator`: for batch-capable
-balancers the ensemble engine reproduces this loop bit-for-bit per
-replica while amortizing the per-round engine overhead across the whole
-replica batch.  `Simulator` remains the universal engine — it works for
-every balancer, batched or not.
 """
 
 from __future__ import annotations
 
-import math
-from time import perf_counter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.protocols import Balancer
-from repro.observability.recorder import get_recorder
-from repro.simulation.stopping import MaxRounds, StoppingRule, first_satisfied
+from repro.simulation.ensemble import RoundEngine, serial_rounds
+from repro.simulation.stopping import MaxRounds, StoppingRule
 from repro.simulation.trace import Trace
 
 __all__ = ["Simulator", "run_balancer"]
 
 
-class Simulator:
+class Simulator(RoundEngine):
     """Run a balancer until a stopping rule fires.
 
-    Parameters
-    ----------
-    balancer:
-        Any :class:`Balancer`; it is ``reset()`` at the start of each run.
-    stopping:
-        Stopping rules checked in order after every round.  A
-        :class:`MaxRounds` safety net is appended automatically if absent.
-    keep_snapshots:
-        Record the full load vector after every round (memory-heavy).
-    check_conservation:
-        After every round, assert the total load is conserved (exact for
-        discrete balancers, tolerance ``cons_tol`` for continuous ones).
-        On violation the run raises immediately — a conservation bug must
-        never silently skew an experiment.
-    backend:
-        Kernel backend for the balancer's operator kernels
-        (``"numpy"``/``"scipy"``/``"numba"``/``"auto"``; None keeps the
-        balancer's own setting).  Backends are bit-for-bit
-        interchangeable, so this only affects speed.
+    Parameters are those of :class:`~repro.simulation.ensemble.RoundEngine`;
+    the serial trace always records every statistic.
     """
-
-    DEFAULT_MAX_ROUNDS = 1_000_000
 
     def __init__(
         self,
@@ -70,76 +46,18 @@ class Simulator:
         cons_tol: float = 1e-6,
         backend: str | None = None,
     ) -> None:
-        self.balancer = balancer
-        if backend is not None:
-            self.balancer.backend = backend
-        rules = list(stopping) if stopping else []
-        if not any(isinstance(r, MaxRounds) for r in rules):
-            rules.append(MaxRounds(self.DEFAULT_MAX_ROUNDS))
-        self.stopping = rules
-        self.keep_snapshots = keep_snapshots
-        self.check_conservation = check_conservation
-        self.cons_tol = cons_tol
+        super().__init__(
+            balancer, stopping, keep_snapshots=keep_snapshots,
+            check_conservation=check_conservation, cons_tol=cons_tol, backend=backend,
+        )
 
     def run(self, loads: np.ndarray, seed: int | np.random.Generator = 0) -> Trace:
         """Execute rounds until a rule fires; returns the trace."""
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self.balancer.reset()
-        current = self.balancer.validate_loads(loads)
         trace = Trace(balancer_name=self.balancer.name, keep_snapshots=self.keep_snapshots)
-        trace.record(current)
-        initial_sum = trace._sums[0]
-        exact = np.issubdtype(current.dtype, np.integer)
-
-        rec = get_recorder()
-        traced = rec.enabled
-        monitor = None
-        if traced:
-            from repro.observability.convergence import monitor_for
-
-            monitor = monitor_for(self.balancer, rec)
-            if monitor is not None:
-                monitor.observe(trace._potentials[-1])
-        r = 0
-        rule = first_satisfied(self.stopping, trace)
-        while rule is None:
-            if traced:
-                _t0 = perf_counter()
-            current = self.balancer.step(current, rng)
-            trace.record(current)
-            if monitor is not None:
-                monitor.observe(trace._potentials[-1])
-            if self.check_conservation:
-                self._audit_conservation(trace._sums[-1], initial_sum, exact)
-            rule = first_satisfied(self.stopping, trace)
-            if traced:
-                rec.record_span("round", _t0, round=r, engine="serial")
-            r += 1
-        if monitor is not None:
-            monitor.finish()
-        trace.stopped_by = rule.reason
+        self._drive(trace, serial_rounds(self.balancer, trace, self.balancer.validate_loads(loads), rng))
         return trace
-
-    def _audit_conservation(self, s: float, initial_sum: float, exact: bool) -> None:
-        """Raise unless ``s`` (the float64 load sum :meth:`Trace.record`
-        just appended) conserves ``initial_sum`` — exactly when the loads
-        are integers (``exact``), within ``cons_tol`` otherwise."""
-        if not math.isfinite(s):
-            raise AssertionError(
-                f"{self.balancer.name} leaked load: non-finite sum {s} (NaN/inf in loads)"
-            )
-        if exact:
-            if s != initial_sum:
-                raise AssertionError(
-                    f"{self.balancer.name} leaked load: sum {s} != initial {initial_sum}"
-                )
-        else:
-            scale = max(abs(initial_sum), 1.0)
-            if abs(s - initial_sum) > self.cons_tol * scale:
-                raise AssertionError(
-                    f"{self.balancer.name} leaked load: sum {s} != initial {initial_sum} "
-                    f"(tol {self.cons_tol * scale:.3g})"
-                )
 
 
 def run_balancer(

@@ -1,15 +1,22 @@
-"""Lockstep replica ensembles: one engine pass, ``B`` independent runs.
+"""The round driver every engine shares, and the lockstep replica ensemble.
 
-The paper's probabilistic results (Theorems 12/14, Lemmas 9/11/13) are
-verified by Monte-Carlo replication.  Running each replica through its
-own Python-level round loop pays the full interpreter-and-small-array
-overhead ``B`` times; :class:`EnsembleSimulator` instead advances all
+:class:`RoundEngine` owns the round contract of Algorithms 1 and 2 once:
+step, freeze stopped replicas, record, advance, convergence monitor,
+conservation audit, stopping rules and ``round`` span, plus the shared
+constructor (``MaxRounds`` safety net, ``record`` policy, backend
+pinning).  Each engine supplies only a *stepper*, an iterator that
+advances its state one round per item and records it: serial ``step``
+(:class:`~repro.simulation.engine.Simulator`), ``step_batch`` here, or
+the block loop and block executors of
+:class:`~repro.simulation.partitioned.PartitionedSimulator`.
+
+:class:`EnsembleSimulator` verifies the paper's probabilistic results
+(Theorems 12/14, Lemmas 9/11/13) by advancing ``B`` Monte-Carlo
 replicas *in lockstep* through the balancer's ``step_batch`` kernel — a
 node-major ``(n, B)`` matrix where column ``b`` is replica ``b`` — so a
 round of the whole ensemble is a handful of large vectorized operations
-(for the linear schemes, literally one cached sparse matmat).
-
-Semantics are exactly ``B`` independent :class:`Simulator` runs:
+(for the linear schemes, literally one cached sparse matmat).  Its
+semantics are exactly ``B`` independent serial runs:
 
 - replica ``b`` consumes its own RNG stream, spawned from the root seed
   with the same ``SeedSequence(entropy=seed, spawn_key=(b,))`` derivation
@@ -19,12 +26,10 @@ Semantics are exactly ``B`` independent :class:`Simulator` runs:
   ``should_stop_batch``); replicas that stop are frozen — their loads no
   longer change — while the rest keep running;
 - conservation is audited per replica every round (integer-exact for
-  discrete balancers);
+  discrete balancers, at any magnitude);
 - per-replica load trajectories are **bit-for-bit identical** to the
   serial runs (the property tests assert this for every batchable
-  scheme).  :class:`Simulator` is therefore the ``B = 1`` special case
-  of this engine; it survives as the universal fallback for balancers
-  without a batched kernel.
+  scheme).
 
 Recorded statistics are computed once per round across the whole batch.
 ``record="auto"`` keeps the throughput-critical minimum (potentials and
@@ -38,19 +43,28 @@ order); recorded *loads* never do.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from time import perf_counter
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.protocols import Balancer
 from repro.observability.recorder import get_recorder
-from repro.simulation.engine import Simulator
 from repro.simulation.montecarlo import trial_rngs
-from repro.simulation.stopping import DiscrepancyBelow, MaxRounds, StoppingRule
+from repro.simulation.stopping import (
+    DiscrepancyBelow,
+    MaxRounds,
+    StoppingRule,
+    first_satisfied,
+)
 from repro.simulation.trace import Trace
 
-__all__ = ["EnsembleSimulator", "EnsembleTrace", "initial_batch", "spawn_rngs"]
+__all__ = ["EnsembleSimulator", "EnsembleTrace", "RoundEngine", "initial_batch", "spawn_rngs"]
+
+#: Float64 represents every integer total below this exactly; a discrete
+#: run starting at or above it audits its integer totals instead.
+EXACT_FLOAT_TOTAL = 2**53
 
 # Replica streams ARE Monte-Carlo trial streams: one derivation, so an
 # ensemble replica reproduces the corresponding serial trial bit-for-bit.
@@ -80,6 +94,28 @@ def initial_batch(
         raise ValueError(f"replicas={replicas} but loads has {B} rows")
     cols = [balancer.validate_loads(arr[b]) for b in range(B)]
     return np.ascontiguousarray(np.stack(cols, axis=1)), B
+
+
+def replica_rngs(seed, replicas: int | None, loads) -> list[np.random.Generator]:
+    """One generator per replica: a root ``seed`` spawned by global replica
+    index, or the explicit generators ``seed`` lists.
+
+    With ``replicas`` None the count comes from the generators, or from
+    ``loads`` (its ``(B, n)`` rows; one replica for a shared ``(n,)``
+    vector).  Shared by the ensemble engine and the shard planner so
+    their seeding cannot drift.
+    """
+    if isinstance(seed, (int, np.integer)):
+        if replicas is None:
+            arr = np.asarray(loads)
+            replicas = arr.shape[0] if arr.ndim == 2 else 1
+        return spawn_rngs(int(seed), int(replicas))
+    rngs = [seed] if isinstance(seed, np.random.Generator) else list(seed)
+    if replicas is not None and len(rngs) != int(replicas):
+        raise ValueError(f"got {len(rngs)} generators for {replicas} replicas")
+    if not all(isinstance(r, np.random.Generator) for r in rngs):
+        raise TypeError("seed must be an int or a sequence of numpy Generators")
+    return rngs
 
 
 class EnsembleTrace:
@@ -114,6 +150,9 @@ class EnsembleTrace:
         self._snapshots: list[np.ndarray] = []
         self._final_loads: np.ndarray | None = None
         self._ones: np.ndarray | None = None
+        #: the last row's load totals in the loads' dtype (exact for
+        #: integer loads, where ``load_sums_matrix`` rounds past 2**53)
+        self.last_totals: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Recording (node-major (n, B) matrices)
@@ -138,18 +177,13 @@ class EnsembleTrace:
     def record(self, loads: np.ndarray, prev: np.ndarray | None = None) -> None:
         """Append one state row (initial state first, then once per round)."""
         phis, sums = self._stats_row(loads)
-        self._potentials.append(phis)
-        self._sums.append(sums.astype(np.float64))
-        if self.record_discrepancies:
-            self._discrepancies.append((loads.max(axis=0) - loads.min(axis=0)).astype(np.float64))
+        disc = loads.max(axis=0) - loads.min(axis=0) if self.record_discrepancies else None
+        mov = None
         if self.record_movements and prev is not None:
-            delta = np.abs(loads - prev)
-            self._movements.append(0.5 * delta.sum(axis=0).astype(np.float64))
-        if self.keep_snapshots:
-            # .copy(), not ascontiguousarray: for B=1 the transpose is
-            # already contiguous and would alias the engine's recycled
-            # ping-pong buffer, silently rewriting history.
-            self._snapshots.append(loads.T.copy())
+            mov = 0.5 * np.abs(loads - prev).sum(axis=0)
+        # record_stats copies the snapshot: for B=1 the transpose would
+        # alias the engine's recycled ping-pong buffer.
+        self.record_stats(phis, sums, disc, mov, loads.T if self.keep_snapshots else None)
 
     def record_stats(
         self,
@@ -163,12 +197,13 @@ class EnsembleTrace:
 
         The partitioned process runtime computes each statistic from
         per-block partials (the full ``(n, B)`` matrix never exists in
-        one process); this records the combined row directly.  The
-        movements row is skipped for the initial state exactly as
-        :meth:`record` skips it when ``prev`` is None.
+        one process); this records the combined row directly.  ``sums``
+        keeps the loads' dtype (see :attr:`last_totals`).  The initial
+        state has no movements row.
         """
         self._potentials.append(np.asarray(phis, dtype=np.float64))
         self._sums.append(np.asarray(sums, dtype=np.float64))
+        self.last_totals = sums
         if self.record_discrepancies:
             if discrepancies is None:
                 raise ValueError("this trace records discrepancies; none supplied")
@@ -178,7 +213,7 @@ class EnsembleTrace:
         if self.keep_snapshots:
             if snapshot is None:
                 raise ValueError("this trace keeps snapshots; none supplied")
-            self._snapshots.append(np.array(snapshot, copy=True))
+            self._snapshots.append(np.array(snapshot, order="C", copy=True))
 
     def advance(self, active: np.ndarray) -> None:
         """Credit one completed round to every still-active replica."""
@@ -335,46 +370,176 @@ class EnsembleTrace:
         }
 
 
-class EnsembleSimulator:
-    """Run ``B`` replicas of a batch-capable balancer in lockstep.
+class RoundEngine:
+    """Configuration and round driver shared by every engine.
 
     Parameters
     ----------
     balancer:
-        Any :class:`Balancer` with ``supports_batch`` (it is ``reset()``
-        at the start of each run).
+        Any :class:`Balancer`; it is ``reset()`` at the start of each run.
     stopping:
-        Stopping rules evaluated per replica after every round; a
-        :class:`MaxRounds` safety net is appended automatically if
-        absent.  Every rule must implement ``should_stop_batch``.
+        Stopping rules checked in order after every round.  A
+        :class:`MaxRounds` safety net is appended automatically if absent.
+    record:
+        Which statistics a batched trace keeps (see
+        :class:`EnsembleSimulator`); a serial :class:`Trace` keeps all.
+    keep_snapshots:
+        Record the full load state after every round (memory-heavy).
+    check_conservation:
+        After every round, assert that each replica's total load is
+        conserved: exactly for integer loads (at any magnitude), within
+        relative tolerance ``cons_tol`` otherwise.  On violation the run
+        raises immediately, naming the replica — a conservation bug must
+        never silently skew an experiment.
+    backend:
+        Kernel backend for the balancer's operator kernels
+        (``"numpy"``/``"scipy"``/``"numba"``/``"auto"``).  An explicit
+        backend pins the balancer; None keeps the balancer's own setting
+        (e.g. one the CLI's ``--backend`` pinned).  Backends are
+        bit-for-bit interchangeable, so this only affects speed.
+    """
+
+    DEFAULT_MAX_ROUNDS = 1_000_000
+
+    def __init__(
+        self,
+        balancer: Balancer,
+        stopping: Sequence[StoppingRule] | None = None,
+        *,
+        record: str = "full",
+        keep_snapshots: bool = False,
+        check_conservation: bool = True,
+        cons_tol: float = 1e-6,
+        backend: str | None = None,
+    ) -> None:
+        if record not in ("auto", "light", "full"):
+            raise ValueError(f"record must be 'auto', 'light' or 'full', got {record!r}")
+        self.balancer = balancer
+        if backend is not None:
+            balancer.backend = backend
+        #: the backend the kernels run on (block kernels resolve it too)
+        self.backend = getattr(balancer, "backend", None)
+        rules = list(stopping) if stopping else []
+        if not any(isinstance(r, MaxRounds) for r in rules):
+            rules.append(MaxRounds(self.DEFAULT_MAX_ROUNDS))
+        self.stopping = rules
+        self.record = record
+        self.keep_snapshots = keep_snapshots
+        self.check_conservation = check_conservation
+        self.cons_tol = cons_tol
+
+    def _record_disc(self) -> bool:
+        """Whether batched traces record discrepancies under ``record``."""
+        return self.record == "full" or (
+            self.record == "auto" and any(isinstance(r, DiscrepancyBelow) for r in self.stopping)
+        )
+
+    def _new_trace(self, replicas: int) -> EnsembleTrace:
+        return EnsembleTrace(
+            balancer_name=self.balancer.name,
+            replicas=replicas,
+            record_discrepancies=self._record_disc(),
+            record_movements=self.record == "full",
+            keep_snapshots=self.keep_snapshots,
+        )
+
+    def _drive(self, trace, rounds: Iterator, active: np.ndarray | None = None,
+               engine: str = "serial"):
+        """Run rounds until the stopping rules end the run; returns the final state.
+
+        ``rounds`` is the engine's stepper.  Its first item is the initial
+        state, which the driver records in ``trace``; each further item
+        advances the state one round — step, freeze stopped replicas,
+        record into ``trace`` — and is the new state (None when only
+        statistics come back); the driver holds only the latest state.
+        ``active`` is a batched run's per-replica mask, updated in place;
+        the serial engine passes None and keeps its one replica in
+        scalars.  After each round the driver credits it to the active
+        replicas, feeds the convergence monitor, audits conservation,
+        evaluates the stopping rules and closes the round's ``round`` span.
+        """
+        state = next(rounds)
+        trace.record(state)
+        serial = active is None
+        rec = get_recorder()
+        traced = rec.enabled
+        monitor = None
+        if traced:
+            from repro.observability.convergence import monitor_for
+
+            monitor = monitor_for(self.balancer, rec)
+            if monitor is not None:
+                monitor.observe(trace._potentials[-1], active)
+        audit = None
+        if self.check_conservation:
+            audit = self._audit_conservation if serial else partial(
+                audit_replica_sums, self.balancer.name)
+            integer = np.issubdtype(state.dtype, np.integer)
+            # Float64 totals round past 2**53; such a run compares the
+            # integer totals the trace keeps.  Decided once per run.
+            exact = integer and bool(np.any(np.abs(trace._sums[0]) >= EXACT_FLOAT_TOTAL))
+            initial = trace.last_totals if exact else trace._sums[0]
+            tol = None if integer else self.cons_tol * np.maximum(np.abs(initial), 1.0)
+        span = {"engine": engine}
+        running = apply_stopping(self.stopping, trace, active)
+        r = 0
+        while running:
+            if traced:
+                t0 = perf_counter()
+            state = next(rounds)
+            trace.advance(active)
+            if monitor is not None:
+                # `active` is still this round's pre-stopping mask here.
+                monitor.observe(trace._potentials[-1], active)
+            if audit is not None:
+                audit(trace.last_totals if exact else trace._sums[-1], initial, tol)
+            running = apply_stopping(self.stopping, trace, active)
+            if traced:
+                if not serial:
+                    span["active"] = int(active.sum())
+                rec.record_span("round", t0, round=r, **span)
+            r += 1
+        if monitor is not None:
+            monitor.finish()
+        return state
+
+    def _audit_conservation(self, s, initial, tol) -> None:
+        """Raise unless a one-replica run's total ``s`` conserves ``initial``.
+
+        Exactly when ``tol`` is None (integer loads), else within the
+        absolute tolerance ``tol``; a NaN total never passes.
+        """
+        ok = s == initial if tol is None else abs(s - initial) <= tol
+        if not ok:
+            raise AssertionError(f"{self.balancer.name} leaked load: {_leak(s, initial)}")
+
+
+class EnsembleSimulator(RoundEngine):
+    """Run ``B`` replicas of a batch-capable balancer in lockstep.
+
+    Parameters are those of :class:`RoundEngine`, with these specifics:
+
+    balancer:
+        Must have ``supports_batch`` (a one-replica run on the serial
+        stepper takes any balancer).
+    stopping:
+        Every rule must implement ``should_stop_batch``.
     record:
         ``"auto"`` (default) records potentials and load sums — plus
         discrepancies when a :class:`DiscrepancyBelow` rule is installed;
         ``"light"`` records only potentials and sums; ``"full"`` adds
         discrepancies and per-round net movement.
-    keep_snapshots:
-        Record every replica's full load vector after every round
-        (memory-heavy; the bit-for-bit property tests use it).
-    check_conservation:
-        Audit per-replica load sums every round, as the serial engine
-        does; a violation raises immediately, naming the replica.
     serial_singleton:
-        Dispatch ``B = 1`` runs to the serial :class:`Simulator` (default).
-        A one-replica "batch" pays the batched engine's bookkeeping with
-        nothing to amortize it over — measurably slower than the serial
-        loop — and the serial engine works for *every* balancer, batched
-        or not.  Load trajectories are identical either way; derived
-        statistics (potentials, sums) may differ in the last float ulp
-        because the serial trace computes them with the centered formula.
-        Set ``False`` to force the batched kernels even for one replica
-        (the bit-for-bit property tests do).
-    backend:
-        Kernel backend for the balancer's operator kernels (None keeps
-        the balancer's own setting).  Backends are bit-for-bit
-        interchangeable, so this only affects speed.
+        Run ``B = 1`` on the serial stepper (default).  A one-replica
+        "batch" pays the batched bookkeeping with nothing to amortize it
+        over — measurably slower than the serial round — and the serial
+        stepper works for *every* balancer, batched or not.  Load
+        trajectories are identical either way; derived statistics
+        (potentials, sums) may differ in the last float ulp because the
+        serial trace computes them with the centered formula.  Set
+        ``False`` to force the batched kernels even for one replica (the
+        bit-for-bit property tests do).
     """
-
-    DEFAULT_MAX_ROUNDS = 1_000_000
 
     def __init__(
         self,
@@ -387,34 +552,11 @@ class EnsembleSimulator:
         serial_singleton: bool = True,
         backend: str | None = None,
     ) -> None:
-        if record not in ("auto", "light", "full"):
-            raise ValueError(f"record must be 'auto', 'light' or 'full', got {record!r}")
-        self.balancer = balancer
-        if backend is not None:
-            self.balancer.backend = backend
-        rules = list(stopping) if stopping else []
-        if not any(isinstance(r, MaxRounds) for r in rules):
-            rules.append(MaxRounds(self.DEFAULT_MAX_ROUNDS))
-        self.stopping = rules
-        self.record = record
-        self.keep_snapshots = keep_snapshots
-        self.check_conservation = check_conservation
-        self.cons_tol = cons_tol
+        super().__init__(
+            balancer, stopping, record=record, keep_snapshots=keep_snapshots,
+            check_conservation=check_conservation, cons_tol=cons_tol, backend=backend,
+        )
         self.serial_singleton = serial_singleton
-
-    # ------------------------------------------------------------------
-    def _resolve_rngs(self, seed, replicas: int) -> list[np.random.Generator]:
-        if isinstance(seed, (int, np.integer)):
-            return spawn_rngs(int(seed), replicas)
-        rngs = [seed] if isinstance(seed, np.random.Generator) else list(seed)
-        if len(rngs) != replicas:
-            raise ValueError(f"got {len(rngs)} generators for {replicas} replicas")
-        if not all(isinstance(r, np.random.Generator) for r in rngs):
-            raise TypeError("seed must be an int or a sequence of numpy Generators")
-        return rngs
-
-    def _initial_batch(self, loads: np.ndarray, replicas: int | None) -> tuple[np.ndarray, int]:
-        return initial_batch(self.balancer, loads, replicas)
 
     def run(self, loads: np.ndarray, seed=0, replicas: int | None = None) -> EnsembleTrace:
         """Run all replicas until each one's stopping rule fires.
@@ -424,14 +566,8 @@ class EnsembleSimulator:
         per-replica streams) or an explicit sequence of ``B`` generators.
         """
         self.balancer.reset()
-        if not isinstance(seed, (int, np.integer)):
-            # Materialize once: a one-shot iterator of generators must not
-            # be consumed twice (here and in _resolve_rngs).
-            seed = [seed] if isinstance(seed, np.random.Generator) else list(seed)
-            if replicas is None:
-                replicas = len(seed)
-        L, B = self._initial_batch(loads, replicas)
-        rngs = self._resolve_rngs(seed, B)
+        rngs = replica_rngs(seed, replicas, loads)
+        L, B = initial_batch(self.balancer, loads, len(rngs))
         if B == 1 and self.serial_singleton:
             return self._run_singleton(L[:, 0].copy(), rngs[0])
         if not getattr(self.balancer, "supports_batch", False):
@@ -439,99 +575,33 @@ class EnsembleSimulator:
                 f"{self.balancer.name} has no batched kernel; use Simulator "
                 "(the serial B=1 engine) instead"
             )
-
-        record_disc = self.record == "full" or (
-            self.record == "auto" and any(isinstance(r, DiscrepancyBelow) for r in self.stopping)
-        )
-        trace = EnsembleTrace(
-            balancer_name=self.balancer.name,
-            replicas=B,
-            record_discrepancies=record_disc,
-            record_movements=self.record == "full",
-            keep_snapshots=self.keep_snapshots,
-        )
-        trace.record(L)
-        initial_sums = trace._sums[0]
-        is_discrete = np.issubdtype(L.dtype, np.integer)
-
+        trace = self._new_trace(B)
         active = np.ones(B, dtype=bool)
-        self._apply_stopping(trace, active)
-        # Ping-pong two buffers through step_batch's `out` so the hot loop
-        # allocates nothing; once a round is recorded, the previous batch
-        # matrix is recycled as the next round's output buffer (kernels
-        # that ignore `out` simply leave it to be reused next round).
-        spare = np.empty_like(L)
-        rec = get_recorder()
-        traced = rec.enabled
-        monitor = None
-        if traced:
-            from repro.observability.convergence import monitor_for
 
-            monitor = monitor_for(self.balancer, rec)
-            if monitor is not None:
-                monitor.observe(trace.initial_potentials)
-        r = 0
-        while active.any():
-            if traced:
-                _t0 = perf_counter()
-            new = self.balancer.step_batch(L, rngs, out=spare)
-            if new is L:
-                raise AssertionError(f"{self.balancer.name}.step_batch returned its input")
-            if not active.all():
-                frozen = ~active
-                new[:, frozen] = L[:, frozen]
-            trace.record(new, prev=L)
-            trace.advance(active)
-            if monitor is not None:
-                # `active` is still this round's pre-stopping mask here.
-                monitor.observe(trace.last_potentials, active)
-            spare = L
-            L = new
-            if self.check_conservation:
-                self._audit(trace._sums[-1], initial_sums, is_discrete)
-            self._apply_stopping(trace, active)
-            if traced:
-                rec.record_span("round", _t0, round=r, engine="ensemble",
-                                active=int(active.sum()))
-            r += 1
-        if monitor is not None:
-            monitor.finish()
+        def step(L, out):
+            return self.balancer.step_batch(L, rngs, out=out)
+
+        L = self._drive(trace, batch_rounds(trace, L, active, step), active, "ensemble")
         trace._final_loads = L.T.copy()  # detach from the recycled buffers
         return trace
 
-    # ------------------------------------------------------------------
     def _run_singleton(self, loads: np.ndarray, rng: np.random.Generator) -> EnsembleTrace:
-        """Run a one-replica ensemble on the serial engine, repackaged.
+        """Run a one-replica ensemble on the serial stepper, repackaged.
 
-        The serial :class:`Simulator` loop is faster than a ``B = 1``
-        batch (nothing to amortize the batched bookkeeping over) and
-        works for every balancer; its :class:`Trace` records are copied
-        into a one-column :class:`EnsembleTrace` so callers see the same
-        interface regardless of dispatch.
+        The serial round is faster than a ``B = 1`` batch (nothing to
+        amortize the batched bookkeeping over) and works for every
+        balancer; its :class:`Trace` records are copied into a one-column
+        :class:`EnsembleTrace` so callers see the same interface
+        regardless of dispatch.
         """
-        record_disc = self.record == "full" or (
-            self.record == "auto" and any(isinstance(r, DiscrepancyBelow) for r in self.stopping)
-        )
-        sim = Simulator(
-            self.balancer,
-            stopping=self.stopping,
-            keep_snapshots=self.keep_snapshots,
-            check_conservation=self.check_conservation,
-            cons_tol=self.cons_tol,
-        )
-        t = sim.run(loads, rng)
-        trace = EnsembleTrace(
-            balancer_name=self.balancer.name,
-            replicas=1,
-            record_discrepancies=record_disc,
-            record_movements=self.record == "full",
-            keep_snapshots=self.keep_snapshots,
-        )
+        t = Trace(balancer_name=self.balancer.name, keep_snapshots=self.keep_snapshots)
+        self._drive(t, serial_rounds(self.balancer, t, loads, rng))
+        trace = self._new_trace(1)
         trace.stopped_by = [t.stopped_by]
         trace._rounds = np.asarray([t.rounds], dtype=np.int64)
         trace._potentials = [np.asarray([p]) for p in t._potentials]
         trace._sums = [np.asarray([s]) for s in t._sums]
-        if record_disc:
+        if trace.record_discrepancies:
             trace._discrepancies = [np.asarray([d]) for d in t._discrepancies]
         if trace.record_movements:
             trace._movements = [np.asarray([mv]) for mv in t._movements]
@@ -542,56 +612,88 @@ class EnsembleSimulator:
         trace._final_loads = np.asarray(t._last_loads, dtype=self.balancer.dtype)[None, :]
         return trace
 
-    def _apply_stopping(self, trace: EnsembleTrace, active: np.ndarray) -> None:
-        apply_stopping(self.stopping, trace, active)
 
-    def _audit(self, sums: np.ndarray, initial_sums: np.ndarray, is_discrete: bool) -> None:
-        audit_replica_sums(self.balancer.name, sums, initial_sums, is_discrete, self.cons_tol)
+# ----------------------------------------------------------------------
+# Steppers, stopping and the conservation audit
+# ----------------------------------------------------------------------
+def serial_rounds(balancer: Balancer, trace: Trace, loads: np.ndarray,
+                  rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The serial stepper: the initial vector, then one ``step`` per round."""
+    yield loads
+    while True:
+        loads = balancer.step(loads, rng)
+        trace.record(loads)
+        yield loads
 
 
-def apply_stopping(stopping, trace: EnsembleTrace, active: np.ndarray) -> None:
-    """Deactivate replicas whose first satisfied rule fired this round.
+def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
+                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+    """The stepper over a node-major ``(n, B)`` batch: ``L``, then one
+    ``kernel`` round per item.
 
-    Shared by the ensemble and partitioned engines: rules are evaluated
-    in order, the first satisfied one per replica records its reason,
-    and ``active`` is updated in place.
+    ``kernel(L, out)`` returns the next batch, written into ``out`` when
+    it can.  Two buffers ping-pong through it so the loop allocates
+    nothing: once a round is recorded, the previous batch is recycled as
+    the next round's output (kernels that ignore ``out`` simply leave it
+    to be reused).  Replicas no longer ``active`` keep their loads.
     """
+    yield L
+    spare = np.empty_like(L)
+    while True:
+        new = kernel(L, spare)
+        if new is L:
+            raise AssertionError(f"{trace.balancer_name}'s round kernel returned its input")
+        if not active.all():
+            frozen = ~active
+            new[:, frozen] = L[:, frozen]
+        trace.record(new, prev=L)
+        L, spare = new, L
+        yield L
+
+
+def apply_stopping(stopping, trace, active: np.ndarray | None) -> bool:
+    """Evaluate the stopping rules; True while some replica still runs.
+
+    A batched run's replicas (``active``, updated in place) each stop at
+    the first rule whose vectorized form fires for them, which records
+    its reason.  The serial engine (``active`` None) evaluates the scalar
+    forms on its one-replica trace.
+    """
+    if active is None:
+        rule = first_satisfied(stopping, trace)
+        if rule is None:
+            return True
+        trace.stopped_by = rule.reason
+        return False
     remaining = active.copy()
     for rule in stopping:
         if not remaining.any():
             break
-        mask = np.asarray(rule.should_stop_batch(trace), dtype=bool)
-        newly = remaining & mask
+        newly = remaining & np.asarray(rule.should_stop_batch(trace), dtype=bool)
         if newly.any():
             for b in np.flatnonzero(newly):
                 trace.stopped_by[b] = rule.reason
             remaining &= ~newly
     active[:] = remaining
+    return bool(remaining.any())
 
 
-def audit_replica_sums(
-    name: str,
-    sums: np.ndarray,
-    initial_sums: np.ndarray,
-    is_discrete: bool,
-    cons_tol: float,
-) -> None:
-    """Per-replica conservation check on a just-recorded sum row.
+def audit_replica_sums(name: str, sums: np.ndarray, initial_sums: np.ndarray, tol) -> None:
+    """Per-replica conservation check on a just-recorded total row.
 
-    Sums are compared as float64 — exact for discrete balancers (integer
-    totals are exactly representable), relative tolerance ``cons_tol``
-    for continuous ones.  Raises ``AssertionError`` naming the replica.
+    Exact when ``tol`` is None (integer loads: float64 totals below
+    ``2**53``, the integer totals from there on); otherwise each
+    replica's total must stay within its absolute tolerance in ``tol``,
+    and a NaN total never passes.  Raises ``AssertionError`` naming the
+    first leaking replica.
     """
-    if not np.isfinite(sums).all():
-        bad = ~np.isfinite(sums)
-    elif is_discrete:
-        bad = sums != initial_sums
-    else:
-        scale = np.maximum(np.abs(initial_sums), 1.0)
-        bad = np.abs(sums - initial_sums) > cons_tol * scale
-    if bad.any():
-        b = int(np.flatnonzero(bad)[0])
-        raise AssertionError(
-            f"{name} leaked load in replica {b}: "
-            f"sum {sums[b]} != initial {initial_sums[b]}"
-        )
+    ok = sums == initial_sums if tol is None else np.abs(sums - initial_sums) <= tol
+    if not ok.all():
+        b = int(np.flatnonzero(~ok)[0])
+        raise AssertionError(f"{name} leaked load in replica {b}: {_leak(sums[b], initial_sums[b])}")
+
+
+def _leak(total, initial) -> str:
+    if not np.isfinite(total):
+        return f"non-finite sum {total} (NaN/inf in loads)"
+    return f"sum {total} != initial {initial}"

@@ -55,20 +55,24 @@ Execution modes
     float ulp (block-partial summation order), the same caveat the
     replica-sharded path documents.
 
-The coordinator half of process mode is factored behind a small *block
-executor* seam (``run_chunk`` / ``gather`` / ``close``):
-:class:`_LocalProcessExecutor` drives per-block processes on this
-host, and :mod:`repro.distributed.dispatcher` plugs a remote executor
-into the **same** :meth:`PartitionedSimulator.run_with_executor` loop to
-span hosts — one statistics combine, one stopping policy, any transport.
+Both modes are steppers of the one round driver every engine shares
+(:class:`~repro.simulation.ensemble.RoundEngine`): the in-process block
+loop, with its halo accounting, or a *block executor*'s chunks of
+combined statistics rows.  The executor seam is small (``run_chunk`` /
+``gather`` / ``close``): :class:`_LocalProcessExecutor` drives per-block
+processes on this host, and :mod:`repro.distributed.dispatcher` and
+:mod:`repro.distributed.mpi` plug remote executors into the **same**
+:meth:`PartitionedSimulator.run_with_executor` — one statistics combine,
+one stopping policy, any transport.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from itertools import count
 from time import perf_counter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,13 +83,8 @@ from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
 from repro.distributed.worker import BlockJob, run_block_loop
 from repro.graphs.partition import HaloLink, Partition, make_partition, parse_partitions
-from repro.simulation.ensemble import (
-    EnsembleTrace,
-    apply_stopping,
-    audit_replica_sums,
-    initial_batch,
-)
-from repro.simulation.stopping import DiscrepancyBelow, MaxRounds, StoppingRule
+from repro.simulation.ensemble import EnsembleTrace, RoundEngine, batch_rounds, initial_batch
+from repro.simulation.stopping import MaxRounds, StoppingRule
 
 __all__ = ["BlockLocal", "PartitionedSimulator", "block_local"]
 
@@ -490,8 +489,11 @@ def _partial_stats(
 
 
 def _combine_stats(partials: list[tuple], n: int) -> tuple:
-    """Combine per-block partials into one global statistics row."""
-    sums = np.sum([p[0] for p in partials], axis=0).astype(np.float64)
+    """Combine per-block partials into one global statistics row.
+
+    Sums keep the loads' dtype, so integer totals stay exact.
+    """
+    sums = np.sum([p[0] for p in partials], axis=0)
     ss = np.sum([p[1] for p in partials], axis=0)
     phis = np.maximum(ss - sums * (sums / n), 0.0)
     disc = None
@@ -653,7 +655,7 @@ class _LocalProcessExecutor:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
-class PartitionedSimulator:
+class PartitionedSimulator(RoundEngine):
     """Run a partition-capable balancer as ``P`` halo-exchanging blocks.
 
     Parameters
@@ -687,7 +689,9 @@ class PartitionedSimulator:
         identical across transports.
     stopping / record / keep_snapshots / check_conservation / cons_tol /
     backend:
-        As :class:`~repro.simulation.ensemble.EnsembleSimulator`.
+        As :class:`~repro.simulation.ensemble.EnsembleSimulator`.  With no
+        explicit ``backend``, the block kernels run the one pinned on the
+        balancer (e.g. by the CLI's ``--backend``).
 
     After :meth:`run`, :attr:`halo_stats` reports the communication the
     run actually paid: rounds executed, halo values exchanged (ghost
@@ -698,8 +702,6 @@ class PartitionedSimulator:
     buffer payload of the transport-independent encoding — so totals
     are identical on every channel backend and comparable across wires.
     """
-
-    DEFAULT_MAX_ROUNDS = 1_000_000
 
     def __init__(
         self,
@@ -724,8 +726,6 @@ class PartitionedSimulator:
                 "supports diffusion (continuous/discrete, dynamic included) and "
                 "continuous FOS"
             )
-        if record not in ("auto", "light", "full"):
-            raise ValueError(f"record must be 'auto', 'light' or 'full', got {record!r}")
         if mode not in ("inprocess", "process"):
             raise ValueError(f"mode must be 'inprocess' or 'process', got {mode!r}")
         if transport not in PROCESS_TRANSPORTS:
@@ -733,28 +733,16 @@ class PartitionedSimulator:
                 f"transport must be one of {PROCESS_TRANSPORTS}, got {transport!r} "
                 "(loopback channels cannot cross a process boundary)"
             )
+        super().__init__(
+            balancer, stopping, record=record, keep_snapshots=keep_snapshots,
+            check_conservation=check_conservation, cons_tol=cons_tol, backend=backend,
+        )
         blocks, spec_strategy = parse_partitions(partitions)
         if isinstance(partitions, str) and ":" in partitions:
             strategy = spec_strategy
-        self.balancer = balancer
-        if backend is not None:
-            self.balancer.backend = backend
-        # An explicit engine backend pins the balancer; otherwise honour a
-        # backend already pinned *on* the balancer (e.g. CLI --backend) so
-        # the block kernels run what the caller selected, not the ambient
-        # default.
-        self.backend = backend if backend is not None else getattr(balancer, "backend", None)
         self.partitions = blocks
         self.strategy = strategy
         self._assignment = None if assignment is None else np.asarray(assignment, dtype=np.int64)
-        rules = list(stopping) if stopping else []
-        if not any(isinstance(r, MaxRounds) for r in rules):
-            rules.append(MaxRounds(self.DEFAULT_MAX_ROUNDS))
-        self.stopping = rules
-        self.record = record
-        self.keep_snapshots = keep_snapshots
-        self.check_conservation = check_conservation
-        self.cons_tol = cons_tol
         self.mode = mode
         self.transport = transport
         #: split-phase rounds: post sends -> compute interior -> drain
@@ -772,11 +760,6 @@ class PartitionedSimulator:
         self.halo_stats: dict = {}
 
     # ------------------------------------------------------------------
-    def _record_disc(self) -> bool:
-        return self.record == "full" or (
-            self.record == "auto" and any(isinstance(r, DiscrepancyBelow) for r in self.stopping)
-        )
-
     def block_job(self, assignment: np.ndarray, block_id: int, owned: np.ndarray, *,
                   start_round: int = 0, telemetry: bool = False) -> BlockJob:
         """The :class:`~repro.distributed.worker.BlockJob` for one block.
@@ -838,173 +821,98 @@ class PartitionedSimulator:
         partition-capable schemes are deterministic (their rounds draw
         no randomness), so it is unused.
         """
+        if self.mode == "process" and self.partitions > 1:
+            return self.run_with_executor(loads, replicas, _LocalProcessExecutor)
         self.balancer.reset()
         L, B = initial_batch(self.balancer, loads, replicas)
         assignment = self._resolve_assignment(L.shape[0])
-        if self.mode == "process" and self.partitions > 1:
-            self._init_halo_stats(assignment, "process")
-            return self._run_executor(L, B, assignment, _LocalProcessExecutor)
         self._init_halo_stats(assignment, "inprocess")
-        return self._run_inprocess(L, B, assignment)
+        trace = self._new_trace(B)
+        active = np.ones(B, dtype=bool)
+        stepper = batch_rounds(trace, L, active, self._block_kernel(assignment, B))
+        L = self._drive(trace, stepper, active, "partitioned")
+        self.halo_stats["rounds"] = trace.rounds
+        trace._final_loads = L.T.copy()
+        return trace
 
     def run_with_executor(self, loads: np.ndarray, replicas: int | None,
                           executor_factory) -> EnsembleTrace:
-        """Run through an externally supplied block executor.
+        """Run through a block executor (process mode's own, or a remote one).
 
         ``executor_factory(sim, L, B, assignment)`` must return an object
         with the executor seam (``run_chunk(chunk, frozen)`` →
         ``(per_round_partials, halo_values, link_bytes)``, ``gather()`` →
         replica-major loads, ``close()``).  This is the entry point the
-        multi-host dispatcher uses: the coordinator loop — chunking,
-        statistics combine, stopping, conservation audits — is exactly
-        the one local process mode runs, so remote runs inherit its
-        semantics (and its bit-for-bit trajectory guarantee) wholesale.
+        multi-host dispatcher uses: chunking, statistics combine,
+        stopping and conservation audits are exactly those of local
+        process mode, so remote runs inherit its semantics (and its
+        bit-for-bit trajectory guarantee) wholesale.
         """
         self.balancer.reset()
         L, B = initial_batch(self.balancer, loads, replicas)
         assignment = self._resolve_assignment(L.shape[0])
         self._init_halo_stats(assignment, "process")
-        return self._run_executor(L, B, assignment, executor_factory)
-
-    def _make_trace(self, B: int) -> EnsembleTrace:
-        return EnsembleTrace(
-            balancer_name=self.balancer.name,
-            replicas=B,
-            record_discrepancies=self._record_disc(),
-            record_movements=self.record == "full",
-            keep_snapshots=self.keep_snapshots,
-        )
-
-    # ------------------------------------------------------------------
-    # In-process mode
-    # ------------------------------------------------------------------
-    def _run_inprocess(self, L: np.ndarray, B: int, assignment: np.ndarray) -> EnsembleTrace:
-        trace = self._make_trace(B)
-        trace.record(L)
-        initial_sums = trace._sums[0]
-        is_discrete = np.issubdtype(L.dtype, np.integer)
+        trace = self._new_trace(B)
         active = np.ones(B, dtype=bool)
-        apply_stopping(self.stopping, trace, active)
-        out = np.empty_like(L)
-        resolved = resolve_backend(self.backend)
-        parts = _PartitionMemo(assignment, self.strategy)
-        rec = get_recorder()
-        traced = rec.enabled
-        monitor = None
-        if traced:
-            from repro.observability.convergence import monitor_for
-
-            monitor = monitor_for(self.balancer, rec)
-            if monitor is not None:
-                monitor.observe(trace.initial_potentials)
-        rounds = 0
-        while active.any():
-            if traced:
-                _t0 = perf_counter()
-            part = parts.get(self.balancer.partition_topology(rounds))
-            for p in range(part.blocks):
-                local = block_local(part, p, resolved)
-                # The halo refresh: owned + ghost rows gathered from the
-                # previous round's matrix before this block's round.
-                ext = L[local.ext_ids]
-                out[local.owned] = self.balancer.block_step(local, ext)
-                self.halo_stats["halo_values"] += local.n_ghost * B
-            if traced:
-                rec.record_span("round", _t0, round=rounds, engine="partitioned")
-            if not active.all():
-                frozen = ~active
-                out[:, frozen] = L[:, frozen]
-            trace.record(out, prev=L)
-            trace.advance(active)
-            if monitor is not None:
-                # `active` is still this round's pre-stopping mask here.
-                monitor.observe(trace.last_potentials, active)
-            if self.check_conservation:
-                audit_replica_sums(
-                    self.balancer.name, trace._sums[-1], initial_sums, is_discrete, self.cons_tol
-                )
-            apply_stopping(self.stopping, trace, active)
-            L, out = out, L
-            rounds += 1
-        if monitor is not None:
-            monitor.finish()
-        self.halo_stats["rounds"] = rounds
-        trace._final_loads = L.T.copy()
-        return trace
-
-    # ------------------------------------------------------------------
-    # Executor-driven (process / remote) mode
-    # ------------------------------------------------------------------
-    def _max_rounds_only(self) -> int | None:
-        """The common round cap when every rule is a plain MaxRounds."""
-        if all(isinstance(r, MaxRounds) for r in self.stopping):
-            return min(r.rounds for r in self.stopping)
-        return None
-
-    def _run_executor(self, L: np.ndarray, B: int, assignment: np.ndarray,
-                      executor_factory) -> EnsembleTrace:
-        trace = self._make_trace(B)
-        trace.record(L)
         executor = executor_factory(self, L, B, assignment)
         try:
-            self._coordinate(executor, trace, L, B)
+            stepper = self._executor_rounds(executor, trace, active, L)
+            self._drive(trace, stepper, active, "partitioned")
+            self.halo_stats["rounds"] = trace.rounds
             trace._final_loads = executor.gather()
             return trace
         finally:
             executor.close()
 
-    def _coordinate(self, executor, trace: EnsembleTrace, L: np.ndarray, B: int) -> None:
-        """The coordinator loop shared by local and remote executors."""
+    def _block_kernel(self, assignment: np.ndarray, B: int):
+        """The in-process round: every block's step from the previous matrix."""
+        resolved = resolve_backend(self.backend)
+        parts = _PartitionMemo(assignment, self.strategy)
+        rounds = count()
+        hs = self.halo_stats
+
+        def kernel(L: np.ndarray, out: np.ndarray) -> np.ndarray:
+            part = parts.get(self.balancer.partition_topology(next(rounds)))
+            for p in range(part.blocks):
+                local = block_local(part, p, resolved)
+                # The halo refresh: owned + ghost rows gathered from the
+                # previous round's matrix before this block's round.
+                out[local.owned] = self.balancer.block_step(local, L[local.ext_ids])
+                hs["halo_values"] += local.n_ghost * B
+            return out
+
+        return kernel
+
+    def _executor_rounds(self, executor, trace: EnsembleTrace, active: np.ndarray,
+                         L: np.ndarray) -> Iterator[np.ndarray | None]:
+        """The executor stepper: the initial state ``L``, then each chunk's
+        rounds as combined statistics rows."""
+        yield L
         n = L.shape[0]
-        initial_sums = trace._sums[0]
-        is_discrete = np.issubdtype(L.dtype, np.integer)
-        active = np.ones(B, dtype=bool)
-        apply_stopping(self.stopping, trace, active)
-        cap = self._max_rounds_only()
-        rounds_done = 0
+        cap = None
+        if all(isinstance(r, MaxRounds) for r in self.stopping) and not self.keep_snapshots:
+            # Pure round caps: no rule can fire early, so the workers
+            # free-run to the cap with no coordinator round-trips.
+            cap = min(r.rounds for r in self.stopping)
         hs = self.halo_stats
         rec = get_recorder()
         traced = rec.enabled
-        monitor = None
-        if traced:
-            from repro.observability.convergence import monitor_for
-
-            monitor = monitor_for(self.balancer, rec)
-            if monitor is not None:
-                monitor.observe(trace.initial_potentials)
-        while active.any():
-            if cap is not None and not self.keep_snapshots:
-                # Free-running chunk: workers need no coordinator
-                # round-trips until the cap (no rule can fire early).
-                chunk = max(cap - rounds_done, 1)
-            else:
-                chunk = 1
+        done = 0
+        while True:
+            chunk = 1 if cap is None else max(cap - done, 1)
             frozen = None if active.all() else ~active
             if traced:
-                _t0 = perf_counter()
+                t0 = perf_counter()
             per_round, halo_values, link_bytes = executor.run_chunk(chunk, frozen)
             if traced:
-                rec.record_span("chunk", _t0, rounds=chunk,
-                                start_round=rounds_done, engine="partitioned")
+                rec.record_span("chunk", t0, rounds=chunk, start_round=done,
+                                engine="partitioned")
             hs["halo_values"] += halo_values
             hs["halo_bytes"] += sum(link_bytes.values())
             for link, nbytes in link_bytes.items():
                 hs["links"][link] = hs["links"].get(link, 0) + nbytes
             snapshot = executor.gather() if self.keep_snapshots else None
-            for i in range(chunk):
-                phis, sums, disc, mov = _combine_stats(per_round[i], n)
-                trace.record_stats(phis, sums, disc, mov, snapshot=snapshot)
-                trace.advance(active)
-                if monitor is not None:
-                    # `active` is still this round's pre-stopping mask here.
-                    monitor.observe(trace.last_potentials, active)
-                if self.check_conservation:
-                    audit_replica_sums(
-                        self.balancer.name, trace._sums[-1], initial_sums,
-                        is_discrete, self.cons_tol,
-                    )
-                apply_stopping(self.stopping, trace, active)
-            rounds_done += chunk
-        if monitor is not None:
-            monitor.finish()
-        hs["rounds"] = rounds_done
+            for partials in per_round:
+                trace.record_stats(*_combine_stats(partials, n), snapshot=snapshot)
+                yield None
+            done += chunk

@@ -31,7 +31,8 @@ trace is indistinguishable from a single-process run of the full batch
 (modulo the ulp caveat above).
 
 Shards execute over the :mod:`repro.distributed.transport` seam: each
-worker process receives its payload (balancer, stopping rules,
+worker process receives its typed
+:class:`~repro.distributed.worker.ShardJob` (balancer, stopping rules,
 per-replica generators, initial shard loads) through a per-shard channel
 and ships the finished trace back — ``mp-pipe`` socketpairs by default,
 or ``tcp`` sockets, the same wire
@@ -56,8 +57,9 @@ import numpy as np
 
 from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
+from repro.distributed.worker import ShardJob
 from repro.observability.recorder import get_recorder
-from repro.simulation.ensemble import EnsembleSimulator, EnsembleTrace, spawn_rngs
+from repro.simulation.ensemble import EnsembleSimulator, EnsembleTrace, replica_rngs
 from repro.simulation.montecarlo import trial_rng
 from repro.simulation.stopping import StoppingRule
 
@@ -210,10 +212,10 @@ def merge_ensemble_traces(traces: Sequence[EnsembleTrace]) -> EnsembleTrace:
     return merged
 
 
-def run_shard_payload(payload: tuple) -> EnsembleTrace:
+def run_shard_payload(job: ShardJob) -> EnsembleTrace:
     """Shard worker: one shard through a fresh ``EnsembleSimulator``.
 
-    The trailing ``whole_batch`` flag selects the engine flavor: a shard
+    The job's ``whole_batch`` flag selects the engine flavor: a shard
     that is one slice of a split batch runs with ``serial_singleton``
     disabled — a one-replica shard must compute its statistics with the
     same batched formulas as every other shard, or the merged trace's
@@ -224,24 +226,21 @@ def run_shard_payload(payload: tuple) -> EnsembleTrace:
     the remote dispatch workers call it on identical payloads, which is
     what makes shard placement irrelevant to the result.
     """
-    (balancer, loads, rngs, stopping, record, keep_snapshots,
-     check_conservation, cons_tol, whole_batch) = payload
     ens = EnsembleSimulator(
-        balancer,
-        stopping=stopping,
-        record=record,
-        keep_snapshots=keep_snapshots,
-        check_conservation=check_conservation,
-        cons_tol=cons_tol,
-        serial_singleton=whole_batch,
+        job.balancer,
+        stopping=job.stopping,
+        record=job.record,
+        keep_snapshots=job.keep_snapshots,
+        check_conservation=job.check_conservation,
+        cons_tol=job.cons_tol,
+        serial_singleton=job.whole_batch,
     )
     rec = get_recorder()
     if not rec.enabled:
-        return ens.run(loads, seed=rngs)
+        return ens.run(job.loads, seed=job.rngs)
     t0 = perf_counter()
-    trace = ens.run(loads, seed=rngs)
-    rec.record_span("shard", t0, engine="sharded",
-                    replicas=len(rngs) if hasattr(rngs, "__len__") else 1,
+    trace = ens.run(job.loads, seed=job.rngs)
+    rec.record_span("shard", t0, engine="sharded", replicas=len(job.rngs),
                     rounds=trace.rounds)
     return trace
 
@@ -258,8 +257,8 @@ def shard_payloads(
     check_conservation: bool = True,
     cons_tol: float = 1e-6,
     backend: str | None = None,
-) -> list[tuple]:
-    """Split an ensemble request into per-shard worker payloads.
+) -> list[ShardJob]:
+    """Split an ensemble request into per-shard :class:`ShardJob` payloads.
 
     Normalizes the seed/replica inputs exactly like
     :meth:`EnsembleSimulator.run`, derives the per-replica RNG streams by
@@ -278,41 +277,24 @@ def shard_payloads(
     if backend is not None:
         balancer.backend = backend
     arr = np.asarray(loads)
-    if isinstance(seed, np.random.Generator):
-        seed = [seed]
-    if replicas is None:
-        if isinstance(seed, (int, np.integer)):
-            replicas = arr.shape[0] if arr.ndim == 2 else 1
-        else:
-            seed = list(seed)
-            replicas = len(seed)
-    replicas = int(replicas)
-    if arr.ndim == 2 and arr.shape[0] != replicas:
-        raise ValueError(f"replicas={replicas} but loads has {arr.shape[0]} rows")
-    if isinstance(seed, (int, np.integer)):
-        rngs = spawn_rngs(int(seed), replicas)
-    else:
-        rngs = list(seed)
-        if len(rngs) != replicas:
-            raise ValueError(f"got {len(rngs)} generators for {replicas} replicas")
-    shards = split_shards(replicas, max(int(workers), 1))
-    payloads = []
-    for start, stop in shards:
-        shard_loads = arr if arr.ndim == 1 else arr[start:stop]
-        payloads.append(
-            (
-                balancer,
-                shard_loads,
-                rngs[start:stop],
-                list(stopping) if stopping else None,
-                record,
-                keep_snapshots,
-                check_conservation,
-                cons_tol,
-                len(shards) == 1,  # whole batch → default engine dispatch
-            )
+    rngs = replica_rngs(seed, replicas, arr)
+    if arr.ndim == 2 and arr.shape[0] != len(rngs):
+        raise ValueError(f"replicas={len(rngs)} but loads has {arr.shape[0]} rows")
+    shards = split_shards(len(rngs), max(int(workers), 1))
+    return [
+        ShardJob(
+            balancer=balancer,
+            loads=arr if arr.ndim == 1 else arr[start:stop],
+            rngs=rngs[start:stop],
+            stopping=list(stopping) if stopping else None,
+            record=record,
+            keep_snapshots=keep_snapshots,
+            check_conservation=check_conservation,
+            cons_tol=cons_tol,
+            whole_batch=len(shards) == 1,
         )
-    return payloads
+        for start, stop in shards
+    ]
 
 
 def run_sharded_ensemble(
@@ -368,7 +350,7 @@ def run_sharded_ensemble(
         backend=backend,
     )
     if len(payloads) == 1:
-        # The whole batch in-process: the payload's whole_batch flag
+        # The whole batch in-process: the job's whole_batch flag
         # keeps the engine's default dispatch, so this is exactly an
         # unsharded EnsembleSimulator run — and exactly what a remote
         # worker runs when a dispatch hands it the entire batch.
@@ -376,7 +358,7 @@ def run_sharded_ensemble(
     return merge_ensemble_traces(_run_shards_local(payloads, transport))
 
 
-def _run_shards_local(payloads: list[tuple], transport: str = "mp-pipe") -> list[EnsembleTrace]:
+def _run_shards_local(payloads: list[ShardJob], transport: str = "mp-pipe") -> list[EnsembleTrace]:
     """One worker process per shard, linked by transport channels.
 
     The worker entry point

@@ -87,9 +87,18 @@ class Trace:
         if self.keep_snapshots:
             self._snapshots.append(np.array(loads, copy=True))
 
+    def advance(self, active=None) -> None:
+        """Nothing to credit: a serial trace counts rounds by its records."""
+
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
+    @property
+    def last_totals(self):
+        """Total of the last recorded loads in their own dtype: exact for
+        integer loads where the float64 :attr:`load_sums` round (``2**53``)."""
+        return self._last_loads.sum()
+
     @property
     def rounds(self) -> int:
         """Number of balancing rounds recorded (excludes the initial state)."""

@@ -319,7 +319,18 @@ class TestRendezvous:
     def test_previous_protocol_version_refused(self, workers):
         """A dispatcher that would still ship positional block payloads
         (protocol 4) is refused at hello, before any job arrives."""
-        assert PROTOCOL_VERSION == 5
+        assert PROTOCOL_VERSION == 6
+        channel = tcp_connect(parse_address(workers[0]))
+        try:
+            channel.send(("hello", 4, {}))
+            reply = channel.recv(timeout=10.0)
+            assert reply[0] == "error" and "version" in reply[1]
+        finally:
+            channel.close()
+
+    def test_positional_shard_protocol_refused(self, workers):
+        """A dispatcher that would still ship positional shard payloads
+        (protocol 5) is refused at hello, before any job arrives."""
         channel = tcp_connect(parse_address(workers[0]))
         try:
             channel.send(("hello", PROTOCOL_VERSION - 1, {}))

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.dimension_exchange import DimensionExchangeBalancer
 from repro.core.diffusion import DiffusionBalancer
 from repro.core.random_partner import RandomPartnerBalancer
+from repro.distributed.worker import ShardJob
 from repro.simulation.ensemble import EnsembleSimulator, spawn_rngs
 from repro.simulation.initial import point_load
 from repro.simulation.montecarlo import monte_carlo
@@ -233,15 +234,15 @@ class TestShardedEnsembleEquivalence:
             raise AssertionError("singleton shard dispatched to the serial engine")
 
         monkeypatch.setattr(EnsembleSimulator, "_run_singleton", boom)
-        payload = (
-            DiffusionBalancer(topo),
-            point_load(topo.n, discrete=False),
-            spawn_rngs(0, 1),
-            [MaxRounds(3)],
-            "auto", False, True, 1e-6,
-            False,  # one slice of a split batch, not the whole batch
+        job = ShardJob(
+            balancer=DiffusionBalancer(topo),
+            loads=point_load(topo.n, discrete=False),
+            rngs=spawn_rngs(0, 1),
+            stopping=[MaxRounds(3)],
+            record="auto", keep_snapshots=False, check_conservation=True, cons_tol=1e-6,
+            whole_batch=False,  # one slice of a split batch, not the whole batch
         )
-        trace = sharding.run_shard_payload(payload)  # in-process, same code the pool runs
+        trace = sharding.run_shard_payload(job)  # in-process, same code the pool runs
         assert trace.replicas == 1 and trace.rounds == 3
 
     def test_singleton_shards_formula_consistent_under_cancellation(self, topo):
@@ -351,9 +352,9 @@ class TestShardTransports:
         b = shard_payloads(DiffusionBalancer(topo), loads, seed=7, replicas=10, workers=4)
         assert len(a) == len(b) == 4
         for pa, pb in zip(a, b):
-            assert np.array_equal(pa[1], pb[1])  # shard loads
-            assert len(pa[2]) == len(pb[2])
-            for ra, rb in zip(pa[2], pb[2]):
+            assert np.array_equal(pa.loads, pb.loads)
+            assert len(pa.rngs) == len(pb.rngs)
+            for ra, rb in zip(pa.rngs, pb.rngs):
                 sa = ra.bit_generator.state
                 sb = rb.bit_generator.state
                 assert sa == sb
