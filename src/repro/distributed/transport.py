@@ -66,7 +66,10 @@ module-level :data:`MAX_CHUNK_BYTES` — monkey-patchable, recorded in
 each frame's header so both peers always agree on the chunk geometry —
 which bounds the largest contiguous write a single frame can demand and
 keeps the message-oriented ``mpi`` backend within its per-message limits
-for arbitrarily large payloads.
+for arbitrarily large payloads.  :data:`MAX_FRAME_BYTES` caps what one
+frame may declare (metadata plus buffers): a header that claims more is
+refused with a :class:`TransportError` before anything it sizes is
+allocated, and ``encode_frame`` refuses to build such a frame.
 
 Byte accounting counts the *logical frame*: length prefix + header +
 metadata + buffer bytes.  The encoding is transport-independent, so the
@@ -145,6 +148,7 @@ __all__ = [
     "TRANSPORTS",
     "OPTIONAL_TRANSPORTS",
     "MAX_CHUNK_BYTES",
+    "MAX_FRAME_BYTES",
     "INLINE_BUFFER_LIMIT",
     "available_transports",
     "have_mpi",
@@ -204,6 +208,12 @@ _PICKLE_PROTOCOL = 5
 #: reassembly); the value used by the *sender* is recorded in the frame
 #: header, so peers never need to agree on it out of band.
 MAX_CHUNK_BYTES = 64 * 1024 * 1024
+
+#: Ceiling on the payload one frame may declare: its metadata segment,
+#: each out-of-band buffer and their sum.  A receiver checks the header
+#: against it before allocating anything the header sizes, so a desynced
+#: or hostile peer cannot make it allocate without bound.
+MAX_FRAME_BYTES = 1 << 32
 
 #: Buffers smaller than this stay in-band inside the metadata pickle —
 #: below a few KiB the extra wire segment costs more than the copy saves.
@@ -397,11 +407,16 @@ def encode_frame(obj) -> Frame:
         return False
 
     meta = pickle.dumps(obj, protocol=_PICKLE_PROTOCOL, buffer_callback=grab)
+    payload = len(meta) + sum(v.nbytes for v in buffers)
+    if payload > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame payload of {payload} B exceeds MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
+        )
     chunk = max(int(MAX_CHUNK_BYTES), 1)
     head = HEAD_FIXED.pack(len(buffers), len(meta), chunk) + b"".join(
         _LEN.pack(v.nbytes) for v in buffers
     )
-    nbytes = _HEAD_PREFIX.size + len(head) + len(meta) + sum(v.nbytes for v in buffers)
+    nbytes = _HEAD_PREFIX.size + len(head) + payload
     return Frame(head, meta, buffers, chunk, nbytes)
 
 
@@ -433,6 +448,13 @@ def _split_head(msg0) -> _HeadInfo:
         int(_LEN.unpack_from(view, HEAD_FIXED.size + i * _LEN.size)[0])
         for i in range(nbufs)
     ]
+    # Every length is unsigned, so bounding the sum bounds each of them.
+    declared = meta_len + sum(buf_lens)
+    if declared > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame declares {declared} B (metadata {meta_len} B, largest buffer "
+            f"{max(buf_lens, default=0)} B), above MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
+        )
     meta_prefix = view[head_len:]
     if meta_prefix.nbytes > meta_len:
         raise TransportError(

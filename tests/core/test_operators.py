@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from repro.core.diffusion import DiffusionBalancer, diffusion_flows
-from repro.core.operators import HAVE_SCIPY, RECIP_DIV_LIMIT, EdgeOperator, edge_operator
+from repro.core.operators import (
+    HAVE_SCIPY,
+    RECIP_DIV_LIMIT,
+    EdgeOperator,
+    biased_reciprocal,
+    edge_operator,
+)
 from repro.graphs import generators as g
 from repro.graphs.partition import make_partition
 from repro.graphs.topology import Topology
@@ -284,6 +290,37 @@ class TestDiscreteGolden:
 
 class TestReciprocalFloorDivision:
     """The biased-reciprocal fast path is exact, with a guarded fallback."""
+
+    @staticmethod
+    def _multiples(d, rng):
+        """``x = q d`` and ``q d +- 1`` of both signs with ``|x| <
+        RECIP_DIV_LIMIT``: small, random and largest quotients per ``d``."""
+        qmax = (RECIP_DIV_LIMIT - 2) // d
+        q = np.concatenate(
+            [
+                np.broadcast_to(np.arange(4), (d.size, 4)),
+                qmax[:, None] - np.arange(2),
+                (rng.random((d.size, 26)) * qmax[:, None]).astype(np.int64),
+            ],
+            axis=1,
+        )
+        x = (q * d[:, None])[..., None] + np.arange(-1, 2)
+        return np.concatenate([x, -x], axis=2).reshape(d.size, -1)
+
+    def test_helper_exact_for_partner_denominators(self, rng):
+        """Every Algorithm 2 denominator ``4k`` (``k = 1..4096``)."""
+        d = 4 * np.arange(1, 4097)
+        x = self._multiples(d, rng)
+        assert np.abs(x).max() < RECIP_DIV_LIMIT
+        got = (x * biased_reciprocal(d)[:, None]).astype(np.int64)
+        assert np.array_equal(got, np.sign(x) * (np.abs(x) // d[:, None]))
+        # The bias matters: plain 1/d truncates some exact multiples short.
+        plain = (x * (1.0 / d)[:, None]).astype(np.int64)
+        assert not np.array_equal(plain, got)
+
+    def test_operator_reciprocals_come_from_helper(self, torus):
+        op = edge_operator(torus)
+        assert op.denominators_recip.tobytes() == biased_reciprocal(op.denominators).tobytes()
 
     def test_matches_integer_division_randomized(self, torus, rng):
         op = edge_operator(torus)

@@ -1,13 +1,17 @@
 """Unit tests for Algorithm 2 (random balancing partners)."""
 
 import hashlib
+import math
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.core.operators import RECIP_DIV_LIMIT, biased_reciprocal
 from repro.core.potential import potential
 from repro.core.random_partner import (
     RandomPartnerBalancer,
+    _quarter_reciprocals,
     link_degrees,
     partner_flows,
     partner_round_continuous,
@@ -252,3 +256,132 @@ class TestBalancer:
         first = bal.last_links.copy()
         bal.step(loads, rng)
         assert not np.array_equal(first, bal.last_links)
+
+
+def _literal_round(loads, rng, discrete):
+    """The literal Algorithm 2 round: ``np.unique`` links, their degrees
+    and flows, then ``subtract.at`` / ``add.at`` in canonical order.
+
+    Returns the new loads, the links and the degrees."""
+    n = loads.size
+    links = _unique_links(n, rng)
+    deg = link_degrees(n, links)
+    flows = partner_flows(loads, links, deg, discrete=discrete)
+    new = loads.copy()
+    np.subtract.at(new, links[:, 0], flows)
+    np.add.at(new, links[:, 1], flows)
+    return new, links, deg
+
+
+#: Every denominator ``4 k`` with ``k <= 8`` divides it, so planted load
+#: differences sit at exact multiples of the usual denominators.
+PLANT = 4 * math.lcm(*range(1, 9))
+# The largest spread the float64 fast branch accepts, and the smallest
+# that takes the exact int64 branch.
+ORACLE_TOPS = [RECIP_DIV_LIMIT - 1, RECIP_DIV_LIMIT]
+ORACLE_NODES = [2, 3, 5, 257]
+
+
+def _planted(n, top, seed, mode):
+    """Loads with ``max - min == top`` whose differences sit at ``k d`` and
+    ``k d +- 1`` for every denominator ``d`` dividing :data:`PLANT`."""
+    rng = np.random.default_rng(seed)
+    small = rng.integers(0, 4, n)  # flows of 0..3 tokens
+    large = rng.integers(0, top // PLANT, n)  # differences near the bound
+    k = np.where(rng.random(n) < 0.5, small, large)
+    loads = top - k * PLANT - rng.integers(0, 2, n)
+    loads[0], loads[-1] = top, 0
+    return loads.astype(np.int64 if mode == "discrete" else np.float64)
+
+
+def _rngs(B, seed=0):
+    return [np.random.default_rng([seed, b]) for b in range(B)]
+
+
+def _same(got, want):
+    """Bit-for-bit: dtype, shape and bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _same_next_draw(rngs, ref_rngs):
+    return all(r.integers(0, 2**62) == q.integers(0, 2**62) for r, q in zip(rngs, ref_rngs))
+
+
+@pytest.mark.parametrize("top", ORACLE_TOPS, ids=["fast", "exact"])
+@pytest.mark.parametrize("n", ORACLE_NODES)
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+class TestPartnerRoundOracle:
+    """Every entry point equals the literal round bit for bit, on both
+    sides of the reciprocal fast path's bound."""
+
+    def test_step(self, mode, n, top):
+        bal = RandomPartnerBalancer(mode)
+        for seed in range(3):
+            loads = _planted(n, top, seed, mode)
+            rng, ref_rng = _rngs(1, seed)[0], _rngs(1, seed)[0]
+            got = bal.step(loads, rng)
+            want, links, deg = _literal_round(loads, ref_rng, mode == "discrete")
+            assert _same(got, want), seed
+            assert _same(bal.last_links, links) and _same(bal.last_degrees, deg)
+            assert _same_next_draw([rng], [ref_rng])
+
+    @pytest.mark.parametrize("B", [1, 3, 64])
+    def test_step_batch(self, mode, n, top, B):
+        loads = np.stack([_planted(n, top, seed, mode) for seed in range(B)])
+        rngs, ref_rngs = _rngs(B), _rngs(B)
+        bal = RandomPartnerBalancer(mode)
+        got = bal.step_batch(np.ascontiguousarray(loads.T), rngs)
+        refs = [_literal_round(loads[b], ref_rngs[b], mode == "discrete") for b in range(B)]
+        assert _same(got, np.stack([r[0] for r in refs], axis=1))
+        assert len(bal.last_links) == len(bal.last_degrees) == B
+        for b, (_, links, deg) in enumerate(refs):
+            assert _same(bal.last_links[b], links) and _same(bal.last_degrees[b], deg), b
+        assert _same_next_draw(rngs, ref_rngs)
+
+    @pytest.mark.parametrize("B", [None, 3], ids=["1d", "replica-major"])
+    def test_partner_round(self, mode, n, top, B):
+        round_fn = partner_round_discrete if mode == "discrete" else partner_round_continuous
+        if B is None:
+            loads = _planted(n, top, 7, mode)
+            rng, ref_rng = _rngs(1, 7)[0], _rngs(1, 7)[0]
+            got = round_fn(loads, rng)
+            assert _same(got, _literal_round(loads, ref_rng, mode == "discrete")[0])
+            assert _same_next_draw([rng], [ref_rng])
+            return
+        loads = np.stack([_planted(n, top, seed, mode) for seed in range(B)])
+        rngs, ref_rngs = _rngs(B), _rngs(B)
+        got = round_fn(loads, rngs)
+        want = [_literal_round(loads[b], ref_rngs[b], mode == "discrete")[0] for b in range(B)]
+        assert _same(got, np.stack(want))
+        assert _same_next_draw(rngs, ref_rngs)
+
+
+class TestRoundShape:
+    def test_reciprocal_table_uses_shared_helper(self):
+        table = _quarter_reciprocals(9)
+        assert table[0] == 0.0
+        assert _same(table[1:], biased_reciprocal(4 * np.arange(1, 10)))
+        assert not table.flags.writeable
+
+    def test_generator_count_checked(self):
+        with pytest.raises(ValueError, match="generators"):
+            partner_round_discrete(np.ones((3, 8), dtype=np.int64), _rngs(2))
+
+    def test_links_read_lazily_from_held_picks(self):
+        bal = RandomPartnerBalancer("discrete")
+        assert bal.last_links is None and bal.last_degrees is None
+        rng = np.random.default_rng(5)
+        bal.step(np.arange(16, dtype=np.int64), rng)
+        first = bal.last_links
+        assert bal.last_links is first  # materialised once per round
+        bal.step(np.arange(16, dtype=np.int64), rng)
+        assert bal.last_links is not first
+
+    def test_pickle_drops_work_arrays(self):
+        bal = RandomPartnerBalancer("discrete")
+        bal.step_batch(np.ones((64, 4), dtype=np.int64), _rngs(4))
+        links = bal.last_links
+        clone = pickle.loads(pickle.dumps(bal))
+        assert clone._work == {}
+        assert all(_same(a, b) for a, b in zip(clone.last_links, links))

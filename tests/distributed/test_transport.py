@@ -2,6 +2,7 @@
 
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,52 @@ class TestChunking:
         got = b.recv(timeout=10.0)
         assert np.array_equal(got, payload) and b.bytes_received == n
         a.close(), b.close()
+
+
+class TestFrameLengthBound:
+    """A frame may declare at most MAX_FRAME_BYTES of metadata plus
+    buffers; a header claiming more is refused before anything it sizes
+    is allocated."""
+
+    LIE = 1 << 40
+
+    @staticmethod
+    def _header(meta_len: int, buf_lens=()) -> bytes:
+        head = transport.HEAD_FIXED.pack(len(buf_lens), meta_len, 1 << 16)
+        head += b"".join(transport._LEN.pack(n) for n in buf_lens)
+        return transport._HEAD_PREFIX.pack(len(head)) + head
+
+    @pytest.mark.parametrize("where", ["metadata", "buffer"])
+    @pytest.mark.parametrize("t", ["mp-pipe", "tcp"])
+    def test_oversized_declaration_refused_without_allocating(self, t, where):
+        a, b = make_pair(t)
+        wire = self._header(self.LIE) if where == "metadata" else self._header(0, [self.LIE])
+        a._sock.sendall(wire)
+        tracemalloc.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(TransportError, match=str(self.LIE)):
+                b.recv(timeout=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            a.close(), b.close()
+        assert time.monotonic() - t0 < 5.0
+        assert peak < 1 << 20
+
+    def test_sum_of_lengths_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 1000)
+        a, b = make_pair("mp-pipe")
+        a._sock.sendall(self._header(400, [400, 400]))
+        with pytest.raises(TransportError, match="1200"):
+            b.recv(timeout=5.0)
+        a.close(), b.close()
+
+    def test_encode_refuses_oversized_frames(self, monkeypatch):
+        monkeypatch.setattr(transport, "MAX_FRAME_BYTES", 1 << 14)
+        encode_frame(np.zeros(1 << 10))
+        with pytest.raises(TransportError, match="MAX_FRAME_BYTES"):
+            encode_frame(np.zeros(1 << 11))
 
 
 class TestNonblockingPrimitives:
