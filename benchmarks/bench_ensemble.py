@@ -782,6 +782,7 @@ def measure_telemetry_overhead(side, mode, rounds, repeats: int = 5,
     at full size.  Best-of-``repeats`` timings shed scheduler noise.
     """
     from repro.observability.recorder import Recorder, set_recorder
+    from repro.simulation.ensemble import audit_replica_sums
     from repro.simulation.stopping import first_satisfied
     from repro.simulation.trace import Trace
 
@@ -801,12 +802,13 @@ def measure_telemetry_overhead(side, mode, rounds, repeats: int = 5,
                       keep_snapshots=sim.keep_snapshots)
         trace.record(current)
         initial_sum = float(np.asarray(current, dtype=np.float64).sum())
+        tol = None if mode == "discrete" else sim.cons_tol * max(abs(initial_sum), 1.0)
         rule = first_satisfied(sim.stopping, trace)
         while rule is None:
             current = sim.balancer.step(current, rng)
             trace.record(current)
             if sim.check_conservation:
-                sim._audit_conservation(current, trace._sums[-1], initial_sum)
+                audit_replica_sums(sim.balancer.name, trace._sums[-1], initial_sum, tol)
             rule = first_satisfied(sim.stopping, trace)
         trace.stopped_by = rule.reason
         return time.perf_counter() - start

@@ -2,13 +2,15 @@
 
 `Simulator` wires a :class:`~repro.core.protocols.Balancer` to an initial
 load vector, a list of stopping rules and an RNG, and produces a
-:class:`~repro.simulation.trace.Trace`.  Its stepper is one ``step`` plus
-``Trace.record``; everything else a round does — monitor, conservation
-audit, stopping rules, ``round`` span — is the round driver of
+:class:`~repro.simulation.trace.Trace`, the one-replica view of the
+record type every engine shares.  Its stepper is one ``step`` plus
+``record``; everything else a round does — monitor, conservation audit,
+stopping rules, ``round`` span — is the round driver of
 :class:`~repro.simulation.ensemble.RoundEngine`, which every engine
 shares, so the balancers stay pure round kernels.  The serial stepper
 works for every balancer, batched or not, and keeps its one replica in
-scalars.
+scalars: the trace's rows are floats, the stopping rules return bools
+and the audit compares one total.
 
 Determinism: a run is fully determined by ``(balancer, loads, seed)``.
 The RNG handed to the balancer each round is a single generator advanced

@@ -22,27 +22,33 @@ semantics are exactly ``B`` independent serial runs:
   with the same ``SeedSequence(entropy=seed, spawn_key=(b,))`` derivation
   as :func:`repro.simulation.montecarlo.trial_rngs`, so any replica can
   be reproduced in isolation;
-- stopping rules are evaluated **per replica** (vectorized via
-  ``should_stop_batch``); replicas that stop are frozen — their loads no
-  longer change — while the rest keep running;
+- stopping rules are evaluated **per replica**: each rule's one
+  ``should_stop`` returns a mask over the batch's last statistics rows;
+  replicas that stop are frozen — their loads no longer change — while
+  the rest keep running;
 - conservation is audited per replica every round (integer-exact for
   discrete balancers, at any magnitude);
 - per-replica load trajectories are **bit-for-bit identical** to the
   serial runs (the property tests assert this for every batchable
   scheme).
 
-Recorded statistics are computed once per round across the whole batch.
-``record="auto"`` keeps the throughput-critical minimum (potentials and
-load sums, plus discrepancies when a discrepancy rule is installed);
-``record="full"`` adds discrepancies and per-round net movement, matching
-everything a serial :class:`Trace` records.  Derived statistics may
-differ from the serial ones in the last float ulp (different summation
-order); recorded *loads* never do.
+Every engine records into one type,
+:class:`~repro.simulation.trace.EnsembleTrace` (re-exported here);
+the serial :class:`~repro.simulation.trace.Trace` is its one-replica
+view.  A one-replica ensemble runs the serial stepper straight into its
+own trace, whose rows are then scalars, so its round stays as cheap as
+a serial one.  Recorded statistics are computed once per round across
+the whole batch.  ``record="auto"`` keeps the throughput-critical
+minimum (potentials and load sums, plus discrepancies when a
+discrepancy rule is installed); ``record="full"`` adds discrepancies and
+per-round net movement, matching everything a serial :class:`Trace`
+records.  Derived statistics of a batch may differ from the serial ones
+in the last float ulp (different summation order); recorded *loads*
+never do.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
@@ -58,7 +64,7 @@ from repro.simulation.stopping import (
     StoppingRule,
     first_satisfied,
 )
-from repro.simulation.trace import Trace
+from repro.simulation.trace import EnsembleTrace
 
 __all__ = ["EnsembleSimulator", "EnsembleTrace", "RoundEngine", "initial_batch", "spawn_rngs"]
 
@@ -118,258 +124,6 @@ def replica_rngs(seed, replicas: int | None, loads) -> list[np.random.Generator]
     return rngs
 
 
-class EnsembleTrace:
-    """Batched per-round records for ``B`` lockstep replicas.
-
-    The recording layout is row-per-round: ``potentials_matrix[t, b]`` is
-    replica ``b``'s potential after ``t`` rounds.  A replica that stopped
-    at round ``r`` keeps its frozen statistics in later rows; its true
-    length is ``rounds_vector[b]``.  Per-replica accessors return the
-    truncated series.
-    """
-
-    def __init__(
-        self,
-        balancer_name: str,
-        replicas: int,
-        record_discrepancies: bool = False,
-        record_movements: bool = False,
-        keep_snapshots: bool = False,
-    ) -> None:
-        self.balancer_name = balancer_name
-        self.replicas = int(replicas)
-        self.record_discrepancies = record_discrepancies
-        self.record_movements = record_movements
-        self.keep_snapshots = keep_snapshots
-        self.stopped_by: list[str] = [""] * self.replicas
-        self._rounds = np.zeros(self.replicas, dtype=np.int64)
-        self._potentials: list[np.ndarray] = []
-        self._sums: list[np.ndarray] = []
-        self._discrepancies: list[np.ndarray] = []
-        self._movements: list[np.ndarray] = []
-        self._snapshots: list[np.ndarray] = []
-        self._final_loads: np.ndarray | None = None
-        self._ones: np.ndarray | None = None
-        #: the last row's load totals in the loads' dtype (exact for
-        #: integer loads, where ``load_sums_matrix`` rounds past 2**53)
-        self.last_totals: np.ndarray | None = None
-
-    # ------------------------------------------------------------------
-    # Recording (node-major (n, B) matrices)
-    # ------------------------------------------------------------------
-    def _stats_row(self, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Phi via the shifted-square identity sum(l^2) - n*mean^2: two
-        # streaming passes, no (n, B) temporary.  Clamped at 0 because the
-        # cancellation can land a hair below; accuracy is ~eps * sum(l^2)
-        # absolute, ample for stopping thresholds and reports (the serial
-        # Trace's centered formula differs only at that level).
-        if np.issubdtype(loads.dtype, np.integer):
-            sums = loads.sum(axis=0)  # exact integer totals
-        else:
-            ones = self._ones
-            if ones is None or ones.shape[0] != loads.shape[0]:
-                ones = self._ones = np.ones(loads.shape[0])
-            sums = ones @ loads  # BLAS row-sum, ~3x faster than .sum(axis=0)
-        ss = np.einsum("ij,ij->j", loads, loads, dtype=np.float64)
-        phis = np.maximum(ss - sums * (sums / loads.shape[0]), 0.0)
-        return phis, sums
-
-    def record(self, loads: np.ndarray, prev: np.ndarray | None = None) -> None:
-        """Append one state row (initial state first, then once per round)."""
-        phis, sums = self._stats_row(loads)
-        disc = loads.max(axis=0) - loads.min(axis=0) if self.record_discrepancies else None
-        mov = None
-        if self.record_movements and prev is not None:
-            mov = 0.5 * np.abs(loads - prev).sum(axis=0)
-        # record_stats copies the snapshot: for B=1 the transpose would
-        # alias the engine's recycled ping-pong buffer.
-        self.record_stats(phis, sums, disc, mov, loads.T if self.keep_snapshots else None)
-
-    def record_stats(
-        self,
-        phis: np.ndarray,
-        sums: np.ndarray,
-        discrepancies: np.ndarray | None = None,
-        movements: np.ndarray | None = None,
-        snapshot: np.ndarray | None = None,
-    ) -> None:
-        """Append one state row from *precomputed* per-replica statistics.
-
-        The partitioned process runtime computes each statistic from
-        per-block partials (the full ``(n, B)`` matrix never exists in
-        one process); this records the combined row directly.  ``sums``
-        keeps the loads' dtype (see :attr:`last_totals`).  The initial
-        state has no movements row.
-        """
-        self._potentials.append(np.asarray(phis, dtype=np.float64))
-        self._sums.append(np.asarray(sums, dtype=np.float64))
-        self.last_totals = sums
-        if self.record_discrepancies:
-            if discrepancies is None:
-                raise ValueError("this trace records discrepancies; none supplied")
-            self._discrepancies.append(np.asarray(discrepancies, dtype=np.float64))
-        if self.record_movements and movements is not None:
-            self._movements.append(np.asarray(movements, dtype=np.float64))
-        if self.keep_snapshots:
-            if snapshot is None:
-                raise ValueError("this trace keeps snapshots; none supplied")
-            self._snapshots.append(np.array(snapshot, order="C", copy=True))
-
-    def advance(self, active: np.ndarray) -> None:
-        """Credit one completed round to every still-active replica."""
-        self._rounds[active] += 1
-
-    # ------------------------------------------------------------------
-    # Batched views (used by the vectorized stopping rules)
-    # ------------------------------------------------------------------
-    @property
-    def rounds_vector(self) -> np.ndarray:
-        """Per-replica completed round counts, shape ``(B,)``."""
-        return self._rounds
-
-    @property
-    def rounds(self) -> int:
-        """Rounds completed by the longest-running replica."""
-        return int(self._rounds.max(initial=0))
-
-    @property
-    def potentials_matrix(self) -> np.ndarray:
-        """``Phi`` after 0, 1, ... rounds; shape ``(T + 1, B)``."""
-        return np.asarray(self._potentials)
-
-    @property
-    def recorded_states(self) -> int:
-        """Number of recorded state rows (``T + 1``); O(1)."""
-        return len(self._potentials)
-
-    def potentials_tail(self, k: int) -> np.ndarray:
-        """The last ``k`` potential rows as a ``(min(k, T+1), B)`` array.
-
-        O(k * B) — used by windowed stopping rules so per-round cost does
-        not grow with the run length.
-        """
-        return np.asarray(self._potentials[-k:])
-
-    @property
-    def last_potentials(self) -> np.ndarray:
-        return self._potentials[-1]
-
-    @property
-    def initial_potentials(self) -> np.ndarray:
-        return self._potentials[0]
-
-    @property
-    def last_discrepancies(self) -> np.ndarray:
-        if not self._discrepancies:
-            raise ValueError("discrepancies were not recorded for this ensemble")
-        return self._discrepancies[-1]
-
-    @property
-    def discrepancies_matrix(self) -> np.ndarray:
-        if not self._discrepancies:
-            raise ValueError("discrepancies were not recorded for this ensemble")
-        return np.asarray(self._discrepancies)
-
-    @property
-    def load_sums_matrix(self) -> np.ndarray:
-        return np.asarray(self._sums)
-
-    @property
-    def movements_matrix(self) -> np.ndarray:
-        if not self.record_movements:
-            raise ValueError("movements were not recorded for this ensemble")
-        return np.asarray(self._movements)
-
-    @property
-    def snapshots(self) -> list[np.ndarray]:
-        """Per-round ``(B, n)`` load snapshots (requires ``keep_snapshots``)."""
-        if not self.keep_snapshots:
-            raise ValueError("snapshots were not enabled for this ensemble")
-        return self._snapshots
-
-    @property
-    def final_loads(self) -> np.ndarray:
-        """Each replica's final load vector, shape ``(B, n)``."""
-        if self._final_loads is None:
-            raise ValueError("run not finished")
-        return self._final_loads
-
-    # ------------------------------------------------------------------
-    # Per-replica extraction
-    # ------------------------------------------------------------------
-    def replica_rounds(self, b: int) -> int:
-        return int(self._rounds[b])
-
-    def replica_potentials(self, b: int) -> list[float]:
-        """Replica ``b``'s potential series (truncated at its stop round)."""
-        upto = int(self._rounds[b]) + 1
-        return [float(row[b]) for row in self._potentials[:upto]]
-
-    def rounds_to_potential(self, threshold: float) -> np.ndarray:
-        """Per-replica first round with ``Phi <= threshold`` (NaN if never)."""
-        pots = self.potentials_matrix
-        hit = pots <= threshold
-        first = np.argmax(hit, axis=0).astype(np.float64)
-        never = ~hit.any(axis=0)
-        first[never] = np.nan
-        # A replica cannot "reach" the threshold after it stopped.
-        late = ~never & (np.nan_to_num(first, nan=0.0) > self._rounds)
-        first[late] = np.nan
-        return first
-
-    def rounds_to_fraction(self, eps: float) -> np.ndarray:
-        """Per-replica first round with ``Phi <= eps * Phi_0`` (NaN if never)."""
-        pots = self.potentials_matrix
-        hit = pots <= eps * self._potentials[0]
-        first = np.argmax(hit, axis=0).astype(np.float64)
-        first[~hit.any(axis=0)] = np.nan
-        return first
-
-    def total_net_movements(self) -> np.ndarray:
-        """Per-replica total shipped volume (requires ``record='full'``)."""
-        return self.movements_matrix.sum(axis=0)
-
-    def conservation_error(self) -> float:
-        """Max per-replica deviation of the load sum from its initial value."""
-        sums = self.load_sums_matrix
-        if sums.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.abs(sums - sums[0])))
-
-    def replica_trace(self, b: int) -> Trace:
-        """Replica ``b``'s records repackaged as a serial :class:`Trace`.
-
-        Only the statistics this ensemble recorded are filled in; load
-        snapshots are attached when ``keep_snapshots`` was set.
-        """
-        upto = int(self._rounds[b]) + 1
-        t = Trace(balancer_name=self.balancer_name, keep_snapshots=self.keep_snapshots)
-        t.stopped_by = self.stopped_by[b]
-        t._potentials = [float(row[b]) for row in self._potentials[:upto]]
-        t._sums = [float(row[b]) for row in self._sums[:upto]]
-        if self.record_discrepancies:
-            t._discrepancies = [float(row[b]) for row in self._discrepancies[:upto]]
-        if self.record_movements:
-            t._movements = [float(row[b]) for row in self._movements[: upto - 1]]
-        if self.keep_snapshots:
-            t._snapshots = [snap[b].copy() for snap in self._snapshots[:upto]]
-        return t
-
-    def summary(self) -> dict[str, float | int | str]:
-        """Compact aggregate dict used by reports and the CLI."""
-        rounds = self._rounds
-        return {
-            "balancer": self.balancer_name,
-            "replicas": self.replicas,
-            "rounds_min": int(rounds.min()),
-            "rounds_median": float(np.median(rounds)),
-            "rounds_max": int(rounds.max()),
-            "phi_final_mean": float(np.mean(self.last_potentials)),
-            "phi_final_max": float(np.max(self.last_potentials)),
-            "stopped_by": dict(Counter(self.stopped_by)),
-        }
-
-
 class RoundEngine:
     """Configuration and round driver shared by every engine.
 
@@ -381,8 +135,8 @@ class RoundEngine:
         Stopping rules checked in order after every round.  A
         :class:`MaxRounds` safety net is appended automatically if absent.
     record:
-        Which statistics a batched trace keeps (see
-        :class:`EnsembleSimulator`); a serial :class:`Trace` keeps all.
+        Which statistics the trace keeps (see :class:`EnsembleSimulator`);
+        :class:`~repro.simulation.engine.Simulator` keeps all.
     keep_snapshots:
         Record the full load state after every round (memory-heavy).
     check_conservation:
@@ -429,7 +183,7 @@ class RoundEngine:
         self.cons_tol = cons_tol
 
     def _record_disc(self) -> bool:
-        """Whether batched traces record discrepancies under ``record``."""
+        """Whether the engine's traces record discrepancies under ``record``."""
         return self.record == "full" or (
             self.record == "auto" and any(isinstance(r, DiscrepancyBelow) for r in self.stopping)
         )
@@ -472,8 +226,7 @@ class RoundEngine:
                 monitor.observe(trace._potentials[-1], active)
         audit = None
         if self.check_conservation:
-            audit = self._audit_conservation if serial else partial(
-                audit_replica_sums, self.balancer.name)
+            audit = partial(audit_replica_sums, self.balancer.name)
             integer = np.issubdtype(state.dtype, np.integer)
             # Float64 totals round past 2**53; such a run compares the
             # integer totals the trace keeps.  Decided once per run.
@@ -503,16 +256,6 @@ class RoundEngine:
             monitor.finish()
         return state
 
-    def _audit_conservation(self, s, initial, tol) -> None:
-        """Raise unless a one-replica run's total ``s`` conserves ``initial``.
-
-        Exactly when ``tol`` is None (integer loads), else within the
-        absolute tolerance ``tol``; a NaN total never passes.
-        """
-        ok = s == initial if tol is None else abs(s - initial) <= tol
-        if not ok:
-            raise AssertionError(f"{self.balancer.name} leaked load: {_leak(s, initial)}")
-
 
 class EnsembleSimulator(RoundEngine):
     """Run ``B`` replicas of a batch-capable balancer in lockstep.
@@ -523,22 +266,25 @@ class EnsembleSimulator(RoundEngine):
         Must have ``supports_batch`` (a one-replica run on the serial
         stepper takes any balancer).
     stopping:
-        Every rule must implement ``should_stop_batch``.
+        On more than one replica, every rule's ``should_stop`` must return
+        a per-replica mask (every built-in rule does).
     record:
         ``"auto"`` (default) records potentials and load sums — plus
         discrepancies when a :class:`DiscrepancyBelow` rule is installed;
         ``"light"`` records only potentials and sums; ``"full"`` adds
         discrepancies and per-round net movement.
     serial_singleton:
-        Run ``B = 1`` on the serial stepper (default).  A one-replica
-        "batch" pays the batched bookkeeping with nothing to amortize it
-        over — measurably slower than the serial round — and the serial
-        stepper works for *every* balancer, batched or not.  Load
+        Run ``B = 1`` on the serial stepper (default), straight into the
+        run's one-replica trace: its rows are scalars, so the round pays
+        no batched bookkeeping with nothing to amortize it over, and the
+        serial stepper works for *every* balancer, batched or not.  Load
         trajectories are identical either way; derived statistics
-        (potentials, sums) may differ in the last float ulp because the
-        serial trace computes them with the centered formula.  Set
-        ``False`` to force the batched kernels even for one replica (the
-        bit-for-bit property tests do).
+        (potentials, sums) may differ in the last float ulp, because a
+        load vector's statistics use the centered formula and a batch's
+        the shifted one.  Set ``False`` to force the batched kernels and
+        formulas even for one replica: a one-replica slice of a sharded
+        batch does, so its stopping decisions match the other shards'
+        (and so do the bit-for-bit property tests).
     """
 
     def __init__(
@@ -568,55 +314,30 @@ class EnsembleSimulator(RoundEngine):
         self.balancer.reset()
         rngs = replica_rngs(seed, replicas, loads)
         L, B = initial_batch(self.balancer, loads, len(rngs))
-        if B == 1 and self.serial_singleton:
-            return self._run_singleton(L[:, 0].copy(), rngs[0])
-        if not getattr(self.balancer, "supports_batch", False):
-            raise TypeError(
-                f"{self.balancer.name} has no batched kernel; use Simulator "
-                "(the serial B=1 engine) instead"
-            )
         trace = self._new_trace(B)
-        active = np.ones(B, dtype=bool)
+        if B == 1 and self.serial_singleton:
+            L = self._drive(trace, serial_rounds(self.balancer, trace, L[:, 0].copy(), rngs[0]))
+        else:
+            if not getattr(self.balancer, "supports_batch", False):
+                raise TypeError(
+                    f"{self.balancer.name} has no batched kernel; use Simulator "
+                    "(the serial B=1 engine) instead"
+                )
+            active = np.ones(B, dtype=bool)
 
-        def step(L, out):
-            return self.balancer.step_batch(L, rngs, out=out)
+            def step(L, out):
+                return self.balancer.step_batch(L, rngs, out=out)
 
-        L = self._drive(trace, batch_rounds(trace, L, active, step), active, "ensemble")
-        trace._final_loads = L.T.copy()  # detach from the recycled buffers
-        return trace
-
-    def _run_singleton(self, loads: np.ndarray, rng: np.random.Generator) -> EnsembleTrace:
-        """Run a one-replica ensemble on the serial stepper, repackaged.
-
-        The serial round is faster than a ``B = 1`` batch (nothing to
-        amortize the batched bookkeeping over) and works for every
-        balancer; its :class:`Trace` records are copied into a one-column
-        :class:`EnsembleTrace` so callers see the same interface
-        regardless of dispatch.
-        """
-        t = Trace(balancer_name=self.balancer.name, keep_snapshots=self.keep_snapshots)
-        self._drive(t, serial_rounds(self.balancer, t, loads, rng))
-        trace = self._new_trace(1)
-        trace.stopped_by = [t.stopped_by]
-        trace._rounds = np.asarray([t.rounds], dtype=np.int64)
-        trace._potentials = [np.asarray([p]) for p in t._potentials]
-        trace._sums = [np.asarray([s]) for s in t._sums]
-        if trace.record_discrepancies:
-            trace._discrepancies = [np.asarray([d]) for d in t._discrepancies]
-        if trace.record_movements:
-            trace._movements = [np.asarray([mv]) for mv in t._movements]
-        if self.keep_snapshots:
-            trace._snapshots = [np.asarray(s, dtype=self.balancer.dtype)[None, :] for s in t._snapshots]
-        # Trace holds the last loads in their own dtype, so discrete loads
-        # come back exact at any magnitude (float64 would round past 2**53).
-        trace._final_loads = np.asarray(t._last_loads, dtype=self.balancer.dtype)[None, :]
+            L = self._drive(trace, batch_rounds(trace, L, active, step), active, "ensemble")
+        # (B, n) rows of the last state, detached from the recycled buffers.
+        trace._final_loads = np.atleast_2d(L.T).copy()
         return trace
 
 
 # ----------------------------------------------------------------------
 # Steppers, stopping and the conservation audit
 # ----------------------------------------------------------------------
-def serial_rounds(balancer: Balancer, trace: Trace, loads: np.ndarray,
+def serial_rounds(balancer: Balancer, trace: EnsembleTrace, loads: np.ndarray,
                   rng: np.random.Generator) -> Iterator[np.ndarray]:
     """The serial stepper: the initial vector, then one ``step`` per round."""
     yield loads
@@ -655,40 +376,50 @@ def apply_stopping(stopping, trace, active: np.ndarray | None) -> bool:
     """Evaluate the stopping rules; True while some replica still runs.
 
     A batched run's replicas (``active``, updated in place) each stop at
-    the first rule whose vectorized form fires for them, which records
-    its reason.  The serial engine (``active`` None) evaluates the scalar
-    forms on its one-replica trace.
+    the first rule whose verdict mask fires for them, which records its
+    reason.  A one-replica run (``active`` None) stops at the first rule
+    whose scalar verdict holds, without building a mask.
     """
     if active is None:
         rule = first_satisfied(stopping, trace)
         if rule is None:
             return True
-        trace.stopped_by = rule.reason
+        trace._reasons[0] = rule.reason
         return False
     remaining = active.copy()
     for rule in stopping:
         if not remaining.any():
             break
-        newly = remaining & np.asarray(rule.should_stop_batch(trace), dtype=bool)
+        verdict = rule.should_stop(trace)
+        if np.ndim(verdict) == 0 and trace.replicas > 1:
+            raise NotImplementedError(
+                f"{type(rule).__name__} has no batched form: its should_stop returned one "
+                f"verdict for a {trace.replicas}-replica trace instead of a per-replica mask"
+            )
+        newly = remaining & np.asarray(verdict, dtype=bool)
         if newly.any():
             for b in np.flatnonzero(newly):
-                trace.stopped_by[b] = rule.reason
+                trace._reasons[b] = rule.reason
             remaining &= ~newly
     active[:] = remaining
     return bool(remaining.any())
 
 
-def audit_replica_sums(name: str, sums: np.ndarray, initial_sums: np.ndarray, tol) -> None:
-    """Per-replica conservation check on a just-recorded total row.
+def audit_replica_sums(name: str, sums, initial_sums, tol) -> None:
+    """Conservation check on a just-recorded total row.
 
+    ``sums`` is one replica's scalar total or a ``(B,)`` row of them.
     Exact when ``tol`` is None (integer loads: float64 totals below
-    ``2**53``, the integer totals from there on); otherwise each
-    replica's total must stay within its absolute tolerance in ``tol``,
-    and a NaN total never passes.  Raises ``AssertionError`` naming the
-    first leaking replica.
+    ``2**53``, the integer totals from there on); otherwise each total
+    must stay within its absolute tolerance in ``tol``, and a NaN total
+    never passes.  Raises ``AssertionError`` naming the first leaking
+    replica of a row.
     """
-    ok = sums == initial_sums if tol is None else np.abs(sums - initial_sums) <= tol
-    if not ok.all():
+    ok = sums == initial_sums if tol is None else abs(sums - initial_sums) <= tol
+    if not isinstance(ok, np.ndarray):  # a scalar total: no mask to build
+        if not ok:
+            raise AssertionError(f"{name} leaked load: {_leak(sums, initial_sums)}")
+    elif not ok.all():
         b = int(np.flatnonzero(~ok)[0])
         raise AssertionError(f"{name} leaked load in replica {b}: {_leak(sums[b], initial_sums[b])}")
 

@@ -178,34 +178,31 @@ def merge_ensemble_traces(traces: Sequence[EnsembleTrace]) -> EnsembleTrace:
         keep_snapshots=ref.keep_snapshots,
     )
     merged.stopped_by = [reason for t in traces for reason in t.stopped_by]
-    merged._rounds = np.concatenate([t._rounds for t in traces])
     rows = max(t.recorded_states for t in traces)
 
-    def stat_rows(lists: list[list[np.ndarray]], pad: str, length: int) -> list[np.ndarray]:
-        out = []
-        for i in range(length):
-            parts = []
-            for per_shard, t in zip(lists, traces):
-                if i < len(per_shard):
-                    parts.append(per_shard[i])
-                elif pad == "repeat":
-                    parts.append(per_shard[-1])
-                else:  # "zero": stopped replicas move nothing
-                    parts.append(np.zeros(t.replicas))
-            out.append(np.concatenate(parts))
-        return out
+    def stacked(view: str, pad: str, length: int) -> list[np.ndarray]:
+        # Each shard's (T + 1, B_k) matrix, padded to ``length`` rows,
+        # side by side; the merged trace keeps the rows.
+        parts = []
+        for t in traces:
+            m = getattr(t, view)
+            if m.shape[0] < length:
+                fill = m[-1:] if pad == "repeat" else np.zeros((1, t.replicas))
+                m = np.concatenate([m, np.repeat(fill, length - m.shape[0], axis=0)])
+            parts.append(m)
+        return list(np.concatenate(parts, axis=1))
 
-    merged._potentials = stat_rows([t._potentials for t in traces], "repeat", rows)
-    merged._sums = stat_rows([t._sums for t in traces], "repeat", rows)
+    merged._rounds = np.concatenate([t.rounds_vector for t in traces])
+    merged._potentials = stacked("potentials_matrix", "repeat", rows)
+    merged._sums = stacked("load_sums_matrix", "repeat", rows)
     if ref.record_discrepancies:
-        merged._discrepancies = stat_rows([t._discrepancies for t in traces], "repeat", rows)
+        merged._discrepancies = stacked("discrepancies_matrix", "repeat", rows)
     if ref.record_movements:
-        merged._movements = stat_rows([t._movements for t in traces], "zero", rows - 1)
+        merged._movements = stacked("movements_matrix", "zero", rows - 1)
     if ref.keep_snapshots:
+        snapshots = [t.snapshots for t in traces]
         merged._snapshots = [
-            np.concatenate(
-                [t._snapshots[min(i, len(t._snapshots) - 1)] for t in traces], axis=0
-            )
+            np.concatenate([s[min(i, len(s) - 1)] for s in snapshots], axis=0)
             for i in range(rows)
         ]
     merged._final_loads = np.concatenate([t.final_loads for t in traces], axis=0)

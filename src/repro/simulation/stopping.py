@@ -1,17 +1,20 @@
 """Declarative stopping rules for simulation runs.
 
-A :class:`StoppingRule` examines the running :class:`~repro.simulation.trace.Trace`
-after every round and reports whether (and why) to stop.  Rules compose:
-the engine takes a list and stops at the first satisfied rule, recording
-its reason — so an experiment can say "stop when the potential is below
-the Theorem 6 threshold, or after 10x the theoretical bound, whichever
-comes first" and later distinguish which one fired.
+A :class:`StoppingRule` examines the running
+:class:`~repro.simulation.trace.EnsembleTrace` after every round and
+reports whether (and why) to stop.  Rules compose: the engine takes a
+list and stops at the first satisfied rule, recording its reason — so an
+experiment can say "stop when the potential is below the Theorem 6
+threshold, or after 10x the theoretical bound, whichever comes first"
+and later distinguish which one fired.
 
-Every built-in rule additionally implements ``should_stop_batch``, the
-vectorized form used by :class:`~repro.simulation.ensemble.EnsembleSimulator`:
-given a batched trace it returns a boolean mask over replicas, evaluating
-the *same* predicate per replica without a Python loop.  Custom rules can
-join ensemble runs by implementing the same method.
+Each rule has one verdict method, ``should_stop``, written against the
+trace's last rows (``last_potentials``, ``round_counts``, ...).  On a
+one-replica trace those rows are scalars and the verdict is a bool; on
+a ``B``-replica ensemble they are ``(B,)`` arrays and the same
+expression is a boolean mask over replicas, evaluated without a Python
+loop.  A custom rule that returns a single verdict for a multi-replica
+trace has no batched form, and the ensemble engines refuse it.
 """
 
 from __future__ import annotations
@@ -37,19 +40,9 @@ class StoppingRule(ABC):
     """Predicate over the evolving trace; see module docstring."""
 
     @abstractmethod
-    def should_stop(self, trace) -> bool:
-        """True when the run should end after the just-recorded round."""
-
-    def should_stop_batch(self, trace) -> np.ndarray:
-        """Boolean mask over replicas of a batched trace (vectorized form).
-
-        Subclasses without a vectorized implementation cannot be used
-        with :class:`EnsembleSimulator`.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no batched form; implement should_stop_batch "
-            "to use it with EnsembleSimulator"
-        )
+    def should_stop(self, trace):
+        """Whether the run should end after the just-recorded round: a
+        bool for one replica, a ``(B,)`` mask for an ensemble."""
 
     @property
     def reason(self) -> str:
@@ -67,11 +60,8 @@ class MaxRounds(StoppingRule):
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
 
-    def should_stop(self, trace) -> bool:
-        return trace.rounds >= self.rounds
-
-    def should_stop_batch(self, trace) -> np.ndarray:
-        return trace.rounds_vector >= self.rounds
+    def should_stop(self, trace):
+        return trace.round_counts >= self.rounds
 
     @property
     def reason(self) -> str:
@@ -84,10 +74,7 @@ class PotentialBelow(StoppingRule):
 
     threshold: float
 
-    def should_stop(self, trace) -> bool:
-        return trace.last_potential <= self.threshold
-
-    def should_stop_batch(self, trace) -> np.ndarray:
+    def should_stop(self, trace):
         return trace.last_potentials <= self.threshold
 
     @property
@@ -105,10 +92,7 @@ class PotentialFractionBelow(StoppingRule):
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
 
-    def should_stop(self, trace) -> bool:
-        return trace.last_potential <= self.eps * trace.initial_potential
-
-    def should_stop_batch(self, trace) -> np.ndarray:
+    def should_stop(self, trace):
         return trace.last_potentials <= self.eps * trace.initial_potentials
 
     @property
@@ -122,10 +106,7 @@ class DiscrepancyBelow(StoppingRule):
 
     threshold: float
 
-    def should_stop(self, trace) -> bool:
-        return trace.last_discrepancy <= self.threshold
-
-    def should_stop_batch(self, trace) -> np.ndarray:
+    def should_stop(self, trace):
         return trace.last_discrepancies <= self.threshold
 
     @property
@@ -151,31 +132,17 @@ class Stagnation(StoppingRule):
         if self.min_rel_drop < 0:
             raise ValueError("min_rel_drop must be >= 0")
 
-    def should_stop(self, trace) -> bool:
-        pots = trace.potentials
-        if len(pots) <= self.patience:
-            return False
-        window = pots[-(self.patience + 1) :]
-        for before, after in zip(window[:-1], window[1:]):
-            if before <= 0:
-                continue
-            if (before - after) / before > self.min_rel_drop:
-                return False
-        return True
-
-    def should_stop_batch(self, trace) -> np.ndarray:
-        # Mirrors the serial predicate: needs more than ``patience``
-        # recorded states (rounds >= patience) before it can fire.  Only
-        # the window is materialized, keeping the per-round cost O(patience)
-        # rather than O(run length).
+    def should_stop(self, trace):
+        # Only the window is materialized, keeping the per-round cost
+        # O(patience) rather than O(run length).  The rule needs more
+        # than ``patience`` recorded states (rounds >= patience) before
+        # it can fire.
         window = trace.potentials_tail(self.patience + 1)
-        if trace.recorded_states <= self.patience:
-            return np.zeros(window.shape[1], dtype=bool)
         before, after = window[:-1], window[1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             improved = (before - after) / np.where(before > 0, before, 1.0) > self.min_rel_drop
         improved &= before > 0
-        return ~improved.any(axis=0)
+        return ~improved.any(axis=0) & (trace.recorded_states > self.patience)
 
     @property
     def reason(self) -> str:

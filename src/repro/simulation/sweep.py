@@ -14,15 +14,17 @@ Execution modes
 ---------------
 ``replicas > 1`` replicates every cell over independently drawn initial
 distributions (per-replica spawned seeds) and reports medians/means.
-Batch-capable balancers run all replicas in lockstep through
-:class:`~repro.simulation.ensemble.EnsembleSimulator`; the rest fall
-back to a serial replica loop, so the grid semantics do not depend on
-which schemes happen to support batching.  ``workers`` scales the
-replica execution of each cell: ``1`` (default) runs in-process,
-``"KxVectorized"`` (or a plain ``K``) shards the replica batch over a
-``K``-process pool via :mod:`repro.simulation.sharding` — per-replica
-results are identical either way (load trajectories bit-for-bit, derived
-statistics up to float summation order).
+Every cell runs through
+:class:`~repro.simulation.ensemble.EnsembleSimulator`: batch-capable
+balancers advance all replicas in lockstep, the rest run one replica at
+a time on the serial stepper and merge the traces, so the grid
+semantics do not depend on which schemes happen to support batching.
+``workers`` scales the replica execution of each cell: ``1`` (default)
+runs in-process, ``"KxVectorized"`` (or a plain ``K``) shards the
+replica batch over a ``K``-process pool via
+:mod:`repro.simulation.sharding` — per-replica results are identical
+either way (load trajectories bit-for-bit, derived statistics up to
+float summation order).
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from repro.analysis.reporting import Table
 from repro.core.protocols import get_balancer
 from repro.graphs.generators import by_name
 from repro.graphs.partition import parse_partitions
-from repro.simulation.engine import Simulator
 from repro.simulation.ensemble import EnsembleSimulator, spawn_rngs
 from repro.simulation.initial import make_loads
 from repro.simulation.partitioned import PartitionedSimulator
-from repro.simulation.sharding import parse_workers, run_sharded_ensemble
+from repro.simulation.sharding import merge_ensemble_traces, parse_workers, run_sharded_ensemble
 from repro.simulation.stopping import MaxRounds, PotentialFractionBelow, Stagnation
 
 __all__ = ["SweepCell", "sweep"]
@@ -121,62 +122,41 @@ def _run_cell(
     if partitions > 1 and getattr(bal, "supports_partition", False):
         # Node-axis partitioned execution: same trajectories (bit for
         # bit), evaluated block-locally with halo exchange.  Schemes
-        # without a partitioned kernel fall through to the standard
-        # paths below, so the grid stays total.
+        # without a partitioned kernel fall through to the ensemble
+        # path below, so the grid stays total.
         psim = PartitionedSimulator(
             bal, partitions=partitions, strategy=part_strategy,
             stopping=rules(), record="full",
             mode="process" if processes > 1 else "inprocess",
         )
         trace = psim.run(initial_loads(), replicas=replicas)
-        return _aggregate(
-            spec,
-            name,
-            trace.rounds_to_fraction(eps).tolist(),
-            trace.last_potentials,
-            trace.total_net_movements(),
-            trace.stopped_by,
-            replicas,
-        )
-    if replicas == 1:
-        trace = Simulator(bal, stopping=rules()).run(initial_loads(), seed)
-        r = trace.rounds_to_fraction(eps)
-        return SweepCell(
-            topology=spec,
-            balancer=name,
-            rounds=r,
-            final_potential=trace.last_potential,
-            total_movement=trace.total_net_movement(),
-            stopped_by=trace.stopped_by,
-        )
-    run_rngs = spawn_rngs(seed, replicas)
-    batch = initial_loads()
-    if getattr(bal, "supports_batch", False):
-        if processes > 1:
+    else:
+        # One replica runs on the serial stepper inside the ensemble
+        # engine, on the generator a serial run of ``seed`` would use.
+        run_rngs = [np.random.default_rng(seed)] if replicas == 1 else spawn_rngs(seed, replicas)
+        batch = initial_loads()
+        ens = EnsembleSimulator(bal, stopping=rules(), record="full")
+        if not getattr(bal, "supports_batch", False):
+            # One-replica runs merged along the replica axis: the same
+            # per-replica trajectories for schemes without a batched kernel.
+            rows = np.reshape(batch, (replicas, -1))
+            trace = merge_ensemble_traces(
+                [ens.run(loads, seed=[rng]) for loads, rng in zip(rows, run_rngs)])
+        elif processes > 1:
             trace = run_sharded_ensemble(
                 bal, batch, seed=run_rngs, workers=processes, stopping=rules(), record="full"
             )
         else:
-            ens = EnsembleSimulator(bal, stopping=rules(), record="full")
             trace = ens.run(batch, seed=run_rngs)
-        rounds_list = trace.rounds_to_fraction(eps).tolist()
-        return _aggregate(
-            spec,
-            name,
-            rounds_list,
-            trace.last_potentials,
-            trace.total_net_movements(),
-            trace.stopped_by,
-            replicas,
-        )
-    rounds_list, phis, movements, reasons = [], [], [], []
-    for b in range(replicas):
-        trace = Simulator(bal, stopping=rules()).run(batch[b], run_rngs[b])
-        rounds_list.append(trace.rounds_to_fraction(eps))
-        phis.append(trace.last_potential)
-        movements.append(trace.total_net_movement())
-        reasons.append(trace.stopped_by)
-    return _aggregate(spec, name, rounds_list, phis, movements, reasons, replicas)
+    return _aggregate(
+        spec,
+        name,
+        trace.rounds_to_fraction(eps).tolist(),
+        trace.last_potentials,
+        trace.total_net_movements(),
+        trace.stopped_by,
+        replicas,
+    )
 
 
 def sweep(

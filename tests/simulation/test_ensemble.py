@@ -1,5 +1,7 @@
 """Unit tests for the lockstep ensemble engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -62,15 +64,17 @@ class TestRunBasics:
             assert np.array_equal(snap, etrace.snapshots[t][0]), f"round {t}"
 
     def test_singleton_dispatches_to_serial_engine(self, torus, monkeypatch):
-        """B=1 runs route to the serial Simulator (perf: nothing to amortize)."""
+        """B=1 runs route to the serial stepper (perf: nothing to amortize)."""
+        from repro.simulation import ensemble
+
         calls = []
-        orig = EnsembleSimulator._run_singleton
+        orig = ensemble.serial_rounds
 
-        def spy(self, loads, rng):
+        def spy(balancer, trace, loads, rng):
             calls.append(loads.shape)
-            return orig(self, loads, rng)
+            return orig(balancer, trace, loads, rng)
 
-        monkeypatch.setattr(EnsembleSimulator, "_run_singleton", spy)
+        monkeypatch.setattr(ensemble, "serial_rounds", spy)
         ens = EnsembleSimulator(DiffusionBalancer(torus), stopping=[MaxRounds(5)])
         trace = ens.run(point_load(torus.n, discrete=False), seed=0)
         assert calls == [(torus.n,)]
@@ -78,10 +82,12 @@ class TestRunBasics:
         assert trace.rounds == 5
 
     def test_singleton_dispatch_can_be_disabled(self, torus, monkeypatch):
+        from repro.simulation import ensemble
+
         called = []
         monkeypatch.setattr(
-            EnsembleSimulator, "_run_singleton",
-            lambda self, loads, rng: called.append(1),
+            ensemble, "serial_rounds",
+            lambda balancer, trace, loads, rng: called.append(1),
         )
         ens = EnsembleSimulator(
             DiffusionBalancer(torus), stopping=[MaxRounds(5)], serial_singleton=False
@@ -303,6 +309,45 @@ class TestRecordingModes:
         threshold = 0.01 * serial.initial_potential
         got = trace.rounds_to_potential(threshold)
         assert got[0] == got[1] == serial.rounds_to_potential(threshold)
+
+
+class TestReplicaTrace:
+    def test_default_record_reads_back_what_was_recorded(self, torus):
+        """A ``record="auto"`` ensemble records neither movements nor
+        discrepancies: its replica traces still summarize, report the
+        final loads' exact totals, and refuse the series never recorded."""
+        bal = DiffusionBalancer(torus, mode="discrete")
+        trace = EnsembleSimulator(bal, stopping=[MaxRounds(5)]).run(
+            point_load(torus.n, total=1600), seed=0, replicas=3)
+        for b in range(3):
+            rep = trace.replica_trace(b)
+            s = rep.summary()
+            assert s["rounds"] == 5 and s["stopped_by"] == "max-rounds(5)"
+            assert s["phi_final"] == trace.potentials_matrix[5, b]
+            assert math.isnan(s["discrepancy_final"])
+            assert rep.last_totals == trace.final_loads[b].sum()
+            assert rep.last_totals.dtype == trace.final_loads.dtype
+            for series in ("net_movements", "discrepancies"):
+                with pytest.raises(ValueError, match="not recorded"):
+                    getattr(rep, series)
+            with pytest.raises(ValueError, match="not recorded"):
+                rep.total_net_movement()
+
+    def test_one_replica_ensemble_is_its_own_trace(self, torus):
+        """B=1 runs the serial stepper straight into the run's trace: the
+        same records a serial run makes, read through the ensemble views."""
+        loads = point_load(torus.n, total=1600, discrete=False)
+        rules = [PotentialFractionBelow(1e-3), MaxRounds(500)]
+        serial = Simulator(DiffusionBalancer(torus), stopping=rules).run(loads, spawn_rngs(2, 1)[0])
+        trace = EnsembleSimulator(DiffusionBalancer(torus), stopping=rules, record="full").run(
+            loads, seed=2)
+        assert trace.rounds_vector.tolist() == [serial.rounds]
+        assert trace.potentials_matrix[:, 0].tolist() == serial.potentials
+        assert trace.discrepancies_matrix[:, 0].tolist() == serial.discrepancies
+        assert trace.movements_matrix[:, 0].tolist() == serial.net_movements.tolist()
+        assert trace.stopped_by == [serial.stopped_by]
+        rep = trace.replica_trace(0)
+        assert rep.summary() == serial.summary()
 
 
 class TestConservationAudit:

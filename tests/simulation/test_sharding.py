@@ -227,13 +227,12 @@ class TestShardedEnsembleEquivalence:
         statistics would switch to the centered potential formula and
         stopping decisions would depend on how the batch split across
         workers (regression)."""
-        from repro.simulation import sharding
-        from repro.simulation.ensemble import EnsembleSimulator
+        from repro.simulation import ensemble, sharding
 
-        def boom(self, loads, rng):  # pragma: no cover - failure path
+        def boom(balancer, trace, loads, rng):  # pragma: no cover - failure path
             raise AssertionError("singleton shard dispatched to the serial engine")
 
-        monkeypatch.setattr(EnsembleSimulator, "_run_singleton", boom)
+        monkeypatch.setattr(ensemble, "serial_rounds", boom)
         job = ShardJob(
             balancer=DiffusionBalancer(topo),
             loads=point_load(topo.n, discrete=False),

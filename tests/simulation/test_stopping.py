@@ -1,4 +1,10 @@
-"""Unit tests for stopping rules."""
+"""Unit tests for stopping rules.
+
+Every rule has one verdict method, so each test runs on a one-replica
+:class:`Trace` (a bool verdict) and on a three-replica
+:class:`EnsembleTrace` that records the same states in every column (a
+mask whose every entry must be that same verdict).
+"""
 
 import numpy as np
 import pytest
@@ -11,24 +17,58 @@ from repro.simulation.stopping import (
     Stagnation,
     first_satisfied,
 )
-from repro.simulation.trace import Trace
+from repro.simulation.trace import EnsembleTrace, Trace
+
+B = 3
 
 
-def make_trace(potentials, discrepancies=None):
-    """Build a trace with prescribed potentials via crafted 2-node loads."""
-    t = Trace()
-    for i, phi in enumerate(potentials):
-        # two nodes at +-sqrt(phi/2) around mean: potential exactly phi
-        half = np.sqrt(phi / 2)
-        t.record(np.asarray([10 + half, 10 - half]))
+@pytest.fixture(params=["trace", "ensemble-B3"])
+def kind(request):
+    return request.param
+
+
+def new_trace(kind):
+    if kind == "trace":
+        return Trace()
+    return EnsembleTrace("rules", B, record_discrepancies=True, record_movements=True)
+
+
+def record_states(kind, states):
+    """Record each ``(n,)`` state: as a vector, or repeated in ``B`` columns."""
+    t = new_trace(kind)
+    for i, x in enumerate(states):
+        if kind == "trace":
+            t.record(np.asarray(x))
+        else:
+            t.record(np.repeat(np.asarray(x, dtype=np.float64)[:, None], B, axis=1))
+            if i:
+                t.advance(np.ones(B, dtype=bool))
     return t
 
 
+def make_trace(kind, potentials):
+    """A trace with prescribed potentials via crafted 2-node loads."""
+    # two nodes at +-sqrt(phi/2) around mean: potential exactly phi
+    return record_states(kind, [[10 + np.sqrt(phi / 2), 10 - np.sqrt(phi / 2)]
+                                for phi in potentials])
+
+
+def verdict(rule, trace) -> bool:
+    """The rule's verdict: a bool on one replica, the same in every column else."""
+    v = rule.should_stop(trace)
+    if isinstance(trace, Trace):
+        assert np.ndim(v) == 0
+        return bool(v)
+    assert np.shape(v) == (B,)
+    assert len(set(np.asarray(v).tolist())) == 1, v
+    return bool(v[0])
+
+
 class TestMaxRounds:
-    def test_fires_at_limit(self):
-        tr = make_trace([100, 50, 25])
-        assert not MaxRounds(3).should_stop(tr)
-        assert MaxRounds(2).should_stop(tr)
+    def test_fires_at_limit(self, kind):
+        tr = make_trace(kind, [100, 50, 25])
+        assert not verdict(MaxRounds(3), tr)
+        assert verdict(MaxRounds(2), tr)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -39,15 +79,15 @@ class TestMaxRounds:
 
 
 class TestPotentialRules:
-    def test_potential_below(self):
-        tr = make_trace([100, 10])
-        assert PotentialBelow(10.5).should_stop(tr)
-        assert not PotentialBelow(9).should_stop(tr)
+    def test_potential_below(self, kind):
+        tr = make_trace(kind, [100, 10])
+        assert verdict(PotentialBelow(10.5), tr)
+        assert not verdict(PotentialBelow(9), tr)
 
-    def test_fraction_below(self):
-        tr = make_trace([100, 0.5])
-        assert PotentialFractionBelow(0.01).should_stop(tr)
-        assert not PotentialFractionBelow(0.001).should_stop(tr)
+    def test_fraction_below(self, kind):
+        tr = make_trace(kind, [100, 0.5])
+        assert verdict(PotentialFractionBelow(0.01), tr)
+        assert not verdict(PotentialFractionBelow(0.001), tr)
 
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
@@ -57,29 +97,45 @@ class TestPotentialRules:
 
 
 class TestDiscrepancy:
-    def test_fires(self):
-        tr = Trace()
-        tr.record(np.asarray([0.0, 8.0]))
-        assert DiscrepancyBelow(10).should_stop(tr)
-        assert not DiscrepancyBelow(7.9).should_stop(tr)
+    def test_fires(self, kind):
+        tr = record_states(kind, [[0.0, 8.0]])
+        assert verdict(DiscrepancyBelow(10), tr)
+        assert not verdict(DiscrepancyBelow(7.9), tr)
 
 
 class TestStagnation:
-    def test_detects_flat_tail(self):
-        tr = make_trace([100] * 12)
-        assert Stagnation(patience=10).should_stop(tr)
+    def test_detects_flat_tail(self, kind):
+        tr = make_trace(kind, [100] * 12)
+        assert verdict(Stagnation(patience=10), tr)
 
-    def test_not_triggered_by_progress(self):
-        tr = make_trace([100 / (2**i) for i in range(12)])
-        assert not Stagnation(patience=10).should_stop(tr)
+    def test_not_triggered_by_progress(self, kind):
+        tr = make_trace(kind, [100 / (2**i) for i in range(12)])
+        assert not verdict(Stagnation(patience=10), tr)
 
-    def test_needs_enough_history(self):
-        tr = make_trace([100, 100])
-        assert not Stagnation(patience=10).should_stop(tr)
+    def test_needs_enough_history(self, kind):
+        tr = make_trace(kind, [100, 100])
+        assert not verdict(Stagnation(patience=10), tr)
 
-    def test_zero_potential_counts_as_stagnant(self):
-        tr = make_trace([0.0] * 12)
-        assert Stagnation(patience=10).should_stop(tr)
+    @pytest.mark.parametrize("states, fires", [(4, False), (5, False), (6, True), (9, True)])
+    def test_history_below_at_and_above_patience(self, kind, states, fires):
+        # patience=5 fires once 5 rounds (6 recorded states) made no progress.
+        tr = make_trace(kind, [100] * states)
+        assert verdict(Stagnation(patience=5), tr) is fires
+
+    @pytest.mark.parametrize("min_rel_drop, fires", [(0.0, False), (0.4, False), (0.6, True)])
+    def test_min_rel_drop(self, kind, min_rel_drop, fires):
+        # Every round halves the potential: a relative drop of 0.5.
+        tr = make_trace(kind, [64 / (2**i) for i in range(5)])
+        assert verdict(Stagnation(patience=3, min_rel_drop=min_rel_drop), tr) is fires
+
+    def test_one_improving_round_in_window_blocks(self, kind):
+        tr = make_trace(kind, [100, 100, 100, 50, 50, 50])
+        assert not verdict(Stagnation(patience=3), tr)
+        assert verdict(Stagnation(patience=2), tr)
+
+    def test_zero_potential_counts_as_stagnant(self, kind):
+        tr = make_trace(kind, [0.0] * 12)
+        assert verdict(Stagnation(patience=10), tr)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,11 +145,13 @@ class TestStagnation:
 
 
 class TestFirstSatisfied:
+    """``first_satisfied`` is the one-replica loop: it reads bool verdicts."""
+
     def test_order_respected(self):
-        tr = make_trace([100, 1])
+        tr = make_trace("trace", [100, 1])
         rules = [PotentialBelow(5), MaxRounds(1)]
         assert first_satisfied(rules, tr) is rules[0]
 
     def test_none_when_unsatisfied(self):
-        tr = make_trace([100, 50])
+        tr = make_trace("trace", [100, 50])
         assert first_satisfied([PotentialBelow(1), MaxRounds(10)], tr) is None
