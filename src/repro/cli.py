@@ -55,9 +55,11 @@ from repro.core.bounds import (
 from repro.core.potential import potential
 from repro.core.protocols import get_balancer, registered_balancers
 from repro.graphs.generators import FAMILIES, by_name
+from repro.graphs.partition import parse_partitions
 from repro.graphs.spectral import lambda_2, spectral_profile
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import Simulator, simulate
 from repro.simulation.initial import GENERATORS, make_loads
+from repro.simulation.sharding import parse_workers
 from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
 
 __all__ = ["main", "build_parser"]
@@ -497,46 +499,64 @@ def _resolve_backend_arg(name):
         return None, str(exc)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _run_request(args: argparse.Namespace):
+    """``(balancer, loads, options)`` of a ``run``, ``dispatch`` or ``mpi-run``.
+
+    The balancer runs on ``--backend``; the options are the stopping rules
+    and the ``record`` level (all statistics for one replica, so its summary
+    has the final discrepancy).  None after printing a refused value.
+    """
     topo = by_name(args.topology)
     bal = get_balancer(args.balancer, topo)
     backend, err = _resolve_backend_arg(args.backend)
-    if err:
-        print(err, file=sys.stderr)
-        return 2
+    if err or args.replicas < 1:
+        print(err or f"--replicas must be >= 1, got {args.replicas}", file=sys.stderr)
+        return None
     if backend is not None:
         bal.backend = backend
-    discrete = bal.mode == "discrete"
     rng = np.random.default_rng(args.seed)
-    loads = make_loads(args.loads, topo.n, rng=rng, discrete=discrete)
+    loads = make_loads(args.loads, topo.n, rng=rng, discrete=bal.mode == "discrete")
     stopping = [MaxRounds(args.rounds)]
     if args.eps is not None:
         stopping.insert(0, PotentialFractionBelow(args.eps))
-    if args.replicas < 1:
-        print(f"--replicas must be >= 1, got {args.replicas}", file=sys.stderr)
-        return 2
-    from repro.graphs.partition import parse_partitions
-    from repro.simulation.sharding import parse_workers
+    return bal, loads, {"stopping": stopping, "record": "full" if args.replicas == 1 else "auto"}
 
+
+def _partition_capable(args: argparse.Namespace, bal) -> bool:
+    """Whether ``bal`` has a partitioned kernel; prints the refusal if not."""
+    if getattr(bal, "supports_partition", False):
+        return True
+    print(
+        f"{args.balancer} has no partitioned kernel; supported: diffusion "
+        "(continuous/discrete) and continuous fos",
+        file=sys.stderr,
+    )
+    return False
+
+
+def _run_summary(trace) -> dict:
+    """A run's summary: one replica reports its own series, more the ensemble's."""
+    return (trace.replica_trace(0) if trace.replicas == 1 else trace).summary()
+
+
+def _print_run_summary(trace) -> None:
+    for key, value in _run_summary(trace).items():
+        print(f"{key:>20}: {value}")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    request = _run_request(args)
+    if request is None:
+        return 2
+    bal, loads, run_opts = request
     try:
         processes, _ = parse_workers(args.workers)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        part_blocks, part_strategy = parse_partitions(args.partitions)
+        part_blocks, _ = parse_partitions(args.partitions)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if part_blocks > 1:
-        from repro.simulation.partitioned import PartitionedSimulator
-
-        if not getattr(bal, "supports_partition", False):
-            print(
-                f"{args.balancer} has no partitioned kernel; supported: diffusion "
-                "(continuous/discrete) and continuous fos",
-                file=sys.stderr,
-            )
+        if not _partition_capable(args, bal):
             return 2
         if processes > 1 and processes != part_blocks:
             print(
@@ -545,45 +565,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"--workers {processes} only selects the mode",
                 file=sys.stderr,
             )
-        psim = PartitionedSimulator(
-            bal,
-            partitions=part_blocks,
-            strategy=part_strategy,
-            stopping=stopping,
-            mode="process" if processes > 1 else "inprocess",
-        )
-        trace = psim.run(loads, replicas=args.replicas)
-        for key, value in trace.summary().items():
-            print(f"{key:>20}: {value}")
-        hs = psim.halo_stats
+    elif processes > 1 and args.replicas == 1:
+        print("note: --workers shards replicas; with --replicas 1 it has no effect", file=sys.stderr)
+    trace, hs = simulate(
+        bal, loads, seed=args.seed, replicas=args.replicas,
+        workers=args.workers, partitions=args.partitions, **run_opts,
+    )
+    _print_run_summary(trace)
+    if hs is not None:
         print(
             f"{'partitioned':>20}: {hs['blocks']} blocks [{hs['strategy']}, {hs['mode']}], "
             f"{hs['halo_values']} halo values exchanged over {hs['rounds']} rounds"
         )
-        return 0
-    if processes > 1 and args.replicas == 1:
-        print("note: --workers shards replicas; with --replicas 1 it has no effect", file=sys.stderr)
-    if args.replicas > 1:
-        from repro.simulation.ensemble import EnsembleSimulator
-        from repro.simulation.sharding import run_sharded_ensemble
-
-        if not getattr(bal, "supports_batch", False):
-            print(f"{args.balancer} has no batched kernel; use --replicas 1", file=sys.stderr)
-            return 2
-        if processes > 1:
-            trace = run_sharded_ensemble(
-                bal, loads, seed=args.seed, replicas=args.replicas,
-                workers=processes, stopping=stopping,
-            )
-        else:
-            ens = EnsembleSimulator(bal, stopping=stopping)
-            trace = ens.run(loads, seed=args.seed, replicas=args.replicas)
-        for key, value in trace.summary().items():
-            print(f"{key:>20}: {value}")
-        return 0
-    trace = Simulator(bal, stopping=stopping).run(loads, args.seed)
-    for key, value in trace.summary().items():
-        print(f"{key:>20}: {value}")
     return 0
 
 
@@ -606,8 +599,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.graphs.partition import parse_partitions
-    from repro.simulation.sharding import parse_workers
     from repro.simulation.sweep import sweep
 
     try:
@@ -639,7 +630,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_partition_info(args: argparse.Namespace) -> int:
     import json
 
-    from repro.graphs.partition import make_partition, parse_partitions
+    from repro.graphs.partition import make_partition
 
     topo = by_name(args.topology)
     rows = []
@@ -732,50 +723,33 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
         dispatch_partitioned,
         dispatch_sharded,
     )
-    from repro.graphs.partition import parse_partitions
     from repro.observability import configure_logging
 
     configure_logging(args.log_level)
-    topo = by_name(args.topology)
-    bal = get_balancer(args.balancer, topo)
-    backend, err = _resolve_backend_arg(args.backend)
-    if err:
-        print(err, file=sys.stderr)
+    request = _run_request(args)
+    if request is None:
         return 2
-    if args.replicas < 1:
-        print(f"--replicas must be >= 1, got {args.replicas}", file=sys.stderr)
-        return 2
+    bal, loads, run_opts = request
     if args.partitions is not None and args.shards is not None:
         print("--partitions (node axis) and --shards (replica axis) are exclusive",
               file=sys.stderr)
         return 2
-    rng = np.random.default_rng(args.seed)
-    loads = make_loads(args.loads, topo.n, rng=rng, discrete=bal.mode == "discrete")
-    stopping = [MaxRounds(args.rounds)]
-    if args.eps is not None:
-        stopping.insert(0, PotentialFractionBelow(args.eps))
     # Telemetry implies live progress: ask workers to piggyback periodic
     # stats frames on the control channel next to heartbeats.
     stats_interval = 0.5 if (args.trace or args.metrics or args.serve_metrics) else None
     try:
         if args.partitions is not None:
             part_blocks, part_strategy = parse_partitions(args.partitions)
-            if not getattr(bal, "supports_partition", False):
-                print(
-                    f"{args.balancer} has no partitioned kernel; supported: diffusion "
-                    "(continuous/discrete) and continuous fos",
-                    file=sys.stderr,
-                )
+            if not _partition_capable(args, bal):
                 return 2
             trace, stats = dispatch_partitioned(
                 bal, loads, args.workers,
                 partitions=part_blocks, strategy=part_strategy,
-                stopping=stopping, backend=backend,
                 replicas=args.replicas, timeout=args.timeout,
                 authkey=args.authkey, heartbeat=args.heartbeat,
                 checkpoint_every=args.checkpoint_every,
                 retry_budget=args.retry_budget,
-                stats_interval=stats_interval,
+                stats_interval=stats_interval, **run_opts,
             )
         else:
             if not getattr(bal, "supports_batch", False) and args.replicas > 1:
@@ -785,10 +759,8 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
             trace, stats = dispatch_sharded(
                 bal, loads, args.workers,
                 shards=args.shards, seed=args.seed, replicas=args.replicas,
-                stopping=stopping, backend=backend, timeout=args.timeout,
-                authkey=args.authkey, heartbeat=args.heartbeat,
-                retry_budget=args.retry_budget,
-                stats_interval=stats_interval,
+                timeout=args.timeout, authkey=args.authkey, heartbeat=args.heartbeat,
+                retry_budget=args.retry_budget, stats_interval=stats_interval, **run_opts,
             )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -799,8 +771,7 @@ def _cmd_dispatch(args: argparse.Namespace) -> int:
     if args.json:
         print(_run_summary_json(trace, stats))
         return 0
-    for key, value in trace.summary().items():
-        print(f"{key:>20}: {value}")
+    _print_run_summary(trace)
     if stats.get("mode") == "sharded-dispatch":
         print(
             f"{'distributed':>20}: {stats['shards']} shard(s) over "
@@ -865,7 +836,7 @@ def _run_summary_json(trace, stats: dict) -> str:
 
     rounds = max(int(stats.get("rounds", 0)), 1)
     payload = {
-        "trace": _jsonable(trace.summary()),
+        "trace": _jsonable(_run_summary(trace)),
         "distributed": _jsonable(stats),
         "links_per_round": {
             link: nbytes / rounds
@@ -878,33 +849,23 @@ def _run_summary_json(trace, stats: dict) -> str:
 def _cmd_mpi_run(args: argparse.Namespace) -> int:
     from repro.distributed.mpi import mpi_available, run_partitioned_mpi
     from repro.distributed.transport import TransportError
-    from repro.graphs.partition import parse_partitions
 
     if not mpi_available():
         print("mpi-run requires mpi4py (launch under mpiexec with mpi4py installed)",
               file=sys.stderr)
         return 2
-    topo = by_name(args.topology)
-    bal = get_balancer(args.balancer, topo)
-    backend, err = _resolve_backend_arg(args.backend)
-    if err:
-        print(err, file=sys.stderr)
+    request = _run_request(args)
+    if request is None:
         return 2
-    if not getattr(bal, "supports_partition", False):
-        print(f"{args.balancer} has no partitioned kernel", file=sys.stderr)
+    bal, loads, run_opts = request
+    if not _partition_capable(args, bal):
         return 2
     part_blocks, part_strategy = parse_partitions(args.partitions)
-    rng = np.random.default_rng(args.seed)
-    loads = make_loads(args.loads, topo.n, rng=rng, discrete=bal.mode == "discrete")
-    stopping = [MaxRounds(args.rounds)]
-    if args.eps is not None:
-        stopping.insert(0, PotentialFractionBelow(args.eps))
     try:
         result = run_partitioned_mpi(
             bal, loads,
             partitions=part_blocks, strategy=part_strategy,
-            stopping=stopping, backend=backend, replicas=args.replicas,
-            timeout=args.timeout,
+            replicas=args.replicas, timeout=args.timeout, **run_opts,
         )
     except TransportError as exc:
         print(f"mpi-run failed: {exc}", file=sys.stderr)
@@ -913,15 +874,11 @@ def _cmd_mpi_run(args: argparse.Namespace) -> int:
         return 0
     trace, stats = result
     if args.verify:
-        from repro.simulation.partitioned import PartitionedSimulator
-
-        bal2 = get_balancer(args.balancer, topo)
-        serial = PartitionedSimulator(
-            bal2, partitions=part_blocks, strategy=part_strategy,
-            stopping=[MaxRounds(args.rounds)] if args.eps is None
-            else [PotentialFractionBelow(args.eps), MaxRounds(args.rounds)],
-            backend=backend,
-        ).run(loads, replicas=args.replicas)
+        fresh = get_balancer(args.balancer, by_name(args.topology))
+        fresh.backend = bal.backend
+        serial, _ = simulate(
+            fresh, loads, replicas=args.replicas, partitions=args.partitions, **run_opts
+        )
         same = (
             serial.rounds == trace.rounds
             and np.array_equal(serial.final_loads, trace.final_loads)
@@ -936,8 +893,7 @@ def _cmd_mpi_run(args: argparse.Namespace) -> int:
     if args.json:
         print(_run_summary_json(trace, stats))
         return 0
-    for key, value in trace.summary().items():
-        print(f"{key:>20}: {value}")
+    _print_run_summary(trace)
     rounds = max(int(stats.get("rounds", 0)), 1)
     print(
         f"{'distributed':>20}: {len(stats['blocks_by_rank'])} block(s) over "

@@ -332,7 +332,7 @@ def _handshake(channel: Channel, timeout: float, authkey: bytes | None,
     if authkey is not None:
         opts["auth"] = True
     channel.send(("hello", PROTOCOL_VERSION, opts) if opts else ("hello", PROTOCOL_VERSION))
-    reply = channel.recv(timeout)
+    reply = channel.recv_handshake(timeout)
     if isinstance(reply, tuple) and reply and reply[0] == "auth-challenge":
         if authkey is None:
             raise DispatcherError(
@@ -344,7 +344,7 @@ def _handshake(channel: Channel, timeout: float, authkey: bytes | None,
             deliver_challenge(channel, authkey, timeout)
         except AuthenticationError as exc:
             raise DispatcherError(f"worker {label} authentication failed: {exc}") from exc
-        reply = channel.recv(timeout)
+        reply = channel.recv_handshake(timeout)
     if not (isinstance(reply, tuple) and reply and reply[0] == "ready"):
         detail = reply[1] if isinstance(reply, tuple) and len(reply) > 1 else reply
         raise DispatcherError(f"worker {label} refused the handshake: {detail}")

@@ -191,6 +191,10 @@ class FaultyChannel(Channel):
         self._check()
         return self.inner.recv(timeout)
 
+    def recv_handshake(self, timeout: float | None = None):
+        self._check()
+        return self.inner.recv_handshake(timeout)
+
     def recv_into(self, out, timeout: float | None = None):
         self._check()
         return self.inner.recv_into(out, timeout)
@@ -198,8 +202,9 @@ class FaultyChannel(Channel):
     def _send_frame(self, frame: Frame) -> None:  # pragma: no cover - unused
         self.inner._send_frame(frame)
 
-    def _recv_frame(self, timeout: float | None, alloc=None):  # pragma: no cover - unused
-        return self.inner._recv_frame(timeout, alloc)
+    def _recv_frame(self, timeout: float | None, alloc=None,
+                    limit=None):  # pragma: no cover - unused
+        return self.inner._recv_frame(timeout, alloc, limit)
 
     def close(self) -> None:
         self._dead = True

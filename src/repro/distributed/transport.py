@@ -69,7 +69,9 @@ keeps the message-oriented ``mpi`` backend within its per-message limits
 for arbitrarily large payloads.  :data:`MAX_FRAME_BYTES` caps what one
 frame may declare (metadata plus buffers): a header that claims more is
 refused with a :class:`TransportError` before anything it sizes is
-allocated, and ``encode_frame`` refuses to build such a frame.
+allocated, and ``encode_frame`` refuses to build such a frame.  The
+rendezvous reads use :meth:`Channel.recv_handshake`, which applies the
+far smaller :data:`MAX_HANDSHAKE_BYTES` the same way.
 
 Byte accounting counts the *logical frame*: length prefix + header +
 metadata + buffer bytes.  The encoding is transport-independent, so the
@@ -149,6 +151,7 @@ __all__ = [
     "OPTIONAL_TRANSPORTS",
     "MAX_CHUNK_BYTES",
     "MAX_FRAME_BYTES",
+    "MAX_HANDSHAKE_BYTES",
     "INLINE_BUFFER_LIMIT",
     "available_transports",
     "have_mpi",
@@ -214,6 +217,11 @@ MAX_CHUNK_BYTES = 64 * 1024 * 1024
 #: against it before allocating anything the header sizes, so a desynced
 #: or hostile peer cannot make it allocate without bound.
 MAX_FRAME_BYTES = 1 << 32
+
+#: Ceiling on a rendezvous frame (hello, challenge–response, ``ready``,
+#: peer-link header): these arrive before the peer is authenticated, and
+#: none is more than a few hundred bytes.
+MAX_HANDSHAKE_BYTES = 64 * 1024
 
 #: Buffers smaller than this stay in-band inside the metadata pickle —
 #: below a few KiB the extra wire segment costs more than the copy saves.
@@ -301,7 +309,7 @@ def deliver_challenge(channel: Channel, authkey: bytes,
     """
     nonce = os.urandom(_AUTH_NONCE_BYTES)
     channel.send((_AUTH_CHALLENGE, nonce))
-    reply = channel.recv(timeout)
+    reply = channel.recv_handshake(timeout)
     if not (isinstance(reply, tuple) and len(reply) == 2
             and reply[0] == _AUTH_RESPONSE and isinstance(reply[1], bytes)):
         channel.send(("error", "authentication failed: expected a digest response"))
@@ -321,12 +329,12 @@ def answer_challenge(channel: Channel, authkey: bytes,
     whether a keyed worker's first reply is a challenge or ``ready``
     until it reads it).
     """
-    msg = channel.recv(timeout) if challenge is None else challenge
+    msg = channel.recv_handshake(timeout) if challenge is None else challenge
     if not (isinstance(msg, tuple) and len(msg) == 2 and msg[0] == _AUTH_CHALLENGE):
         detail = msg[1] if isinstance(msg, tuple) and len(msg) > 1 else msg
         raise AuthenticationError(f"expected an auth challenge, got {detail!r}")
     channel.send((_AUTH_RESPONSE, _hmac_digest(authkey, msg[1])))
-    reply = channel.recv(timeout)
+    reply = channel.recv_handshake(timeout)
     if not (isinstance(reply, tuple) and reply and reply[0] == _AUTH_WELCOME):
         detail = reply[1] if isinstance(reply, tuple) and len(reply) > 1 else reply
         raise AuthenticationError(f"authentication rejected by peer: {detail!r}")
@@ -428,12 +436,19 @@ class _HeadInfo(NamedTuple):
     meta_prefix: memoryview  # metadata bytes that rode in the head message
 
 
-def _split_head(msg0) -> _HeadInfo:
+def _frame_limit(limit: int | None) -> tuple[int, str]:
+    """The payload ceiling a receive applies, and its name for errors."""
+    if limit is None:
+        return MAX_FRAME_BYTES, "MAX_FRAME_BYTES"
+    return limit, "MAX_HANDSHAKE_BYTES"
+
+
+def _split_head(msg0, limit: int | None = None) -> _HeadInfo:
     """Parse (and validate) a header message; tolerate joined metadata.
 
     Senders may append the start of the metadata segment to the header
     message (the small-frame fast path); whatever follows the buffer
-    table is returned as ``meta_prefix``.
+    table is returned as ``meta_prefix``.  ``limit`` as in ``_recv_frame``.
     """
     view = memoryview(msg0).cast("B") if not isinstance(msg0, memoryview) else msg0
     if view.nbytes < HEAD_FIXED.size:
@@ -450,10 +465,11 @@ def _split_head(msg0) -> _HeadInfo:
     ]
     # Every length is unsigned, so bounding the sum bounds each of them.
     declared = meta_len + sum(buf_lens)
-    if declared > MAX_FRAME_BYTES:
+    cap, cap_name = _frame_limit(limit)
+    if declared > cap:
         raise TransportError(
             f"frame declares {declared} B (metadata {meta_len} B, largest buffer "
-            f"{max(buf_lens, default=0)} B), above MAX_FRAME_BYTES={MAX_FRAME_BYTES}"
+            f"{max(buf_lens, default=0)} B), above {cap_name}={cap}"
         )
     meta_prefix = view[head_len:]
     if meta_prefix.nbytes > meta_len:
@@ -521,13 +537,15 @@ class Channel(abc.ABC):
     def _send_frame(self, frame: Frame) -> None: ...
 
     @abc.abstractmethod
-    def _recv_frame(self, timeout: float | None, alloc=None) -> tuple[int, object, list]:
+    def _recv_frame(self, timeout: float | None, alloc=None,
+                    limit: int | None = None) -> tuple[int, object, list]:
         """Return ``(head_len, meta, buffers)`` for one inbound frame.
 
         ``alloc(index, nbytes)``, when given, may return a writable flat
         byte ``memoryview`` to receive out-of-band buffer ``index``
         directly into (or ``None`` to fall back to a fresh allocation) —
-        the hook behind :meth:`recv_into`.
+        the hook behind :meth:`recv_into`.  ``limit`` is
+        :meth:`recv_handshake`'s cap (None: :data:`MAX_FRAME_BYTES`).
         """
 
     def _send_frame_nowait(self, frame: Frame) -> None:
@@ -619,6 +637,10 @@ class Channel(abc.ABC):
         """
         return self._recv(timeout, None)
 
+    def recv_handshake(self, timeout: float | None = None):
+        """:meth:`recv` for rendezvous frames, capped at :data:`MAX_HANDSHAKE_BYTES`."""
+        return self._recv(timeout, None, MAX_HANDSHAKE_BYTES)
+
     def recv_into(self, out, timeout: float | None = None):
         """Receive one frame, landing its payload directly in ``out``.
 
@@ -644,14 +666,14 @@ class Channel(abc.ABC):
 
         return self._recv(timeout, alloc)
 
-    def _recv(self, timeout: float | None, alloc):
+    def _recv(self, timeout: float | None, alloc, limit: int | None = None):
         rec = get_recorder()
         if rec.enabled:
             _t0 = perf_counter()
-            head_len, meta, buffers = self._recv_frame(timeout, alloc)
+            head_len, meta, buffers = self._recv_frame(timeout, alloc, limit)
             rec.observe(f"transport.{self.transport}.recv_s", perf_counter() - _t0)
         else:
-            head_len, meta, buffers = self._recv_frame(timeout, alloc)
+            head_len, meta, buffers = self._recv_frame(timeout, alloc, limit)
         nbytes = _frame_total(
             head_len,
             memoryview(meta).nbytes,
@@ -733,9 +755,10 @@ class LoopbackChannel(Channel):
                 return not self._inbox.empty()
             time.sleep(0.0005)
 
-    def _recv_frame(self, timeout: float | None, alloc=None):
-        # alloc is ignored: buffers pass by reference, there is nothing
-        # to receive "into" (recv_into degrades to a caller-side copy).
+    def _recv_frame(self, timeout: float | None, alloc=None, limit=None):
+        # alloc and limit are ignored: buffers pass by reference, there
+        # is nothing to receive "into" (recv_into degrades to a
+        # caller-side copy) and nothing a header could make us allocate.
         if self._closed:
             raise ChannelClosed("loopback channel is closed")
         try:
@@ -948,16 +971,16 @@ class StreamChannel(Channel):
                 raise ChannelClosed(f"{self.transport} peer closed the connection")
             pos += got
 
-    def _recv_frame(self, timeout: float | None, alloc=None):
+    def _recv_frame(self, timeout: float | None, alloc=None, limit=None):
         deadline = None if timeout is None else time.monotonic() + timeout
         prefix = bytearray(_HEAD_PREFIX.size)
         self._recv_exact_into(memoryview(prefix), deadline)
         (head_len,) = _HEAD_PREFIX.unpack(prefix)
-        if not HEAD_FIXED.size <= head_len <= _MAX_HEAD_BYTES:
+        if not HEAD_FIXED.size <= head_len <= min(_MAX_HEAD_BYTES, _frame_limit(limit)[0]):
             raise TransportError(f"undecodable frame header ({head_len} B)")
         msg0 = bytearray(head_len)
         self._recv_exact_into(memoryview(msg0), deadline)
-        info = _split_head(memoryview(msg0))
+        info = _split_head(memoryview(msg0), limit)
         meta = bytearray(info.meta_len)
         mv = memoryview(meta)
         if info.meta_prefix.nbytes:
@@ -1252,7 +1275,7 @@ class MpiChannel(Channel):
             )
         self._comm.Recv([mv, self._MPI.BYTE], source=self._peer, tag=self._recv_tag)
 
-    def _recv_frame(self, timeout: float | None, alloc=None):
+    def _recv_frame(self, timeout: float | None, alloc=None, limit=None):
         if self._closed:
             raise ChannelClosed("mpi channel is closed")
         if self._peer_closed:
@@ -1271,7 +1294,7 @@ class MpiChannel(Channel):
             raise
         except Exception as exc:
             raise ChannelClosed(f"mpi recv failed: {exc}") from exc
-        info = _split_head(memoryview(msg0))
+        info = _split_head(memoryview(msg0), limit)
         meta = self._recv_segment(info.meta_len, info.chunk, deadline, info.meta_prefix)
         empty = memoryview(b"")
         buffers = [

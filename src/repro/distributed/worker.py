@@ -733,7 +733,7 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
         jobs_started = [0]
     if progress is None:
         progress = WorkerProgress()
-    msg = ctrl.recv(timeout)
+    msg = ctrl.recv_handshake(timeout)
     if not (isinstance(msg, tuple) and len(msg) >= 2 and msg[0] == "hello"):
         ctrl.send(("error", f"expected hello, got {msg!r}"))
         raise _JobError(f"bad handshake: {msg!r}")
@@ -897,7 +897,7 @@ def _build_mesh(blocks: list[int], spec: dict, peer_listener: TcpListener,
                 raise ValueError(f"unknown link directive {directive!r}")
     for _ in range(expected_accepts):
         ch = peer_listener.accept(timeout)
-        header = ch.recv(timeout)
+        header = ch.recv_handshake(timeout)
         if not (isinstance(header, tuple) and len(header) >= 3 and header[0] == "link"):
             ch.close()
             raise ValueError(f"unexpected link header {header!r}")

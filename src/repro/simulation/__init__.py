@@ -5,7 +5,8 @@
 - :mod:`repro.simulation.stopping` — declarative stopping criteria;
 - :mod:`repro.simulation.trace` — per-round records and convergence-time
   extraction;
-- :mod:`repro.simulation.engine` — the fast vectorized round loop;
+- :mod:`repro.simulation.engine` — the serial engine, and :func:`simulate`,
+  the one engine choice for a local run request;
 - :mod:`repro.simulation.ensemble` — the batched lockstep engine running
   whole replica ensembles through one vectorized round loop;
 - :mod:`repro.simulation.superstep` — the BSP / message-passing substrate
@@ -42,7 +43,7 @@ from repro.simulation.stopping import (
     first_satisfied,
 )
 from repro.simulation.trace import Trace
-from repro.simulation.engine import Simulator, run_balancer
+from repro.simulation.engine import Simulator, run_balancer, simulate
 from repro.simulation.ensemble import EnsembleSimulator, EnsembleTrace, spawn_rngs
 from repro.simulation.superstep import (
     SuperstepNetwork,
@@ -80,6 +81,7 @@ __all__ = [
     "Trace",
     "Simulator",
     "run_balancer",
+    "simulate",
     "EnsembleSimulator",
     "EnsembleTrace",
     "spawn_rngs",

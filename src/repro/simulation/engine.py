@@ -16,6 +16,17 @@ Determinism: a run is fully determined by ``(balancer, loads, seed)``.
 The RNG handed to the balancer each round is a single generator advanced
 across rounds (not reseeded), matching how a long-lived distributed
 system would consume randomness.
+
+:func:`simulate` picks the engine for a local run request; the CLI's
+``run`` and every sweep cell call it, so one request gets one engine on
+both.  ``partitions > 1`` on a partition-capable scheme runs the
+:class:`~repro.simulation.partitioned.PartitionedSimulator` (process
+mode when ``workers > 1``); several replicas of a scheme without a
+batched kernel run one at a time and merge; several replicas with
+``workers > 1`` are sharded over a process pool; anything else is one
+:class:`~repro.simulation.ensemble.EnsembleSimulator` run.  One replica
+draws its rounds from ``np.random.default_rng(seed)``, the stream of
+``Simulator.run(loads, seed)``; ``B`` replicas from ``spawn_rngs(seed, B)``.
 """
 
 from __future__ import annotations
@@ -25,11 +36,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.protocols import Balancer
-from repro.simulation.ensemble import RoundEngine, serial_rounds
+from repro.graphs.partition import parse_partitions
+from repro.simulation.ensemble import EnsembleSimulator, RoundEngine, serial_rounds, spawn_rngs
+from repro.simulation.partitioned import PartitionedSimulator
+from repro.simulation.sharding import merge_ensemble_traces, parse_workers, run_sharded_ensemble
 from repro.simulation.stopping import MaxRounds, StoppingRule
-from repro.simulation.trace import Trace
+from repro.simulation.trace import EnsembleTrace, Trace
 
-__all__ = ["Simulator", "run_balancer"]
+__all__ = ["Simulator", "run_balancer", "simulate"]
 
 
 class Simulator(RoundEngine):
@@ -88,3 +102,45 @@ def run_balancer(
     rules.append(MaxRounds(rounds))
     sim = Simulator(balancer, stopping=rules, keep_snapshots=keep_snapshots)
     return sim.run(loads, seed)
+
+
+def simulate(
+    balancer: Balancer,
+    loads: np.ndarray,
+    stopping: Sequence[StoppingRule] | None = None,
+    *,
+    seed: int = 0,
+    replicas: int = 1,
+    workers: int | str = 1,
+    partitions: int | str = 1,
+    record: str = "auto",
+) -> tuple[EnsembleTrace, dict | None]:
+    """Run one request on the engine the module docstring's rules pick.
+
+    ``loads`` is a shared ``(n,)`` vector or ``(replicas, n)`` states;
+    ``workers`` and ``partitions`` take the specs of ``parse_workers`` and
+    ``parse_partitions``.  Returns ``(trace, halo_stats)``; only the
+    partitioned engine has ``halo_stats``, every other path gives None.
+    """
+    if replicas < 1:
+        raise ValueError(f"replicas must be >= 1, got {replicas}")
+    processes, _ = parse_workers(workers)
+    blocks, strategy = parse_partitions(partitions)
+    if blocks > 1 and getattr(balancer, "supports_partition", False):
+        psim = PartitionedSimulator(
+            balancer, partitions=blocks, strategy=strategy, stopping=stopping, record=record,
+            mode="process" if processes > 1 else "inprocess",
+        )
+        return psim.run(loads, replicas=replicas), psim.halo_stats
+    rngs = [np.random.default_rng(seed)] if replicas == 1 else spawn_rngs(seed, replicas)
+    batched = getattr(balancer, "supports_batch", False)
+    if replicas > 1 and processes > 1 and batched:
+        return run_sharded_ensemble(
+            balancer, loads, seed=rngs, workers=processes, stopping=stopping, record=record,
+        ), None
+    ens = EnsembleSimulator(balancer, stopping=stopping, record=record)
+    if replicas > 1 and not batched:
+        rows = np.broadcast_to(loads, (replicas, np.shape(loads)[-1]))
+        return merge_ensemble_traces(
+            [ens.run(row, seed=[rng]) for row, rng in zip(rows, rngs)]), None
+    return ens.run(loads, seed=rngs), None

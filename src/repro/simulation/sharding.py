@@ -206,6 +206,9 @@ def merge_ensemble_traces(traces: Sequence[EnsembleTrace]) -> EnsembleTrace:
             for i in range(rows)
         ]
     merged._final_loads = np.concatenate([t.final_loads for t in traces], axis=0)
+    # Each shard's exact totals in the loads' dtype (integer loads stay
+    # exact past 2**53, where the float64 sums round).
+    merged._totals = np.concatenate([np.atleast_1d(t.last_totals) for t in traces])
     return merged
 
 

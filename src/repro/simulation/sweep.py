@@ -14,17 +14,16 @@ Execution modes
 ---------------
 ``replicas > 1`` replicates every cell over independently drawn initial
 distributions (per-replica spawned seeds) and reports medians/means.
-Every cell runs through
-:class:`~repro.simulation.ensemble.EnsembleSimulator`: batch-capable
-balancers advance all replicas in lockstep, the rest run one replica at
-a time on the serial stepper and merge the traces, so the grid
-semantics do not depend on which schemes happen to support batching.
-``workers`` scales the replica execution of each cell: ``1`` (default)
-runs in-process, ``"KxVectorized"`` (or a plain ``K``) shards the
-replica batch over a ``K``-process pool via
-:mod:`repro.simulation.sharding` — per-replica results are identical
-either way (load trajectories bit-for-bit, derived statistics up to
-float summation order).
+Every cell is one :func:`~repro.simulation.engine.simulate` request, so
+a cell runs on exactly the engine the CLI's ``run`` would pick for it:
+batch-capable balancers advance all replicas in lockstep, the rest run
+one replica at a time and merge the traces, ``workers`` (``"KxVectorized"``
+or a plain ``K``) shards a cell's replica batch over a ``K``-process
+pool, and ``partitions`` runs partition-capable cells on the node-axis
+partitioned engine.  Per-replica results are identical on every path
+(load trajectories bit-for-bit, derived statistics up to float
+summation order), so the grid semantics do not depend on which schemes
+happen to support batching or partitioning.
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ import numpy as np
 from repro.analysis.reporting import Table
 from repro.core.protocols import get_balancer
 from repro.graphs.generators import by_name
-from repro.graphs.partition import parse_partitions
-from repro.simulation.ensemble import EnsembleSimulator, spawn_rngs
+from repro.simulation.engine import simulate
 from repro.simulation.initial import make_loads
-from repro.simulation.partitioned import PartitionedSimulator
-from repro.simulation.sharding import merge_ensemble_traces, parse_workers, run_sharded_ensemble
 from repro.simulation.stopping import MaxRounds, PotentialFractionBelow, Stagnation
 
 __all__ = ["SweepCell", "sweep"]
@@ -66,23 +62,24 @@ class SweepCell:
     replicas: int = 1
 
 
-def _aggregate(topology: str, balancer: str, rounds_list, phis, movements, reasons, replicas) -> SweepCell:
-    reached = [r for r in rounds_list if r is not None and not (isinstance(r, float) and np.isnan(r))]
-    rounds = int(np.median(reached)) if reached else None
+def _aggregate(topology: str, balancer: str, trace, eps: float) -> SweepCell:
+    """One cell from its run's trace: medians and means over the replicas."""
+    rounds = trace.rounds_to_fraction(eps)
+    reached = rounds[~np.isnan(rounds)]
     return SweepCell(
         topology=topology,
         balancer=balancer,
-        rounds=rounds,
-        final_potential=float(np.mean(phis)),
-        total_movement=float(np.mean(movements)),
-        stopped_by=Counter(reasons).most_common(1)[0][0],
-        replicas=replicas,
+        rounds=int(np.median(reached)) if reached.size else None,
+        final_potential=float(np.mean(trace.last_potentials)),
+        total_movement=float(np.mean(trace.total_net_movements())),
+        stopped_by=Counter(trace.stopped_by).most_common(1)[0][0],
+        replicas=trace.replicas,
     )
 
 
 def _run_cell(
-    spec, topo, name, load_kind, eps, max_rounds, seed, replicas, processes, backend=None,
-    partitions=1, part_strategy="contiguous",
+    spec, topo, name, load_kind, eps, max_rounds, seed, replicas, workers, backend=None,
+    partitions=1,
 ) -> SweepCell:
     bal = get_balancer(name, topo)
     if backend is not None:
@@ -91,12 +88,7 @@ def _run_cell(
     # Stagnation ends stalled runs (e.g. floor-discretized schemes
     # plateauing above the target) without burning the round cap;
     # `stopped_by` records which rule fired.
-    def rules():
-        return [
-            PotentialFractionBelow(eps),
-            Stagnation(patience=50),
-            MaxRounds(max_rounds),
-        ]
+    rules = [PotentialFractionBelow(eps), Stagnation(patience=50), MaxRounds(max_rounds)]
 
     def initial_loads():
         """Initial distribution(s): ``(n,)`` for one replica, ``(B, n)`` else.
@@ -105,9 +97,6 @@ def _run_cell(
         come from *disjoint* spawn keys of the same root seed: reusing
         one stream for both would make a stochastic scheme's round
         randomness replay the bits that generated its own initial state.
-        Every execution path (serial, batched, sharded, partitioned)
-        draws through this one function, so none can desynchronize the
-        sweep's results.
         """
         if replicas == 1:
             return make_loads(load_kind, topo.n, rng=np.random.default_rng(seed), discrete=discrete)
@@ -119,44 +108,11 @@ def _run_cell(
             [make_loads(load_kind, topo.n, rng=rng_b, discrete=discrete) for rng_b in load_rngs]
         )
 
-    if partitions > 1 and getattr(bal, "supports_partition", False):
-        # Node-axis partitioned execution: same trajectories (bit for
-        # bit), evaluated block-locally with halo exchange.  Schemes
-        # without a partitioned kernel fall through to the ensemble
-        # path below, so the grid stays total.
-        psim = PartitionedSimulator(
-            bal, partitions=partitions, strategy=part_strategy,
-            stopping=rules(), record="full",
-            mode="process" if processes > 1 else "inprocess",
-        )
-        trace = psim.run(initial_loads(), replicas=replicas)
-    else:
-        # One replica runs on the serial stepper inside the ensemble
-        # engine, on the generator a serial run of ``seed`` would use.
-        run_rngs = [np.random.default_rng(seed)] if replicas == 1 else spawn_rngs(seed, replicas)
-        batch = initial_loads()
-        ens = EnsembleSimulator(bal, stopping=rules(), record="full")
-        if not getattr(bal, "supports_batch", False):
-            # One-replica runs merged along the replica axis: the same
-            # per-replica trajectories for schemes without a batched kernel.
-            rows = np.reshape(batch, (replicas, -1))
-            trace = merge_ensemble_traces(
-                [ens.run(loads, seed=[rng]) for loads, rng in zip(rows, run_rngs)])
-        elif processes > 1:
-            trace = run_sharded_ensemble(
-                bal, batch, seed=run_rngs, workers=processes, stopping=rules(), record="full"
-            )
-        else:
-            trace = ens.run(batch, seed=run_rngs)
-    return _aggregate(
-        spec,
-        name,
-        trace.rounds_to_fraction(eps).tolist(),
-        trace.last_potentials,
-        trace.total_net_movements(),
-        trace.stopped_by,
-        replicas,
+    trace, _ = simulate(
+        bal, initial_loads(), rules, seed=seed, replicas=replicas, workers=workers,
+        partitions=partitions, record="full",
     )
+    return _aggregate(spec, name, trace, eps)
 
 
 def sweep(
@@ -179,22 +135,15 @@ def sweep(
     each cell aggregates over independently drawn initial distributions
     (see :class:`SweepCell`).  Discrete and continuous schemes get the
     discrete/continuous rendering of the distribution respectively.
-    ``workers`` shards each cell's replica batch over a process pool
-    (see the module docstring's *Execution modes*); ``backend`` pins the
-    kernel backend on every constructed balancer (bit-for-bit
-    interchangeable, so the grid's numbers do not depend on it).
-    ``partitions`` (``P`` or ``"P:strategy"``) runs partition-capable
-    cells through the node-axis partitioned engine — halo-exchanging
-    block subproblems, process-parallel when ``workers > 1`` — with
-    trajectories bit-for-bit equal to the standard paths; schemes
-    without a partitioned kernel fall back transparently.
+    ``workers`` and ``partitions`` choose each cell's engine (see the
+    module docstring's *Execution modes*); ``backend`` pins the kernel
+    backend on every constructed balancer (bit-for-bit interchangeable,
+    so the grid's numbers do not depend on it).
     """
     if not topology_specs or not balancer_names:
         raise ValueError("need at least one topology and one balancer")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    processes, _ = parse_workers(workers)
-    part_blocks, part_strategy = parse_partitions(partitions)
     suffix = f", {replicas} replicas" if replicas > 1 else ""
     table = Table(
         title=f"sweep: rounds to Phi <= {eps:g}*Phi0 ({load_kind} load{suffix})",
@@ -205,8 +154,8 @@ def sweep(
         topo = by_name(spec)
         for name in balancer_names:
             cell = _run_cell(
-                spec, topo, name, load_kind, eps, max_rounds, seed, replicas, processes, backend,
-                partitions=part_blocks, part_strategy=part_strategy,
+                spec, topo, name, load_kind, eps, max_rounds, seed, replicas, workers, backend,
+                partitions=partitions,
             )
             cells.append(cell)
             table.add_row(

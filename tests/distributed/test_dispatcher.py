@@ -378,6 +378,53 @@ class TestRendezvous:
             proc.terminate()
 
 
+class TestHandshakeCap:
+    """A keyless peer's oversized hello is refused before the worker
+    allocates what it declares; the worker logs it and keeps serving."""
+
+    @pytest.mark.parametrize("authkey", [None, "handshake-cap-key"], ids=["default-key", "explicit-key"])
+    def test_oversized_hello_rejected_then_dispatch_served(self, authkey):
+        import re
+        import socket as socketlib
+
+        from repro.distributed import transport
+        from repro.distributed.worker import serve
+
+        lines: list[str] = []
+        started = threading.Event()
+
+        def log(line):
+            lines.append(line)
+            started.set()
+
+        # authkey=None serves with REPRO_AUTHKEY when it is set.
+        server = threading.Thread(
+            target=serve, kwargs={"max_jobs": 1, "timeout": 30.0, "authkey": authkey, "log": log},
+            daemon=True,
+        )
+        server.start()
+        assert started.wait(10.0)
+        addr = re.search(r"listening on (\S+?:\d+)", lines[0]).group(1)
+        declared = 64 << 20
+        head = transport.HEAD_FIXED.pack(0, declared, 1 << 16)
+        raw = socketlib.create_connection(parse_address(addr), timeout=10)
+        try:
+            raw.sendall(transport._HEAD_PREFIX.pack(len(head)) + head)
+            # The worker drops the connection: EOF, not a challenge.
+            assert raw.recv(1) == b""
+        finally:
+            raw.close()
+        assert any(str(declared) in line and "MAX_HANDSHAKE_BYTES" in line for line in lines)
+        topo = torus_2d(4, 4)
+        _, stats = dispatch_partitioned(
+            DiffusionBalancer(topo, mode="discrete"), _loads(topo, discrete=True),
+            [addr], partitions=2, stopping=[MaxRounds(3)], authkey=authkey,
+        )
+        assert stats["rounds"] == 3
+        server.join(timeout=15)
+        assert not server.is_alive()
+
+
 class TestWorkerFailure:
     def test_worker_death_aborts_cleanly(self):
         """SIGKILL one of two workers mid-run: the dispatcher must raise

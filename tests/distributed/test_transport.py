@@ -323,6 +323,56 @@ class TestFrameLengthBound:
             encode_frame(np.zeros(1 << 11))
 
 
+class TestHandshakeCap:
+    """Rendezvous reads refuse a frame declaring more than
+    MAX_HANDSHAKE_BYTES before anything it sizes is allocated."""
+
+    DECLARED = 64 << 20
+
+    @pytest.mark.parametrize("t", ["mp-pipe", "tcp"])
+    def test_oversized_handshake_refused_without_allocating(self, t):
+        a, b = make_pair(t)
+        a._sock.sendall(TestFrameLengthBound._header(self.DECLARED))
+        tracemalloc.start()
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(TransportError, match=f"{self.DECLARED} B.*MAX_HANDSHAKE_BYTES"):
+                b.recv_handshake(timeout=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            a.close(), b.close()
+        assert time.monotonic() - t0 < 5.0
+        assert peak < 1 << 20
+
+    def test_oversized_buffer_table_refused(self):
+        a, b = make_pair("mp-pipe")
+        a._sock.sendall(TestFrameLengthBound._header(0, [transport.MAX_HANDSHAKE_BYTES + 1]))
+        with pytest.raises(TransportError, match="MAX_HANDSHAKE_BYTES"):
+            b.recv_handshake(timeout=5.0)
+        a.close(), b.close()
+
+    def test_ordinary_frames_pass(self, pair):
+        a, b = pair
+        a.send(("hello", PROTOCOL_VERSION, {"auth": True}))
+        assert b.recv_handshake(timeout=5.0) == ("hello", PROTOCOL_VERSION, {"auth": True})
+        # The cap is the handshake's only: a frame past it still passes recv.
+        payload = np.zeros(transport.MAX_HANDSHAKE_BYTES // 8 + 1)
+        a.send(payload)
+        assert np.array_equal(b.recv(timeout=5.0), payload)
+
+    @pytest.mark.parametrize("side", ["deliver", "answer"])
+    def test_challenge_reads_are_capped(self, side):
+        a, b = make_pair("mp-pipe")
+        a._sock.sendall(TestFrameLengthBound._header(self.DECLARED))
+        run = transport.deliver_challenge if side == "deliver" else transport.answer_challenge
+        try:
+            with pytest.raises(TransportError, match=str(self.DECLARED)):
+                run(b, b"key", timeout=5.0)
+        finally:
+            a.close(), b.close()
+
+
 class TestNonblockingPrimitives:
     """send_nowait / poll / flush / recv_into across every transport."""
 

@@ -120,6 +120,28 @@ class TestRunTraced:
         assert {ev["engine"] for ev in rounds} == {"partitioned"}
 
 
+    @pytest.mark.parametrize("replicas,engine", [(1, "serial"), (4, "ensemble")])
+    def test_run_event_counts(self, tmp_path, capsys, replicas, engine):
+        """A traced run emits one round span per round from its engine,
+        one phi event per state and no shard span."""
+        path = str(tmp_path / "counts.jsonl")
+        assert main([
+            "run", "--balancer", "diffusion", "--topology", "torus:8x8",
+            "--rounds", "20", "--replicas", str(replicas), "--trace", path,
+        ]) == 0
+        counts = {}
+        for ev in load_trace(path):
+            if ev.get("ev") != "meta":
+                key = (ev["ev"], ev["name"], ev.get("engine"))
+                counts[key] = counts.get(key, 0) + 1
+        assert counts == {
+            ("event", "convergence_params", None): 1,
+            ("event", "phi", None): 21,
+            ("span", "round", engine): 20,
+            ("event", "convergence_summary", None): 1,
+        }
+
+
 class TestTraceReport:
     @pytest.fixture()
     def trace_path(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.diffusion import DiffusionBalancer
 from repro.core.protocols import Balancer
-from repro.simulation.engine import Simulator, run_balancer
+from repro.simulation.engine import Simulator, run_balancer, simulate
 from repro.simulation.initial import point_load
 from repro.simulation.stopping import MaxRounds, PotentialBelow, PotentialFractionBelow
 
@@ -164,3 +164,87 @@ class TestSnapshots:
         bal = DiffusionBalancer(torus)
         trace = run_balancer(bal, point_load(torus.n, discrete=False), rounds=4, keep_snapshots=True)
         assert len(trace.snapshots) == 5  # initial + 4 rounds
+
+
+class TestSimulate:
+    """Each engine choice of ``simulate`` returns what the engine it picks
+    returns when called directly: final loads bit for bit, per-replica
+    rounds and stopping reasons."""
+
+    @staticmethod
+    def rules():
+        return [PotentialFractionBelow(1e-3), MaxRounds(400)]
+
+    @staticmethod
+    def assert_same(got, want_loads, want_rounds, want_reasons):
+        assert np.array_equal(got.final_loads, want_loads)
+        assert got.rounds_vector.tolist() == list(want_rounds)
+        assert got.stopped_by == list(want_reasons)
+
+    @pytest.mark.parametrize("workers,mode", [(1, "inprocess"), (2, "process")])
+    def test_partitioned(self, torus, workers, mode):
+        from repro.simulation.partitioned import PartitionedSimulator
+
+        loads = point_load(torus.n, discrete=True)
+        trace, halo = simulate(DiffusionBalancer(torus, mode="discrete"), loads, self.rules(),
+                               replicas=2, workers=workers, partitions="2:bfs")
+        psim = PartitionedSimulator(DiffusionBalancer(torus, mode="discrete"), partitions=2,
+                                    strategy="bfs", stopping=self.rules(), mode=mode)
+        want = psim.run(loads, replicas=2)
+        self.assert_same(trace, want.final_loads, want.rounds_vector, want.stopped_by)
+        assert halo == psim.halo_stats and halo["mode"] == mode
+
+    def test_unbatched_replicas_merge_serial_runs(self, torus, monkeypatch):
+        from repro.core.random_partner import RandomPartnerBalancer
+        from repro.simulation.ensemble import spawn_rngs
+
+        monkeypatch.setattr(RandomPartnerBalancer, "supports_batch", False)
+        loads = point_load(torus.n, discrete=False)
+        trace, halo = simulate(RandomPartnerBalancer(), loads, self.rules(), seed=4,
+                               replicas=3, partitions=2)
+        serial = [Simulator(RandomPartnerBalancer(), stopping=self.rules(), keep_snapshots=True)
+                  .run(loads, rng) for rng in spawn_rngs(4, 3)]
+        self.assert_same(trace, np.stack([t.snapshots[-1] for t in serial]),
+                         [t.rounds for t in serial], [t.stopped_by for t in serial])
+        assert halo is None
+
+    def test_sharded(self, torus):
+        from repro.core.random_partner import RandomPartnerBalancer
+        from repro.simulation.sharding import run_sharded_ensemble
+
+        loads = point_load(torus.n, discrete=True)
+        trace, halo = simulate(RandomPartnerBalancer(mode="discrete"), loads, self.rules(),
+                               seed=6, replicas=4, workers="2x")
+        want = run_sharded_ensemble(RandomPartnerBalancer(mode="discrete"), loads, seed=6,
+                                    replicas=4, workers=2, stopping=self.rules())
+        self.assert_same(trace, want.final_loads, want.rounds_vector, want.stopped_by)
+        assert halo is None
+
+    def test_one_replica_is_the_serial_run(self, torus):
+        from repro.core.random_partner import RandomPartnerBalancer
+
+        loads = point_load(torus.n, discrete=False)
+        trace, halo = simulate(RandomPartnerBalancer(), loads, self.rules(), seed=8,
+                               workers=2, record="full")
+        want = Simulator(RandomPartnerBalancer(), stopping=self.rules(),
+                         keep_snapshots=True).run(loads, 8)
+        self.assert_same(trace, want.snapshots[-1][None], [want.rounds], [want.stopped_by])
+        assert trace.replica_trace(0).summary() == want.summary()
+        assert halo is None
+
+    def test_ensemble(self, torus):
+        from repro.core.random_partner import RandomPartnerBalancer
+        from repro.simulation.ensemble import EnsembleSimulator
+
+        loads = point_load(torus.n, discrete=False)
+        trace, halo = simulate(RandomPartnerBalancer(), loads, self.rules(), seed=8, replicas=3)
+        want = EnsembleSimulator(RandomPartnerBalancer(), stopping=self.rules()).run(
+            loads, seed=8, replicas=3)
+        self.assert_same(trace, want.final_loads, want.rounds_vector, want.stopped_by)
+        assert halo is None
+
+    def test_bad_specs_rejected(self, torus):
+        loads = point_load(torus.n, discrete=False)
+        for kwargs in ({"replicas": 0}, {"workers": 0}, {"partitions": "2:metis"}):
+            with pytest.raises(ValueError):
+                simulate(DiffusionBalancer(torus), loads, self.rules(), **kwargs)

@@ -419,6 +419,25 @@ class TestMergeEnsembleTraces:
         assert np.array_equal(single.final_loads, merged.final_loads)
 
 
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_merged_totals_keep_the_loads_dtype(self, discrete):
+        """The merged trace reports every replica's exact final total in
+        the loads' dtype, as the unsharded ensemble does."""
+        from repro.graphs import generators as g
+
+        topo = g.torus_2d(4, 4)
+        loads = point_load(topo.n, total=1600, discrete=discrete)
+        mode = "discrete" if discrete else "continuous"
+        kwargs = {"seed": 0, "replicas": 4, "stopping": [MaxRounds(5)]}
+        sharded = run_sharded_ensemble(DiffusionBalancer(topo, mode=mode), loads,
+                                       workers=2, **kwargs)
+        single = EnsembleSimulator(DiffusionBalancer(topo, mode=mode),
+                                   stopping=kwargs.pop("stopping")).run(loads, **kwargs)
+        assert sharded.last_totals is not None
+        assert sharded.last_totals.dtype == single.last_totals.dtype == loads.dtype
+        assert np.array_equal(sharded.last_totals, single.last_totals)
+
+
 class TestShardedMonteCarlo:
     def test_sharded_equals_vectorized(self):
         from repro.experiments.e08_random_continuous import trial_drop_and_rounds

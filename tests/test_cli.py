@@ -208,6 +208,23 @@ class TestPartitionsFlag:
         for line in plain.strip().splitlines():
             assert line in partitioned
 
+    def test_one_replica_summary_keys_do_not_depend_on_engine(self, capsys):
+        """One replica prints the one-replica keys on every engine."""
+        base = [
+            "run", "--balancer", "diffusion", "--topology", "torus:4x4", "--rounds", "10",
+        ]
+        keys = []
+        for extra in ([], ["--partitions", "2"], ["--partitions", "2", "--workers", "2"]):
+            assert main(base + extra) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            keys.append([line.split(":", 1)[0].strip() for line in lines
+                         if not line.lstrip().startswith("partitioned")])
+        assert keys[0] == [
+            "balancer", "rounds", "phi0", "phi_final", "discrepancy_final",
+            "mean_drop_factor", "stopped_by",
+        ]
+        assert keys[1] == keys[0] and keys[2] == keys[0]
+
     def test_run_partitioned_with_replicas(self, capsys):
         rc = main([
             "run", "--balancer", "fos", "--topology", "torus:4x4",
