@@ -858,9 +858,13 @@ def _cmd_mpi_run(args: argparse.Namespace) -> int:
     if request is None:
         return 2
     bal, loads, run_opts = request
+    try:
+        part_blocks, part_strategy = parse_partitions(args.partitions)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if not _partition_capable(args, bal):
         return 2
-    part_blocks, part_strategy = parse_partitions(args.partitions)
     try:
         result = run_partitioned_mpi(
             bal, loads,

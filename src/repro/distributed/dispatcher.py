@@ -466,7 +466,10 @@ def _resolve_handles(workers, timeout, tcp_options, *, authkey=None,
 # ----------------------------------------------------------------------
 class _RemoteBlockExecutor:
     """Block executor over remote workers (the dispatcher side of the
-    :class:`~repro.simulation.partitioned.PartitionedSimulator` seam).
+    :class:`~repro.simulation.partitioned.PartitionedSimulator` seam:
+    ``run_chunk`` / ``rewind`` / ``gather`` / ``close``).  Each worker
+    forwards ``run``, ``rewind`` and ``gather`` to the blocks it hosts
+    and merges their replies.
 
     Blocks are assigned round-robin (block ``p`` → worker ``p % W``), so
     two workers can host a P=4 job.  Every job spec is shipped first and
@@ -475,15 +478,20 @@ class _RemoteBlockExecutor:
     deadlock the mesh setup.
 
     With ``checkpoint_every=N`` the executor snapshots the full load
-    matrix at round boundaries (a ``gather`` every N rounds) and keeps a
-    replay log of the ``(chunk, frozen)`` commands issued since.  When a
-    worker dies mid-chunk it reconnects to the survivors, re-places all
-    blocks over them, re-ships block state from the snapshot (payloads
-    carry ``start_round`` so dynamic topologies replay identically),
-    silently replays the logged chunks to rebuild worker-side state, and
-    re-runs the failed chunk — bit-for-bit with the serial engines,
-    because block rounds are deterministic.  Without checkpointing any
-    failure aborts the run cleanly, as before.
+    matrix at round boundaries (a ``gather`` every N committed rounds)
+    and keeps a replay log of the ``(rounds, frozen)`` chunks committed
+    since: a chunk ends at the next boundary, the snapshot waits until
+    the coordinator grants the chunk after it (by then every round
+    before the boundary is committed), and a rewound chunk is logged as
+    the ``(rounds, frozen)`` it committed.  When a worker dies mid-chunk
+    it reconnects to the survivors, re-places all blocks over them,
+    re-ships block state from the snapshot (payloads carry
+    ``start_round`` so dynamic topologies replay identically), silently
+    replays the logged chunks to rebuild worker-side state, and re-runs
+    the failed chunk — bit-for-bit with the serial engines, because
+    block rounds are deterministic.  A worker that dies during a rewind
+    needs no re-run: the replay already ends at the committed round.
+    Without checkpointing any failure aborts the run cleanly, as before.
     """
 
     def __init__(self, sim, L: np.ndarray, B: int, assignment: np.ndarray,
@@ -515,6 +523,8 @@ class _RemoteBlockExecutor:
         self.retries = 0
         self.requeued_blocks = 0
         self._round = 0
+        #: rounds the last chunk ran (what a rewind shortens)
+        self._chunk = 0
         self._ckpt_round = 0
         # Node-major snapshot the run can be rebuilt from — the initial
         # batch doubles as the round-0 checkpoint.
@@ -698,52 +708,46 @@ class _RemoteBlockExecutor:
             rec.record_span("checkpoint", t0, round=self._round)
 
     # -- executor interface (see simulation.partitioned) ---------------
-    def run_chunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
+    def run_chunk(self, rounds: int, frozen) -> list[tuple]:
         if not self.checkpoint_every:
             try:
-                out = self._run_subchunk(chunk, frozen)
+                replies = self._run_subchunk(rounds, frozen)
             except _WorkerDied as exc:
                 self._fail(exc)
-            self._round += chunk
-            return out
-        # Checkpointing: split the chunk at snapshot boundaries so the
-        # replay log stays short and recovery re-runs at most
-        # checkpoint_every rounds of real work.
-        per_round: list[list] = []
-        halo_values = 0
-        link_bytes: dict[str, int] = {}
-        remaining = chunk
-        while remaining:
-            room = self.checkpoint_every - (self._round - self._ckpt_round)
-            sub = min(remaining, room if room > 0 else self.checkpoint_every)
-            rows, hv, lb = self._guarded(
-                lambda s=sub, f=frozen: self._run_subchunk(s, f)
-            )
-            per_round.extend(rows)
-            halo_values += hv
-            for link, nbytes in lb.items():
-                link_bytes[link] = link_bytes.get(link, 0) + nbytes
-            self._replay.append((sub, frozen))
-            self._round += sub
-            remaining -= sub
+        else:
+            # The coordinator commits a chunk only when it grants the
+            # next one, so this is the first moment the snapshot round is
+            # known to be committed.  Chunks end at snapshot boundaries:
+            # a rewind never reaches behind the snapshot it rebuilds from.
             if self._round - self._ckpt_round >= self.checkpoint_every:
                 self._checkpoint()
-        return per_round, halo_values, link_bytes
+            rounds = min(rounds, self.checkpoint_every - (self._round - self._ckpt_round))
+            replies = self._guarded(lambda: self._run_subchunk(rounds, frozen))
+            self._replay.append((rounds, frozen))
+        self._round += rounds
+        self._chunk = rounds
+        return replies
 
-    def _run_subchunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
-        replies = self._ask_all(("run", chunk, frozen))
+    def rewind(self, rounds: int, frozen) -> None:
+        self._round -= self._chunk - rounds
+        if self.checkpoint_every:
+            # Log the chunk as committed, so a recovery replays it so far.
+            self._replay.pop()
+            if rounds:
+                self._replay.append((rounds, frozen))
+        try:
+            self._ask_all(("rewind", rounds, frozen))
+        except _WorkerDied as exc:
+            if not self.checkpoint_every:
+                self._fail(exc)
+            # The rebuilt mesh already stands at the committed round.
+            self._recover(exc)
+
+    def _run_subchunk(self, rounds: int, frozen) -> list[tuple]:
+        replies = self._ask_all(("run", rounds, frozen))
         by_block: dict[int, tuple] = {}
         for reply in replies:
             by_block.update(reply[1])
-        per_round = [
-            [by_block[p][0][i] for p in self.block_order] for i in range(chunk)
-        ]
-        halo_values = sum(by_block[p][1] for p in self.block_order)
-        link_bytes = {
-            f"{p}->{q}": nbytes
-            for p in self.block_order
-            for q, nbytes in by_block[p][2].items()
-        }
         if self._telemetry:
             # Merge each block's shipped phase events into this process's
             # trace, labelled with the worker that hosted the block —
@@ -753,7 +757,7 @@ class _RemoteBlockExecutor:
                 rep = by_block[p]
                 if len(rep) > 3 and rep[3]:
                     rec.ingest(rep[3], worker=self._block_host.get(p, "?"))
-        return per_round, halo_values, link_bytes
+        return [by_block[p][:3] for p in self.block_order]
 
     def gather(self) -> np.ndarray:
         if not self.checkpoint_every:

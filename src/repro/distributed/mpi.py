@@ -32,6 +32,7 @@ from repro.distributed.transport import (
     _require_mpi,
     have_mpi,
 )
+from repro.simulation.partitioned import _BlockChannels
 
 __all__ = [
     "mpi_available",
@@ -56,7 +57,7 @@ def _ctrl_channel(comm, peer_rank: int) -> MpiChannel:
     return MpiChannel(comm, peer_rank, send_tag=CTRL_TAG)
 
 
-class _MpiBlockExecutor:
+class _MpiBlockExecutor(_BlockChannels):
     """Block executor over MPI ranks (rank 0 side of the seam).
 
     Block ``p`` lives on rank ``p + 1``.  The constructor ships each
@@ -65,13 +66,14 @@ class _MpiBlockExecutor:
     so no mesh barrier is needed: halo links are plain
     ``(comm, rank, tag)`` triples that exist as soon as both ends
     construct their channel objects.  Ranks beyond
-    ``P + 1`` are told to idle out immediately.
+    ``P + 1`` are told to idle out immediately.  ``run_chunk`` /
+    ``rewind`` / ``gather`` are the shared
+    :class:`~repro.simulation.partitioned._BlockChannels` commands.
     """
 
     def __init__(self, sim, L: np.ndarray, B: int, assignment: np.ndarray, comm):
-        self.B = B
-        self.n = L.shape[0]
-        P = int(assignment.max()) + 1
+        super().__init__(L, B, assignment)
+        P = self.P
         size = comm.Get_size()
         if size < P + 1:
             # Raised before any payload ships; run_partitioned_mpi's
@@ -80,8 +82,6 @@ class _MpiBlockExecutor:
                 f"{P} blocks need {P + 1} MPI ranks (coordinator + one per "
                 f"block), got {size}; re-run under mpiexec -n {P + 1}"
             )
-        self.P = P
-        self.owned = [np.flatnonzero(assignment == p) for p in range(P)]
         self.conns = [_ctrl_channel(comm, p + 1) for p in range(P)]
         self._spare = [_ctrl_channel(comm, r) for r in range(P + 1, size)]
         for ch in self._spare:
@@ -89,38 +89,8 @@ class _MpiBlockExecutor:
         for p, ch in enumerate(self.conns):
             ch.send(("block", sim.block_job(assignment, p, L[self.owned[p]])))
 
-    def _ask_all(self, msg) -> list:
-        for c in self.conns:
-            c.send(msg)
-        replies = []
-        for p, c in enumerate(self.conns):
-            try:
-                rep = c.recv()
-            except TransportError as exc:
-                raise RuntimeError(f"block rank {p + 1} died: {exc}") from exc
-            if rep[0] == "error":
-                raise RuntimeError(f"block rank {p + 1} failed: {rep[1]}")
-            replies.append(rep)
-        return replies
-
-    # -- executor interface (see simulation.partitioned) ---------------
-    def run_chunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
-        replies = self._ask_all(("run", chunk, frozen))
-        per_round = [[rep[1][i] for rep in replies] for i in range(chunk)]
-        halo_values = sum(rep[2] for rep in replies)
-        link_bytes = {
-            f"{p}->{q}": nbytes
-            for p, rep in enumerate(replies)
-            for q, nbytes in rep[3].items()
-        }
-        return per_round, halo_values, link_bytes
-
-    def gather(self) -> np.ndarray:
-        replies = self._ask_all(("gather",))
-        full = np.empty((self.B, self.n), dtype=replies[0][1].dtype)
-        for ids, rep in zip(self.owned, replies):
-            full[:, ids] = rep[1].T
-        return full
+    def _block_label(self, p: int) -> str:
+        return f"block rank {p + 1}"
 
     def close(self) -> None:
         for c in self.conns:

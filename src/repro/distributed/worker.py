@@ -58,6 +58,7 @@ from repro.distributed.transport import (
     TransportTimeout,
     answer_challenge,
     deliver_challenge,
+    format_address,
     loopback_pair,
     parse_address,
     resolve_authkey,
@@ -169,6 +170,12 @@ class _SlabRunner:
     ``("delta", vals, idx)`` frame when that is smaller than the dense
     payload.  Snapshots reset whenever the block's :class:`BlockLocal`
     changes (dynamic topologies), falling back to dense frames.
+
+    :meth:`save` / :meth:`restore` copy out and reinstate everything a
+    round reads — both slabs, the bound :class:`BlockLocal` and the
+    delta snapshots — so a block can rewind to a chunk's start and
+    replay it; every peer rewinds to the same round, so the halo frames
+    of the replay are those of the first pass.
     """
 
     def __init__(self, peers: dict[int, Channel], *, overlap: bool = False,
@@ -215,6 +222,15 @@ class _SlabRunner:
         self._nxt = np.empty_like(cur)
         self._local = local
         self._snap = {link.peer: [None, None] for link in local.links}
+
+    def save(self) -> tuple:
+        """The state a rewind to this round restores."""
+        snap = {peer: list(pair) for peer, pair in self._snap.items()}
+        return self._local, self._cur.copy(), self._nxt.copy(), snap
+
+    def restore(self, state: tuple) -> None:
+        """Reinstate a :meth:`save` (which it consumes)."""
+        self._local, self._cur, self._nxt, self._snap = state
 
     def _post_send(self, link, owned: np.ndarray, r: int, blocking: bool) -> None:
         t0 = perf_counter()
@@ -323,11 +339,17 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
     """Persistent block worker: owns one ``(n_block, B)`` slab.
 
     Commands (from the coordinator): ``("run", rounds, frozen_mask)``
-    advances ``rounds`` rounds — halo exchange peer-to-peer, one
-    statistics partial buffered per round — then replies
-    ``("stats", rows, halo_values_sent, bytes_by_peer)`` where
-    ``bytes_by_peer`` maps peer block id to payload bytes sent over that
-    link during the chunk; ``("gather",)`` replies with the owned slab;
+    saves the chunk-start state, advances ``rounds`` rounds — halo
+    exchange peer-to-peer, one statistics partial per round — then
+    replies ``("stats", partials, halo_values, bytes_by_peer)``: the
+    partials stacked row per round (:func:`_stack_partials`), the halo
+    values this block sent in each round, and per peer block id the
+    payload bytes sent over that link in each round.
+    ``("rewind", rounds, frozen_mask)`` restores the chunk-start state
+    and replays ``rounds`` of the chunk's rounds without statistics or
+    spans, then replies ``("rewound",)``: the coordinator's stopping
+    rules fired inside the chunk, and the block returns to the round
+    they committed.  ``("gather",)`` replies with the owned slab;
     ``("stop",)`` exits.  Any exception is reported as ``("error", msg)``
     so the coordinator can fail loudly instead of hanging.
 
@@ -337,7 +359,7 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
     of the chunk reply.  ``progress``, when given, is this worker's live
     :class:`WorkerProgress` aggregate for the periodic stats frames.
     """
-    from repro.simulation.partitioned import _PartitionMemo, block_local
+    from repro.simulation.partitioned import _PartitionMemo, _stack_partials, block_local
 
     # Under the fork start method this process inherited a copy of every
     # endpoint the coordinator had created — including other blocks'.
@@ -360,38 +382,49 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
                            base={"block": job.block_id})
         runner = _SlabRunner(peers, overlap=job.overlap, delta=job.delta,
                              timeout=peer_timeout, recorder=rec)
-        L = np.ascontiguousarray(job.owned)
-        bound = False
         r = job.start_round
+
+        def local_at(r: int):
+            return block_local(parts.get(balancer.partition_topology(r)),
+                               job.block_id, resolved)
+
+        def advance(frozen):
+            nonlocal r
+            stats = runner.round(local_at(r), balancer, frozen, r,
+                                 job.want_disc, job.want_mov)
+            r += 1
+            return stats
+
+        runner.bind(local_at(r), np.ascontiguousarray(job.owned))
+        saved = None
         while True:
             msg = ctrl.recv()
             if msg[0] == "run":
                 _, nrounds, frozen = msg
+                # A one-round chunk is always committed whole: nothing
+                # to rewind to.
+                saved = (r, runner.save()) if nrounds > 1 else None
                 rows = []
-                values_before = runner.halo_values
-                sent_before = {q: ch.bytes_sent for q, ch in peers.items()}
+                values = np.zeros(nrounds, dtype=np.int64)
+                sent = {q: np.zeros(nrounds, dtype=np.int64) for q in peers}
                 chunk_t0 = time.monotonic() if progress is not None else 0.0
-                for _ in range(nrounds):
-                    topo = balancer.partition_topology(r)
-                    local = block_local(parts.get(topo), job.block_id, resolved)
-                    if not bound:
-                        runner.bind(local, L)
-                        bound = True
-                    rows.append(runner.round(local, balancer, frozen, r,
-                                             job.want_disc, job.want_mov))
-                    r += 1
+                for i in range(nrounds):
+                    values_before = runner.halo_values
+                    sent_before = {q: ch.bytes_sent for q, ch in peers.items()}
+                    rows.append(advance(frozen))
+                    values[i] = runner.halo_values - values_before
+                    for q, ch in peers.items():
+                        sent[q][i] = ch.bytes_sent - sent_before[q]
                 # Mandatory before going quiet: a peer may still be
                 # blocked on our last frame's unpumped backlog bytes.
                 runner.flush()
-                bytes_by_peer = {
-                    q: ch.bytes_sent - sent_before[q] for q, ch in peers.items()
-                }
+                reply = ("stats", _stack_partials(rows), values, sent)
                 if job.telemetry:
                     # One count per chunk (not per send — the per-link
                     # breakdown is already on the halo_send spans): ships
                     # with the events, so every ingesting recorder up the
                     # chain scrapes it as repro_halo_bytes_total.
-                    chunk_bytes = sum(bytes_by_peer.values())
+                    chunk_bytes = int(sum(b.sum() for b in sent.values()))
                     if chunk_bytes:
                         rec.count("halo_bytes", chunk_bytes)
                     events = rec.drain_events()
@@ -402,16 +435,28 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
                         grec.ingest(list(events))
                     if progress is not None:
                         progress.add_phase_totals(events)
-                    ctrl.send(("stats", rows, runner.halo_values - values_before,
-                               bytes_by_peer, events))
-                else:
-                    ctrl.send(("stats", rows, runner.halo_values - values_before,
-                               bytes_by_peer))
+                    reply += (events,)
+                ctrl.send(reply)
                 if progress is not None:
                     progress.add_rounds(nrounds, time.monotonic() - chunk_t0)
+            elif msg[0] == "rewind":
+                _, nrounds, frozen = msg
+                if saved is None:
+                    raise ValueError("rewind without a multi-round chunk to rewind")
+                r, state = saved
+                saved = None
+                runner.restore(state)
+                runner.recorder = NULL_RECORDER
+                try:
+                    for _ in range(nrounds):
+                        advance(frozen)
+                    runner.flush()
+                finally:
+                    runner.recorder = rec
+                ctrl.send(("rewound",))
             elif msg[0] == "gather":
                 # Copy: the slab view is mutated by any later run command.
-                ctrl.send(("loads", np.array(runner.owned if bound else L)))
+                ctrl.send(("loads", np.array(runner.owned)))
             elif msg[0] == "stop":
                 return
             else:  # pragma: no cover - defensive
@@ -562,6 +607,11 @@ class _JobError(RuntimeError):
     """A job failed; the worker reported it and keeps serving."""
 
 
+class _HandshakeRejected(RuntimeError):
+    """A connection's hello was refused before any job; the worker keeps
+    serving."""
+
+
 def serve(bind: str = "127.0.0.1:0", *, max_jobs: int = 0,
           timeout: float | None = 600.0, advertise: str | None = None,
           authkey: str | bytes | None = None, log=_default_log) -> int:
@@ -634,6 +684,8 @@ def serve(bind: str = "127.0.0.1:0", *, max_jobs: int = 0,
     try:
         while max_jobs <= 0 or served < max_jobs:
             ctrl = listener.accept(timeout=None)
+            # Read now: a refused stranger may be gone by the time it is logged.
+            peer = ctrl.peer_address
             remaining = None if max_jobs <= 0 else max_jobs - served
             # Mutable job counter: jobs accepted on the connection count
             # against --max-jobs even when a later one fails mid-stream,
@@ -645,6 +697,9 @@ def serve(bind: str = "127.0.0.1:0", *, max_jobs: int = 0,
                     ctrl, peer_listener, timeout, log, remaining, advertise,
                     jobs_started, authkey=key, progress=progress,
                 )
+            except _HandshakeRejected as exc:
+                who = format_address(peer) if peer else "an unknown peer"
+                log(f"worker: rejected handshake from {who}: {exc}")
             except _JobError as exc:
                 log(f"worker: job failed: {exc}")
             except TransportError as exc:
@@ -733,10 +788,13 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
         jobs_started = [0]
     if progress is None:
         progress = WorkerProgress()
-    msg = ctrl.recv_handshake(timeout)
+    try:
+        msg = ctrl.recv_handshake(timeout)
+    except TransportError as exc:
+        raise _HandshakeRejected(str(exc)) from exc
     if not (isinstance(msg, tuple) and len(msg) >= 2 and msg[0] == "hello"):
         ctrl.send(("error", f"expected hello, got {msg!r}"))
-        raise _JobError(f"bad handshake: {msg!r}")
+        raise _HandshakeRejected(f"expected hello, got {msg!r}")
     if msg[1] != PROTOCOL_VERSION:
         ctrl.send(
             ("error", f"protocol version mismatch: worker speaks {PROTOCOL_VERSION}, "
@@ -925,8 +983,9 @@ def _run_partition_job(ctrl: Channel, peer_listener: TcpListener, spec: dict,
 
     Each block runs :func:`run_block_loop` on its own thread behind a
     loopback control channel; the main thread multiplexes the dispatcher
-    connection, forwarding ``run``/``gather``/``stop`` to every block
-    and merging the per-block replies into one keyed response.
+    connection, forwarding ``run``/``rewind``/``gather``/``stop`` to
+    every block and merging the per-block replies into one keyed
+    response.
     """
     blocks = list(spec["blocks"])
     job_timeout = spec.get("timeout", timeout)
@@ -964,7 +1023,7 @@ def _run_partition_job(ctrl: Channel, peer_listener: TcpListener, spec: dict,
     try:
         while True:
             msg = ctrl.recv(job_timeout)
-            if msg[0] in ("run", "gather"):
+            if msg[0] in ("run", "rewind", "gather"):
                 for p in blocks:
                     block_ctrl[p].send(msg)
                 replies: dict[int, tuple] = {}
@@ -982,6 +1041,8 @@ def _run_partition_job(ctrl: Channel, peer_listener: TcpListener, spec: dict,
                     raise _JobError(failure)
                 if msg[0] == "run":
                     ctrl.send(("stats", {p: rep[1:] for p, rep in replies.items()}))
+                elif msg[0] == "rewind":
+                    ctrl.send(("rewound",))
                 else:
                     ctrl.send(("loads", {p: rep[1] for p, rep in replies.items()}))
             elif msg[0] == "stop":

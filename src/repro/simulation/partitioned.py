@@ -47,23 +47,29 @@ Execution modes
     hold an ``(n_block, B)`` slab — the node axis composes with the
     replica axis — and return per-round statistic *partials* (sums,
     squared sums, extrema, movement) that the coordinator combines, so
-    the full matrix never exists in one process between gathers.  When
-    the stopping rules are pure round caps the coordinator grants the
-    whole remaining budget in one command and workers free-run with
-    peer-only communication.  Load trajectories are bit-for-bit equal to
-    the global engines; *derived* statistics may differ in the last
-    float ulp (block-partial summation order), the same caveat the
-    replica-sharded path documents.
+    the full matrix never exists in one process between gathers.  The
+    coordinator grants *speculative chunks*: the workers free-run ``k``
+    rounds with peer-only communication and return ``k`` statistics
+    rows, which the coordinator checks against the stopping rules row
+    by row.  ``k`` comes from the rules' own hints — a round cap grants
+    its whole remaining budget, a potential threshold half the rounds
+    the observed geometric decay of Φ predicts — and a stop inside a
+    chunk rewinds the workers to the chunk start and replays the
+    committed rounds (:class:`_SpeculativeChunks`).  Load trajectories
+    are bit-for-bit equal to the global engines; *derived* statistics
+    may differ in the last float ulp (block-partial summation order),
+    the same caveat the replica-sharded path documents.
 
 Both modes are steppers of the one round driver every engine shares
 (:class:`~repro.simulation.ensemble.RoundEngine`): the in-process block
 loop, with its halo accounting, or a *block executor*'s chunks of
 combined statistics rows.  The executor seam is small (``run_chunk`` /
-``gather`` / ``close``): :class:`_LocalProcessExecutor` drives per-block
-processes on this host, and :mod:`repro.distributed.dispatcher` and
-:mod:`repro.distributed.mpi` plug remote executors into the **same**
-:meth:`PartitionedSimulator.run_with_executor` — one statistics combine,
-one stopping policy, any transport.
+``rewind`` / ``gather`` / ``close``): :class:`_LocalProcessExecutor`
+drives per-block processes on this host, and
+:mod:`repro.distributed.dispatcher` and :mod:`repro.distributed.mpi`
+plug remote executors into the **same**
+:meth:`PartitionedSimulator.run_with_executor` — one chunk schedule,
+one statistics combine, one stopping policy, any transport.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ from repro.distributed.transport import TransportError, make_pair
 from repro.distributed.worker import BlockJob, run_block_loop
 from repro.graphs.partition import HaloLink, Partition, make_partition, parse_partitions
 from repro.simulation.ensemble import EnsembleTrace, RoundEngine, batch_rounds, initial_batch
-from repro.simulation.stopping import MaxRounds, StoppingRule
+from repro.simulation.stopping import StoppingRule
 
 __all__ = ["BlockLocal", "PartitionedSimulator", "block_local"]
 
@@ -488,10 +494,22 @@ def _partial_stats(
     return sums, ss, disc, mov
 
 
-def _combine_stats(partials: list[tuple], n: int) -> tuple:
-    """Combine per-block partials into one global statistics row.
+def _stack_partials(rows: list[tuple]) -> tuple:
+    """One chunk's per-round partials as arrays with a leading round axis,
+    so a chunk ships a handful of arrays instead of a tuple per round."""
+    sums, ss, disc, mov = zip(*rows)
+    if disc[0] is not None:
+        disc = (np.stack([d[0] for d in disc]), np.stack([d[1] for d in disc]))
+    else:
+        disc = None
+    return np.stack(sums), np.stack(ss), disc, None if mov[0] is None else np.stack(mov)
 
-    Sums keep the loads' dtype, so integer totals stay exact.
+
+def _combine_stats(partials: list[tuple], n: int) -> tuple:
+    """Combine per-block partials into global statistics rows.
+
+    Works row-wise on stacked ``(rounds, B)`` partials; sums keep the
+    loads' dtype, so integer totals stay exact.
     """
     sums = np.sum([p[0] for p in partials], axis=0)
     ss = np.sum([p[1] for p in partials], axis=0)
@@ -508,15 +526,76 @@ def _combine_stats(partials: list[tuple], n: int) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Local process-mode block executor
+# Block executors over one control channel per block
 # ----------------------------------------------------------------------
-class _LocalProcessExecutor:
+class _BlockChannels:
+    """The executor seam over one control channel per block.
+
+    ``run_chunk(rounds, frozen)`` → one ``(partials, halo_values,
+    bytes_by_peer)`` reply per block in ascending block order, each
+    holding one row per round run (:func:`~repro.distributed.worker.run_block_loop`
+    documents the rows); ``rewind(rounds, frozen)`` returns every block
+    to the start of the last chunk and replays ``rounds`` of it;
+    ``gather()`` → replica-major ``(B, n)`` loads; ``close()``.  Shared
+    by the local process executor and :mod:`repro.distributed.mpi`;
+    subclasses open ``self.conns`` and name a block in errors.
+    """
+
+    conns: list
+
+    def __init__(self, L: np.ndarray, B: int, assignment: np.ndarray):
+        self.B = B
+        self.n = L.shape[0]
+        self.P = int(assignment.max()) + 1
+        self.owned = [np.flatnonzero(assignment == p) for p in range(self.P)]
+        self._telemetry = False
+
+    def _block_label(self, p: int) -> str:
+        raise NotImplementedError
+
+    def _ask_all(self, msg) -> list:
+        for c in self.conns:
+            c.send(msg)
+        replies = []
+        for p, c in enumerate(self.conns):
+            try:
+                rep = c.recv()
+            except TransportError as exc:
+                raise RuntimeError(f"{self._block_label(p)} died: {exc}") from exc
+            if rep[0] == "error":
+                raise RuntimeError(f"{self._block_label(p)} failed: {rep[1]}")
+            replies.append(rep)
+        return replies
+
+    def run_chunk(self, rounds: int, frozen) -> list[tuple]:
+        replies = self._ask_all(("run", rounds, frozen))
+        if self._telemetry:
+            rec = get_recorder()
+            for p, rep in enumerate(replies):
+                if len(rep) > 4 and rep[4]:
+                    rec.ingest(rep[4], worker=f"local:{p}")
+        return [rep[1:4] for rep in replies]
+
+    def rewind(self, rounds: int, frozen) -> None:
+        self._ask_all(("rewind", rounds, frozen))
+
+    def gather(self) -> np.ndarray:
+        """Assemble the replica-major ``(B, n)`` matrix from worker slabs."""
+        replies = self._ask_all(("gather",))
+        full = np.empty((self.B, self.n), dtype=replies[0][1].dtype)
+        for ids, rep in zip(self.owned, replies):
+            full[:, ids] = rep[1].T
+        return full
+
+
+class _LocalProcessExecutor(_BlockChannels):
     """``P`` per-block processes linked by transport channels.
 
     The local implementation of the block-executor seam (``run_chunk`` /
-    ``gather`` / ``close``) that :meth:`PartitionedSimulator.run_with_executor`
-    drives — the remote implementation lives in
-    :mod:`repro.distributed.dispatcher`.  Each worker process runs
+    ``rewind`` / ``gather`` / ``close``, see :class:`_BlockChannels`)
+    that :meth:`PartitionedSimulator.run_with_executor` drives — the
+    remote implementation lives in :mod:`repro.distributed.dispatcher`.
+    Each worker process runs
     :func:`repro.distributed.worker.run_block_loop` with a control
     channel back to the coordinator and a full mesh of peer channels for
     the halo exchange, all built by
@@ -530,10 +609,8 @@ class _LocalProcessExecutor:
 
     def __init__(self, sim: "PartitionedSimulator", L: np.ndarray, B: int,
                  assignment: np.ndarray):
-        self.B = B
-        self.n = L.shape[0]
-        P = int(assignment.max()) + 1
-        self.owned = [np.flatnonzero(assignment == p) for p in range(P)]
+        super().__init__(L, B, assignment)
+        P = self.P
         self._telemetry = get_recorder().enabled
 
         # Pre-build the partition and every block's operator slices in
@@ -596,44 +673,8 @@ class _LocalProcessExecutor:
         self.conns = [c for c, _ in ctrl]
         self._mesh = mesh
 
-    def _ask_all(self, msg) -> list:
-        for c in self.conns:
-            c.send(msg)
-        replies = []
-        for p, c in enumerate(self.conns):
-            try:
-                rep = c.recv()
-            except TransportError as exc:
-                raise RuntimeError(f"partition worker {p} died: {exc}") from exc
-            if rep[0] == "error":
-                raise RuntimeError(f"partition worker failed: {rep[1]}")
-            replies.append(rep)
-        return replies
-
-    # -- executor interface -------------------------------------------
-    def run_chunk(self, chunk: int, frozen) -> tuple[list[list], int, dict[str, int]]:
-        replies = self._ask_all(("run", chunk, frozen))
-        per_round = [[rep[1][i] for rep in replies] for i in range(chunk)]
-        halo_values = sum(rep[2] for rep in replies)
-        link_bytes = {
-            f"{p}->{q}": nbytes
-            for p, rep in enumerate(replies)
-            for q, nbytes in rep[3].items()
-        }
-        if self._telemetry:
-            rec = get_recorder()
-            for p, rep in enumerate(replies):
-                if len(rep) > 4 and rep[4]:
-                    rec.ingest(rep[4], worker=f"local:{p}")
-        return per_round, halo_values, link_bytes
-
-    def gather(self) -> np.ndarray:
-        """Assemble the replica-major ``(B, n)`` matrix from worker slabs."""
-        replies = self._ask_all(("gather",))
-        full = np.empty((self.B, self.n), dtype=replies[0][1].dtype)
-        for ids, rep in zip(self.owned, replies):
-            full[:, ids] = rep[1].T
-        return full
+    def _block_label(self, p: int) -> str:
+        return f"partition worker {p}"
 
     def close(self) -> None:
         for c in self.conns:
@@ -701,6 +742,9 @@ class PartitionedSimulator(RoundEngine):
     *logical frame* bytes — length prefix + header + metadata + raw
     buffer payload of the transport-independent encoding — so totals
     are identical on every channel backend and comparable across wires.
+    Process mode counts committed rounds only, so these equal a lockstep
+    run's, and adds ``chunks`` (speculative grants) and
+    ``replayed_rounds`` (rounds replayed by rewinds).
     """
 
     def __init__(
@@ -840,10 +884,14 @@ class PartitionedSimulator(RoundEngine):
         """Run through a block executor (process mode's own, or a remote one).
 
         ``executor_factory(sim, L, B, assignment)`` must return an object
-        with the executor seam (``run_chunk(chunk, frozen)`` →
-        ``(per_round_partials, halo_values, link_bytes)``, ``gather()`` →
-        replica-major loads, ``close()``).  This is the entry point the
-        multi-host dispatcher uses: chunking, statistics combine,
+        with the executor seam: ``run_chunk(rounds, frozen)`` → one
+        ``(partials, halo_values, bytes_by_peer)`` reply per block in
+        ascending block order, with one row per round run (at most
+        ``rounds``; an executor may stop a chunk early), ``rewind(rounds,
+        frozen)`` → return every block to the start of the last chunk and
+        replay ``rounds`` of it, ``gather()`` → replica-major loads, and
+        ``close()``.  This is the entry point the multi-host dispatcher
+        and the MPI runner use: the chunk schedule, statistics combine,
         stopping and conservation audits are exactly those of local
         process mode, so remote runs inherit its semantics (and its
         bit-for-bit trajectory guarantee) wholesale.
@@ -852,17 +900,34 @@ class PartitionedSimulator(RoundEngine):
         L, B = initial_batch(self.balancer, loads, replicas)
         assignment = self._resolve_assignment(L.shape[0])
         self._init_halo_stats(assignment, "process")
+        self.halo_stats.update(chunks=0, replayed_rounds=0)
         trace = self._new_trace(B)
         active = np.ones(B, dtype=bool)
         executor = executor_factory(self, L, B, assignment)
         try:
-            stepper = self._executor_rounds(executor, trace, active, L)
-            self._drive(trace, stepper, active, "partitioned")
+            chunks = _SpeculativeChunks(self, executor, trace, active)
+            self._drive(trace, chunks.rounds(L), active, "partitioned")
+            chunks.settle()
             self.halo_stats["rounds"] = trace.rounds
             trace._final_loads = executor.gather()
             return trace
         finally:
             executor.close()
+
+    def _chunk_rounds(self, trace: EnsembleTrace, active: np.ndarray) -> int:
+        """Rounds to grant the next speculative chunk.
+
+        The tightest of the stopping rules' :meth:`~repro.simulation.stopping.StoppingRule.rounds_hint`
+        values; a rule without a hint allows one eighth of the rounds
+        committed so far, so the chunks of such a run grow geometrically
+        and a stop replays at most that eighth.  Runs that keep snapshots
+        gather after every round, so they grant one round at a time.
+        """
+        if self.keep_snapshots:
+            return 1
+        cautious = trace.rounds // 8
+        hints = (rule.rounds_hint(trace, active) for rule in self.stopping)
+        return max(min(cautious if h is None else h for h in hints), 1)
 
     def _block_kernel(self, assignment: np.ndarray, B: int):
         """The in-process round: every block's step from the previous matrix."""
@@ -883,36 +948,100 @@ class PartitionedSimulator(RoundEngine):
 
         return kernel
 
-    def _executor_rounds(self, executor, trace: EnsembleTrace, active: np.ndarray,
-                         L: np.ndarray) -> Iterator[np.ndarray | None]:
-        """The executor stepper: the initial state ``L``, then each chunk's
-        rounds as combined statistics rows."""
+
+class _SpeculativeChunks:
+    """The coordinator's chunk schedule over a block executor.
+
+    :meth:`rounds` is the stepper of :meth:`RoundEngine._drive`: it
+    grants a chunk of :meth:`PartitionedSimulator._chunk_rounds` rounds,
+    and records the chunk's combined statistics rows one per step, so
+    ``_drive`` evaluates the stopping rules after every round exactly as
+    in a lockstep run.  The workers ran the chunk with the replica mask
+    of its start; once a rule stops a replica at row ``r`` the rows after it are
+    speculation with the wrong mask, so the schedule rewinds the blocks
+    to the chunk start, replays the ``r`` committed rounds and grants the
+    next chunk with the new mask.  A run that stops inside a chunk
+    leaves it open: :meth:`settle` rewinds it before the final gather.
+    The partition-capable rounds are deterministic, so the committed
+    trajectory is bit-for-bit a lockstep run's.
+
+    Halo accounting counts committed rows only: ``halo_stats`` values,
+    bytes and links equal a lockstep run's, and the ``chunks`` and
+    ``replayed_rounds`` keys count the grants and the rewound replays.
+    """
+
+    def __init__(self, sim: PartitionedSimulator, executor, trace: EnsembleTrace,
+                 active: np.ndarray):
+        self.sim = sim
+        self.executor = executor
+        self.trace = trace
+        self.active = active
+        #: the open chunk: (rows run, frozen mask, halo values per row,
+        #: link bytes per row, wait start, wait end), and its committed rows
+        self._open: tuple | None = None
+        self._committed = 0
+
+    def rounds(self, L: np.ndarray) -> Iterator[np.ndarray | None]:
+        """The executor stepper: ``L``, then one statistics row per round."""
         yield L
+        sim, trace, active = self.sim, self.trace, self.active
         n = L.shape[0]
-        cap = None
-        if all(isinstance(r, MaxRounds) for r in self.stopping) and not self.keep_snapshots:
-            # Pure round caps: no rule can fire early, so the workers
-            # free-run to the cap with no coordinator round-trips.
-            cap = min(r.rounds for r in self.stopping)
-        hs = self.halo_stats
-        rec = get_recorder()
-        traced = rec.enabled
-        done = 0
+        traced = get_recorder().enabled
         while True:
-            chunk = 1 if cap is None else max(cap - done, 1)
-            frozen = None if active.all() else ~active
-            if traced:
-                t0 = perf_counter()
-            per_round, halo_values, link_bytes = executor.run_chunk(chunk, frozen)
-            if traced:
-                rec.record_span("chunk", t0, rounds=chunk, start_round=done,
-                                engine="partitioned")
-            hs["halo_values"] += halo_values
-            hs["halo_bytes"] += sum(link_bytes.values())
-            for link, nbytes in link_bytes.items():
-                hs["links"][link] = hs["links"].get(link, 0) + nbytes
-            snapshot = executor.gather() if self.keep_snapshots else None
-            for partials in per_round:
-                trace.record_stats(*_combine_stats(partials, n), snapshot=snapshot)
+            start = active.copy()
+            frozen = None if start.all() else ~start
+            t0 = perf_counter() if traced else 0.0
+            replies = self.executor.run_chunk(sim._chunk_rounds(trace, active), frozen)
+            t1 = perf_counter() if traced else 0.0
+            (phis, sums, disc, mov), values, links = _combine_chunk(replies, n)
+            self._open = (len(values), frozen, values, links, t0, t1)
+            self._committed = 0
+            snapshot = self.executor.gather() if sim.keep_snapshots else None
+            for i in range(len(values)):
+                trace.record_stats(
+                    phis[i], sums[i], None if disc is None else disc[i],
+                    None if mov is None else mov[i], snapshot=snapshot,
+                )
+                self._committed = i + 1
                 yield None
-            done += chunk
+                if not np.array_equal(active, start):
+                    break
+            self.settle()
+
+    def settle(self) -> None:
+        """Close the open chunk: rewind the rows the run did not commit,
+        then account the committed ones."""
+        if self._open is None:
+            return
+        ran, frozen, values, links, t0, t1 = self._open
+        self._open = None
+        c = self._committed
+        replayed = 0
+        if c < ran:
+            self.executor.rewind(c, frozen)
+            replayed = c
+        hs = self.sim.halo_stats
+        hs["chunks"] += 1
+        hs["replayed_rounds"] += replayed
+        hs["halo_values"] += int(values[:c].sum())
+        for link, per_row in links.items():
+            nbytes = int(per_row[:c].sum())
+            hs["halo_bytes"] += nbytes
+            hs["links"][link] = hs["links"].get(link, 0) + nbytes
+        rec = get_recorder()
+        if rec.enabled:
+            rec.record_span("chunk", t0, t1, rounds=ran, start_round=self.trace.rounds - c,
+                            committed=c, replayed=replayed, engine="partitioned")
+
+
+def _combine_chunk(replies: list[tuple], n: int) -> tuple:
+    """One chunk's per-block replies → combined statistics rows, halo
+    values per row, and per-row byte counts keyed by directed link."""
+    stats = _combine_stats([rep[0] for rep in replies], n)
+    values = np.sum([rep[1] for rep in replies], axis=0)
+    links = {
+        f"{p}->{q}": per_row
+        for p, rep in enumerate(replies)
+        for q, per_row in rep[2].items()
+    }
+    return stats, values, links

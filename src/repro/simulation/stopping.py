@@ -15,6 +15,13 @@ a ``B``-replica ensemble they are ``(B,)`` arrays and the same
 expression is a boolean mask over replicas, evaluated without a Python
 loop.  A custom rule that returns a single verdict for a multi-replica
 trace has no batched form, and the ensemble engines refuse it.
+
+A rule may also give a ``rounds_hint``: a conservative count of rounds
+that can run before it fires for any active replica.  The partitioned
+coordinator sizes its speculative chunks from these hints; a rule
+without one (the default) makes it grow chunks cautiously.  A hint only
+sizes chunks — a stop inside a chunk is rewound exactly — so an
+optimistic hint costs replayed rounds, never a wrong trajectory.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ class StoppingRule(ABC):
         """Whether the run should end after the just-recorded round: a
         bool for one replica, a ``(B,)`` mask for an ensemble."""
 
+    def rounds_hint(self, trace, active: np.ndarray) -> int | None:
+        """Rounds that can run before this rule fires for a replica in
+        ``active``, or None when the rule cannot predict it."""
+        return None
+
     @property
     def reason(self) -> str:
         """Short label recorded in the trace when this rule fires."""
@@ -63,6 +75,10 @@ class MaxRounds(StoppingRule):
     def should_stop(self, trace):
         return trace.round_counts >= self.rounds
 
+    def rounds_hint(self, trace, active: np.ndarray) -> int:
+        """The exact remaining budget (active replicas have run every round)."""
+        return max(self.rounds - trace.rounds, 0)
+
     @property
     def reason(self) -> str:
         return f"max-rounds({self.rounds})"
@@ -76,6 +92,9 @@ class PotentialBelow(StoppingRule):
 
     def should_stop(self, trace):
         return trace.last_potentials <= self.threshold
+
+    def rounds_hint(self, trace, active: np.ndarray) -> int | None:
+        return _half_predicted_rounds(trace, active, self.threshold)
 
     @property
     def reason(self) -> str:
@@ -94,6 +113,11 @@ class PotentialFractionBelow(StoppingRule):
 
     def should_stop(self, trace):
         return trace.last_potentials <= self.eps * trace.initial_potentials
+
+    def rounds_hint(self, trace, active: np.ndarray) -> int | None:
+        return _half_predicted_rounds(
+            trace, active, self.eps * np.atleast_1d(trace.initial_potentials)[active]
+        )
 
     @property
     def reason(self) -> str:
@@ -147,6 +171,33 @@ class Stagnation(StoppingRule):
     @property
     def reason(self) -> str:
         return f"stagnation({self.patience})"
+
+
+def _half_predicted_rounds(trace, active: np.ndarray, target) -> int | None:
+    """Half the rounds the soonest active replica needs to bring its
+    potential down to ``target``, at its recently observed geometric rate.
+
+    The rate is measured over the last quarter of the run,
+    ``(Phi_t / Phi_{t-w}) ** (1 / w)`` with ``w = max(t // 4, 1)``.  A
+    potential whose decay slows down — a point load spreading over a
+    torus decays like ``1/t`` before the spectral rate of Theorems 4 and
+    6 takes over — reaches the target later than that rate predicts, so
+    chunks of half the prediction approach the stop from below.  None
+    before the first round, when some active replica's potential did not
+    fall over the window, or for a target of 0 (no geometric rate
+    reaches it).
+    """
+    t = trace.rounds
+    if t == 0:
+        return None
+    w = max(t // 4, 1)
+    tail = trace.potentials_tail(w + 1)
+    tail = tail.reshape(tail.shape[0], -1)
+    before, phi = tail[0][active], tail[-1][active]
+    if not np.all((phi > 0) & (phi < before) & (np.asarray(target) > 0)):
+        return None
+    left = w * np.log(target / phi) / np.log(phi / before)
+    return max(int(np.min(left)) // 2, 1)
 
 
 def first_satisfied(rules: Sequence[StoppingRule], trace) -> StoppingRule | None:

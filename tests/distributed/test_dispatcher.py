@@ -30,7 +30,8 @@ from repro.graphs.dynamic import EdgeSamplingDynamics
 from repro.graphs.generators import torus_2d
 from repro.simulation.engine import Simulator
 from repro.simulation.ensemble import EnsembleSimulator
-from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
+from repro.simulation.partitioned import PartitionedSimulator
+from repro.simulation.stopping import MaxRounds, PotentialFractionBelow, Stagnation
 
 ROUNDS = 20
 
@@ -153,6 +154,72 @@ class TestPartitionedDispatchParity:
         assert np.array_equal(
             np.asarray(serial._last_loads, dtype=np.int64), trace.final_loads[0]
         )
+
+
+def _staggered_batch(topo, B=4, seed=3):
+    """Discrete replicas at different load scales: each stopping rule
+    fires for them at a different round."""
+    rng = np.random.default_rng(seed)
+    return np.stack(
+        [rng.integers(0, 10 ** (3 + b), topo.n) for b in range(B)]
+    ).astype(np.int64)
+
+
+SPECULATIVE_RULES = {
+    "fraction": lambda: [PotentialFractionBelow(1e-3), MaxRounds(400)],
+    "stagnation": lambda: [Stagnation(5), MaxRounds(2_000)],
+}
+
+
+class TestSpeculativeRewind:
+    """Dispatched runs grant speculative chunks and rewind mid-chunk
+    stops over the workers' tcp links: every committed row is the
+    in-process run's, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def topo(self):
+        return torus_2d(8, 8)
+
+    def _inprocess(self, topo, rules):
+        return PartitionedSimulator(
+            DiffusionBalancer(topo, mode="discrete"), partitions=4,
+            stopping=rules,
+        ).run(_staggered_batch(topo))
+
+    @pytest.mark.parametrize("rules", sorted(SPECULATIVE_RULES))
+    def test_staggered_stops_match_inprocess(self, workers, topo, rules):
+        expected = self._inprocess(topo, SPECULATIVE_RULES[rules]())
+        trace, stats = dispatch_partitioned(
+            DiffusionBalancer(topo, mode="discrete"), _staggered_batch(topo), workers,
+            partitions=4, stopping=SPECULATIVE_RULES[rules](),
+        )
+        assert len(set(expected.rounds_vector.tolist())) > 1
+        assert np.array_equal(trace.rounds_vector, expected.rounds_vector)
+        assert trace.stopped_by == expected.stopped_by
+        assert np.array_equal(trace.final_loads, expected.final_loads)
+        assert np.array_equal(trace.potentials_matrix, expected.potentials_matrix)
+        assert stats["rounds"] == trace.rounds
+        assert stats["chunks"] < trace.rounds
+        if rules == "stagnation":
+            assert stats["replayed_rounds"] > 0
+
+    def test_halo_stats_match_lockstep(self, workers, topo, monkeypatch):
+        def run():
+            return dispatch_partitioned(
+                DiffusionBalancer(topo, mode="discrete"), _staggered_batch(topo), workers,
+                partitions=4, stopping=SPECULATIVE_RULES["stagnation"](),
+            )
+
+        speculative, spec = run()
+        monkeypatch.setattr(PartitionedSimulator, "_chunk_rounds",
+                            lambda self, trace, active: 1)
+        lockstep, lock = run()
+        assert np.array_equal(speculative.final_loads, lockstep.final_loads)
+        assert np.array_equal(speculative.rounds_vector, lockstep.rounds_vector)
+        for key in ("rounds", "halo_values", "halo_bytes", "links"):
+            assert spec[key] == lock[key], key
+        assert spec["replayed_rounds"] > 0 and lock["replayed_rounds"] == 0
+        assert lock["chunks"] == lockstep.rounds > spec["chunks"]
 
 
 class TestShardedDispatchParity:
@@ -409,12 +476,17 @@ class TestHandshakeCap:
         head = transport.HEAD_FIXED.pack(0, declared, 1 << 16)
         raw = socketlib.create_connection(parse_address(addr), timeout=10)
         try:
+            stranger = "%s:%d" % raw.getsockname()[:2]
             raw.sendall(transport._HEAD_PREFIX.pack(len(head)) + head)
             # The worker drops the connection: EOF, not a challenge.
             assert raw.recv(1) == b""
         finally:
             raw.close()
         assert any(str(declared) in line and "MAX_HANDSHAKE_BYTES" in line for line in lines)
+        # Logged as the stranger's refused hello, not a lost dispatcher.
+        refused = [line for line in lines if str(declared) in line]
+        assert refused[0].startswith(f"worker: rejected handshake from {stranger}: ")
+        assert not any("connection lost" in line for line in lines)
         topo = torus_2d(4, 4)
         _, stats = dispatch_partitioned(
             DiffusionBalancer(topo, mode="discrete"), _loads(topo, discrete=True),

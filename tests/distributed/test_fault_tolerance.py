@@ -38,7 +38,7 @@ from repro.distributed.worker import launch_worker_process
 from repro.graphs.generators import torus_2d
 from repro.simulation.engine import Simulator
 from repro.simulation.ensemble import EnsembleSimulator
-from repro.simulation.stopping import MaxRounds
+from repro.simulation.stopping import MaxRounds, Stagnation
 
 KEY = "s3cret-rendezvous"
 
@@ -272,6 +272,64 @@ class TestPartitionedCheckpointRecovery:
             assert stats["retries"] >= 1
             assert stats["requeued_blocks"] >= 1
             assert stats["checkpoint_every"] == 2_000
+        finally:
+            _reap(*procs)
+
+
+    @pytest.mark.parametrize("when", ["after-rewind", "during-rewind"])
+    def test_kill_around_a_mid_chunk_rewind(self, monkeypatch, when):
+        """A replica stops inside a speculative chunk, the blocks rewind,
+        and a worker is SIGKILLed right after (or right before) that
+        rewind.  Recovery rebuilds from the last checkpoint, whose replay
+        log holds the rewound chunk as the rounds it committed, so the
+        run stays bit-for-bit with the global engine."""
+        from repro.distributed.dispatcher import _RemoteBlockExecutor
+
+        procs, addrs = [], []
+        for _ in range(2):
+            proc, addr = spawn_worker()
+            procs.append(proc)
+            addrs.append(addr)
+        topo = torus_2d(8, 8)
+        rng = np.random.default_rng(3)
+        batch = np.stack(
+            [rng.integers(0, 10 ** (3 + b), topo.n) for b in range(3)]
+        ).astype(np.int64)
+        rules = lambda: [Stagnation(5), MaxRounds(2_000)]
+        expected = EnsembleSimulator(
+            DiffusionBalancer(topo, mode="discrete"), stopping=rules(),
+            serial_singleton=False,
+        ).run(batch.copy(), seed=0)
+        logs = []
+        real_rewind = _RemoteBlockExecutor.rewind
+
+        def rewind_then_kill(self, rounds, frozen):
+            if logs:
+                return real_rewind(self, rounds, frozen)
+            granted = self._chunk
+            if when == "after-rewind":
+                real_rewind(self, rounds, frozen)
+            procs[1].kill()
+            procs[1].wait(timeout=10)
+            if when == "during-rewind":
+                real_rewind(self, rounds, frozen)
+            logs.append((granted, rounds, list(self._replay)))
+
+        monkeypatch.setattr(_RemoteBlockExecutor, "rewind", rewind_then_kill)
+        try:
+            trace, stats = dispatch_partitioned(
+                DiffusionBalancer(topo, mode="discrete"), batch.copy(), addrs,
+                partitions=2, stopping=rules(), checkpoint_every=50, timeout=60.0,
+            )
+            granted, committed, replay = logs[0]
+            assert committed < granted
+            # The log ends with the rewound chunk, as the rounds it committed.
+            assert replay[-1][0] == committed
+            assert np.array_equal(trace.final_loads, expected.final_loads)
+            assert np.array_equal(trace.rounds_vector, expected.rounds_vector)
+            assert trace.stopped_by == expected.stopped_by
+            assert stats["retries"] >= 1
+            assert stats["requeued_blocks"] >= 1
         finally:
             _reap(*procs)
 

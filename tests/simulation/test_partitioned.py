@@ -19,7 +19,13 @@ from repro.graphs.partition import PARTITION_STRATEGIES, make_partition
 from repro.simulation.engine import Simulator
 from repro.simulation.ensemble import EnsembleSimulator
 from repro.simulation.partitioned import PartitionedSimulator, block_local
-from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
+from repro.simulation.stopping import (
+    DiscrepancyBelow,
+    MaxRounds,
+    PotentialBelow,
+    PotentialFractionBelow,
+    Stagnation,
+)
 
 ROUNDS = 25
 
@@ -632,3 +638,159 @@ class TestOverlapAndDeltaFrames:
         monkeypatch.delenv("REPRO_DELTA")
         sim = PartitionedSimulator(bal, partitions=2, mode="process")
         assert sim.overlap is False and sim.delta_frames is False
+
+
+def _staggered_batch(topo, B=4, seed=3):
+    """Discrete replicas at different load scales: each stopping rule
+    fires for them at a different round."""
+    rng = np.random.default_rng(seed)
+    return np.stack(
+        [rng.integers(0, 10 ** (3 + b), topo.n) for b in range(B)]
+    ).astype(np.int64)
+
+
+def _lockstep(monkeypatch):
+    """Force one-round chunks: the coordinator round-trip per round."""
+    monkeypatch.setattr(PartitionedSimulator, "_chunk_rounds", lambda self, trace, active: 1)
+
+
+def _log_chunks(monkeypatch):
+    """Record every grant ``(granted, rows run)`` and every rewind."""
+    from repro.simulation.partitioned import _LocalProcessExecutor
+
+    log = []
+    run_chunk, rewind = _LocalProcessExecutor.run_chunk, _LocalProcessExecutor.rewind
+
+    def logged_run(self, rounds, frozen):
+        replies = run_chunk(self, rounds, frozen)
+        log.append(("run", rounds, len(replies[0][1])))
+        return replies
+
+    def logged_rewind(self, rounds, frozen):
+        log.append(("rewind", rounds))
+        rewind(self, rounds, frozen)
+
+    monkeypatch.setattr(_LocalProcessExecutor, "run_chunk", logged_run)
+    monkeypatch.setattr(_LocalProcessExecutor, "rewind", logged_rewind)
+    return log
+
+
+def _same_run(a, b):
+    assert np.array_equal(a.rounds_vector, b.rounds_vector)
+    assert a.stopped_by == b.stopped_by
+    assert np.array_equal(a.final_loads, b.final_loads)
+    assert np.array_equal(a.potentials_matrix, b.potentials_matrix)
+    assert np.array_equal(a.load_sums_matrix, b.load_sums_matrix)
+
+
+class TestSpeculativeChunks:
+    """Process mode grants speculative chunks and rewinds mid-chunk stops;
+    every committed row is the lockstep run's, bit for bit."""
+
+    RULES = {
+        "fraction": lambda: [PotentialFractionBelow(1e-3), MaxRounds(400)],
+        "potential": lambda: [PotentialBelow(5e4), MaxRounds(400)],
+        "stagnation": lambda: [Stagnation(5), MaxRounds(2_000)],
+    }
+
+    @pytest.fixture(scope="class")
+    def topo(self):
+        return torus_2d(8, 8)
+
+    def _run(self, topo, rules, **kwargs):
+        psim = PartitionedSimulator(
+            DiffusionBalancer(topo, mode="discrete"), partitions=3, strategy="bfs",
+            stopping=rules, **kwargs,
+        )
+        return psim.run(_staggered_batch(topo)), psim
+
+    @pytest.mark.parametrize("transport", ["mp-pipe", "tcp"])
+    @pytest.mark.parametrize("rules", sorted(RULES))
+    def test_staggered_stops_match_inprocess(self, topo, rules, transport):
+        expected, _ = self._run(topo, self.RULES[rules]())
+        assert len(set(expected.rounds_vector.tolist())) > 1  # stops are staggered
+        trace, psim = self._run(topo, self.RULES[rules](), mode="process", transport=transport)
+        _same_run(expected, trace)
+        hs = psim.halo_stats
+        assert hs["rounds"] == trace.rounds
+        assert hs["chunks"] < trace.rounds  # chunks ran several rounds each
+
+    def test_stagnation_verdicts_match_lockstep(self, topo, monkeypatch):
+        speculative, psim = self._run(topo, self.RULES["stagnation"](), mode="process")
+        assert psim.halo_stats["replayed_rounds"] > 0  # stops landed mid-chunk
+        _lockstep(monkeypatch)
+        lockstep, _ = self._run(topo, self.RULES["stagnation"](), mode="process")
+        assert all(reason == "stagnation(5)" for reason in lockstep.stopped_by)
+        _same_run(lockstep, speculative)
+
+    @pytest.mark.parametrize("rules", sorted(RULES))
+    def test_each_stop_discards_and_replays_less_than_a_chunk(self, topo, rules, monkeypatch):
+        log = _log_chunks(monkeypatch)
+        _, psim = self._run(topo, self.RULES[rules](), mode="process")
+        replayed = 0
+        for prev, entry in zip(log, log[1:]):
+            if entry[0] != "rewind":
+                continue
+            _, granted, ran = prev
+            assert prev[0] == "run" and ran <= granted
+            assert 1 <= entry[1] <= granted - 1  # replayed
+            assert ran - entry[1] <= granted - 1  # discarded
+            replayed += entry[1]
+        assert replayed == psim.halo_stats["replayed_rounds"]
+        assert psim.halo_stats["chunks"] == sum(1 for e in log if e[0] == "run")
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["hinted", "fixed-7"])
+    def test_halo_stats_count_committed_rounds_only(self, topo, chunk, monkeypatch):
+        """Delta frames on: a rewind restores each link's frame snapshots,
+        so the committed rows' bytes are exactly the lockstep run's."""
+        rules = self.RULES["potential"]
+        if chunk is not None:
+            monkeypatch.setattr(PartitionedSimulator, "_chunk_rounds",
+                                lambda self, trace, active: chunk)
+        speculative, spec = self._run(topo, rules(), mode="process", delta_frames=True)
+        if chunk is not None:
+            assert spec.halo_stats["replayed_rounds"] > 0
+        _lockstep(monkeypatch)
+        lockstep, lock = self._run(topo, rules(), mode="process", delta_frames=True)
+        _same_run(lockstep, speculative)
+        keys = ("rounds", "halo_values", "halo_bytes", "links")
+        assert {k: spec.halo_stats[k] for k in keys} == {k: lock.halo_stats[k] for k in keys}
+        assert lock.halo_stats["chunks"] == lockstep.rounds
+        assert lock.halo_stats["replayed_rounds"] == 0
+
+    def test_chunk_spans_tile_the_committed_rounds(self, topo):
+        from repro.observability.recorder import Recorder, set_recorder
+
+        set_recorder(Recorder(enabled=True, role="coordinator"))
+        try:
+            trace, psim = self._run(topo, self.RULES["stagnation"](), mode="process")
+        finally:
+            events = set_recorder(None).drain_events()
+        chunks = [ev for ev in events if ev.get("name") == "chunk"]
+        assert len(chunks) == psim.halo_stats["chunks"]
+        committed = 0
+        for ev in chunks:
+            assert ev["start_round"] == committed
+            assert 1 <= ev["committed"] <= ev["rounds"]
+            assert ev["replayed"] == (ev["committed"] if ev["committed"] < ev["rounds"] else 0)
+            committed += ev["committed"]
+        assert committed == trace.rounds
+        assert sum(ev["replayed"] for ev in chunks) == psim.halo_stats["replayed_rounds"] > 0
+        assert sum(ev.get("name") == "round" for ev in events) == trace.rounds
+
+    def test_rules_without_a_hint_replay_at_most_half(self, topo):
+        trace, psim = self._run(topo, [DiscrepancyBelow(1), Stagnation(3), MaxRounds(3_000)],
+                                mode="process")
+        hs = psim.halo_stats
+        assert hs["replayed_rounds"] <= 0.5 * trace.rounds
+        assert hs["chunks"] < trace.rounds / 2
+
+    def test_round_cap_is_one_free_running_chunk(self, topo):
+        trace, psim = self._run(topo, [MaxRounds(60)], mode="process")
+        assert trace.rounds == 60
+        assert psim.halo_stats["chunks"] == 1
+        assert psim.halo_stats["replayed_rounds"] == 0
+
+    def test_snapshot_runs_grant_one_round(self, topo):
+        _, psim = self._run(topo, [MaxRounds(6)], mode="process", keep_snapshots=True)
+        assert psim.halo_stats["chunks"] == 6

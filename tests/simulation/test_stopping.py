@@ -33,24 +33,25 @@ def new_trace(kind):
     return EnsembleTrace("rules", B, record_discrepancies=True, record_movements=True)
 
 
-def record_states(kind, states):
-    """Record each ``(n,)`` state: as a vector, or repeated in ``B`` columns."""
-    t = new_trace(kind)
-    for i, x in enumerate(states):
+def record_states(kind, states, t=None):
+    """Record each ``(n,)`` state: as a vector, or repeated in ``B`` columns
+    (appended to the trace ``t`` when given)."""
+    t = new_trace(kind) if t is None else t
+    for x in states:
         if kind == "trace":
             t.record(np.asarray(x))
         else:
             t.record(np.repeat(np.asarray(x, dtype=np.float64)[:, None], B, axis=1))
-            if i:
+            if t.recorded_states > 1:
                 t.advance(np.ones(B, dtype=bool))
     return t
 
 
-def make_trace(kind, potentials):
+def make_trace(kind, potentials, t=None):
     """A trace with prescribed potentials via crafted 2-node loads."""
     # two nodes at +-sqrt(phi/2) around mean: potential exactly phi
     return record_states(kind, [[10 + np.sqrt(phi / 2), 10 - np.sqrt(phi / 2)]
-                                for phi in potentials])
+                                for phi in potentials], t)
 
 
 def verdict(rule, trace) -> bool:
@@ -155,3 +156,72 @@ class TestFirstSatisfied:
     def test_none_when_unsatisfied(self):
         tr = make_trace("trace", [100, 50])
         assert first_satisfied([PotentialBelow(1), MaxRounds(10)], tr) is None
+
+
+def all_active(trace):
+    return np.ones(1 if isinstance(trace, Trace) else B, dtype=bool)
+
+
+def rows_trace(rows):
+    """A two-replica trace recording prescribed potential rows."""
+    t = EnsembleTrace("rules", 2)
+    for i, row in enumerate(rows):
+        t.record_stats(np.asarray(row, dtype=np.float64), np.zeros(2))
+        if i:
+            t.advance(np.ones(2, dtype=bool))
+    return t
+
+
+class TestRoundsHint:
+    """Chunk-size hints: exact for round caps, conservative for potentials."""
+
+    def test_max_rounds_gives_the_remaining_budget(self, kind):
+        tr = make_trace(kind, [100, 50, 25, 12])
+        assert MaxRounds(10).rounds_hint(tr, all_active(tr)) == 7
+        assert MaxRounds(3).rounds_hint(tr, all_active(tr)) == 0
+
+    def test_potential_rules_give_half_the_predicted_rounds(self, kind):
+        # Phi halves every round; the target 1.0 is log2(125) ~ 6.97 rounds away.
+        tr = make_trace(kind, [1000, 500, 250, 125])
+        assert PotentialBelow(1.0).rounds_hint(tr, all_active(tr)) == 3
+        assert PotentialFractionBelow(1e-3).rounds_hint(tr, all_active(tr)) == 3
+
+    @pytest.mark.parametrize("potentials,rule", [
+        ([1000], PotentialBelow(1.0)),  # no round observed yet
+        ([1000, 1000, 1000], PotentialBelow(1.0)),  # no decay over the window
+        ([1000, 500, 250], PotentialBelow(0.0)),  # no geometric rate reaches 0
+    ])
+    def test_no_prediction(self, kind, potentials, rule):
+        tr = make_trace(kind, potentials)
+        assert rule.rounds_hint(tr, all_active(tr)) is None
+
+    def test_rules_without_a_prediction(self, kind):
+        tr = make_trace(kind, [1000, 500, 250])
+        assert DiscrepancyBelow(1.0).rounds_hint(tr, all_active(tr)) is None
+        assert Stagnation(3).rounds_hint(tr, all_active(tr)) is None
+
+    def test_soonest_active_replica_decides(self):
+        tr = rows_trace([[1000, 1000], [500, 100], [250, 10]])
+        both = np.array([True, True])
+        slow_only = np.array([True, False])
+        rule = PotentialBelow(1.0)
+        # Replica 1 falls 10x a round: 1 round left; replica 0 needs ~8.
+        assert rule.rounds_hint(tr, both) == 1
+        assert rule.rounds_hint(tr, slow_only) == 3
+
+    @pytest.mark.parametrize("rule", [PotentialBelow(1.0), PotentialFractionBelow(1e-4)])
+    def test_decelerating_potential_is_approached_from_below(self, kind, rule):
+        """Chunks sized by the hint never pass the stop of a potential
+        whose decay slows down (a point load spreading: Phi ~ 1/t)."""
+        series = [1000.0 / (1 + t) for t in range(20_000)]
+        stop = next(t for t, phi in enumerate(series)
+                    if phi <= getattr(rule, "threshold", 1e-4 * series[0]))
+        tr = make_trace(kind, series[:1])
+        t = chunks = 0
+        while t < stop:
+            k = rule.rounds_hint(tr, all_active(tr)) or 1
+            assert t + k <= stop, (t, k, stop)
+            make_trace(kind, series[t + 1 : t + k + 1], tr)
+            t += k
+            chunks += 1
+        assert chunks < 60

@@ -250,6 +250,25 @@ class TestPartitionsFlag:
         assert rc == 2
         assert "partitions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["nope", "0", "4:metis"])
+    def test_mpi_run_bad_partitions_spec_errors_like_run(self, capsys, monkeypatch, spec):
+        """mpi-run refuses a bad --partitions spec with run's exit 2 and
+        message, before anything reaches MPI (stubbed: no mpi4py needed)."""
+        import repro.distributed.mpi as mpi_mod
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a bad spec must be refused before the MPI run")
+
+        monkeypatch.setattr(mpi_mod, "mpi_available", lambda: True)
+        monkeypatch.setattr(mpi_mod, "run_partitioned_mpi", unreachable)
+        common = ["--balancer", "diffusion", "--topology", "torus:4x4",
+                  "--rounds", "5", "--partitions", spec]
+        assert main(["run", *common]) == 2
+        expected = capsys.readouterr().err
+        assert main(["mpi-run", *common]) == 2
+        assert capsys.readouterr().err == expected
+        assert "partition" in expected
+
     def test_run_zero_partitions_errors(self, capsys):
         rc = main([
             "run", "--balancer", "diffusion", "--topology", "torus:4x4",
