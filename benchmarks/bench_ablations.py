@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the implementation's main design choices.
 
 A1 — damping constant: the paper's ``4 max(d_i, d_j)`` versus the
      aggressive ``max(d_i, d_j) + 1`` (Cybenko-style) and the overly

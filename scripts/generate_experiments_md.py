@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regenerate EXPERIMENTS.md from the live experiment suite.
 
-Runs all thirteen experiments with their default (paper-scale)
+Runs all seventeen experiments with their default (paper-scale)
 configurations and writes the measured tables, each prefaced with the
 paper's stated claim, so the document is always the current
 paper-vs-measured record.
@@ -33,7 +33,7 @@ reproduces one *stated result*: "paper" is the stated bound/constant,
 exactly which column must satisfy what for the claim to hold.  Every
 check is also asserted by `pytest benchmarks/ --benchmark-only`.
 
-Scope notes (see DESIGN.md for the full inventory):
+Scope notes:
 
 - Bounds hold as *upper* bounds; measured/bound ratios of 0.2-0.5 are the
   norm — the paper's constants are not tight, and the tables make the
@@ -82,7 +82,7 @@ def main(out_path: str | None = None) -> int:
         parts.append(CLAIMS[eid])
         parts.append("")
         parts.append(table.to_markdown())
-        parts.append(f"\n_regenerated in {elapsed:.1f}s by `repro-lb experiment {eid}`_")
+        parts.append(f"\n_regenerate with `repro-lb experiment {eid}`_")
         print(f"{eid}: done in {elapsed:.1f}s")
     out.write_text("\n".join(parts) + "\n")
     print(f"wrote {out}")

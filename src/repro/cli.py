@@ -57,7 +57,7 @@ from repro.core.protocols import get_balancer, registered_balancers
 from repro.graphs.generators import FAMILIES, by_name
 from repro.graphs.partition import parse_partitions
 from repro.graphs.spectral import lambda_2, spectral_profile
-from repro.simulation.engine import Simulator, simulate
+from repro.simulation.engine import simulate
 from repro.simulation.initial import GENERATORS, make_loads
 from repro.simulation.sharding import parse_workers
 from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
@@ -590,9 +590,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         bal = get_balancer(name, topo)
         rng = np.random.default_rng(args.seed)
         loads = make_loads("point", topo.n, rng=rng, discrete=bal.mode == "discrete")
-        sim = Simulator(bal, stopping=[PotentialFractionBelow(args.eps), MaxRounds(args.max_rounds)])
-        trace = sim.run(loads, args.seed)
-        s = trace.summary()
+        rules = [PotentialFractionBelow(args.eps), MaxRounds(args.max_rounds)]
+        s = _run_summary(simulate(bal, loads, rules, seed=args.seed)[0])
         table.add_row(name, s["rounds"], s["phi_final"], s["mean_drop_factor"], s["stopped_by"])
     print(table.to_text())
     return 0

@@ -16,12 +16,10 @@ import numpy as np
 
 from repro.core.protocols import Balancer
 from repro.graphs import generators
-from repro.graphs.spectral import lambda_2
 from repro.graphs.topology import Topology
-from repro.simulation.engine import Simulator
-from repro.simulation.ensemble import EnsembleSimulator, EnsembleTrace
+from repro.simulation.engine import simulate
 from repro.simulation.stopping import MaxRounds, PotentialBelow, PotentialFractionBelow
-from repro.simulation.trace import Trace
+from repro.simulation.trace import EnsembleTrace, Trace
 
 __all__ = [
     "standard_suite",
@@ -62,6 +60,12 @@ def small_suite(seed: int = SEED) -> list[Topology]:
     ]
 
 
+def _one_run(balancer: Balancer, loads: np.ndarray, rule, max_rounds: int, seed: int) -> Trace:
+    """One run until ``rule`` fires (or the safety cap), every statistic recorded."""
+    trace, _ = simulate(balancer, loads, [rule, MaxRounds(max_rounds)], seed=seed, record="full")
+    return trace.replica_trace(0)
+
+
 def run_to_fraction(
     balancer: Balancer,
     loads: np.ndarray,
@@ -70,8 +74,7 @@ def run_to_fraction(
     seed: int = SEED,
 ) -> Trace:
     """Run until ``Phi <= eps * Phi_0`` (or the safety cap)."""
-    sim = Simulator(balancer, stopping=[PotentialFractionBelow(eps), MaxRounds(max_rounds)])
-    return sim.run(loads, seed)
+    return _one_run(balancer, loads, PotentialFractionBelow(eps), max_rounds, seed)
 
 
 def run_to_threshold(
@@ -82,8 +85,7 @@ def run_to_threshold(
     seed: int = SEED,
 ) -> Trace:
     """Run until ``Phi <= threshold`` (or the safety cap)."""
-    sim = Simulator(balancer, stopping=[PotentialBelow(threshold), MaxRounds(max_rounds)])
-    return sim.run(loads, seed)
+    return _one_run(balancer, loads, PotentialBelow(threshold), max_rounds, seed)
 
 
 def ensemble_to_fraction(
@@ -96,15 +98,12 @@ def ensemble_to_fraction(
 ) -> EnsembleTrace:
     """Ensemble-path :func:`run_to_fraction`: ``replicas`` lockstep runs.
 
-    Every scheme the experiments compare now implements ``step_batch``,
-    so stochastic baselines replicate over per-replica RNG streams in one
-    engine pass instead of a serial loop (``replicas=1`` dispatches to
-    the serial engine — deterministic schemes need no replication).
+    Stochastic baselines replicate over per-replica RNG streams in one
+    engine pass (``replicas=1`` is one run on ``default_rng(seed)`` —
+    deterministic schemes need no replication).
     """
-    ens = EnsembleSimulator(
-        balancer, stopping=[PotentialFractionBelow(eps), MaxRounds(max_rounds)]
-    )
-    return ens.run(loads, seed=seed, replicas=replicas)
+    rules = [PotentialFractionBelow(eps), MaxRounds(max_rounds)]
+    return simulate(balancer, loads, rules, seed=seed, replicas=replicas)[0]
 
 
 def median_rounds_to_fraction(trace: EnsembleTrace, eps: float) -> float | None:

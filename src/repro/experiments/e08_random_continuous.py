@@ -22,7 +22,7 @@ Monte-Carlo over independent runs from a point load:
 
 The replications run through the vectorized Monte-Carlo backend by
 default: all trials advance in lockstep through one
-:class:`~repro.simulation.ensemble.EnsembleSimulator` (per-trial load
+:func:`~repro.simulation.engine.simulate` ensemble (per-trial load
 trajectories identical to the serial loop, which remains available via
 ``workers=1``).
 """
@@ -38,7 +38,7 @@ from repro.core.bounds import theorem12_rounds, theorem12_success_probability
 from repro.core.potential import potential
 from repro.core.random_partner import RandomPartnerBalancer, partner_round_continuous
 from repro.experiments.common import SEED
-from repro.simulation.ensemble import EnsembleSimulator
+from repro.simulation.engine import simulate
 from repro.simulation.initial import point_load
 from repro.simulation.montecarlo import monte_carlo
 from repro.simulation.stopping import MaxRounds, PotentialBelow
@@ -94,11 +94,8 @@ class _DropAndRoundsTrial:
         phi = potential(loads)
         target = math.exp(-c)
         t_bound = int(math.ceil(120.0 * c * math.log(phi)))
-        ens = EnsembleSimulator(
-            RandomPartnerBalancer(),
-            stopping=[PotentialBelow(target), MaxRounds(max_rounds)],
-        )
-        trace = ens.run(loads, seed=rngs)
+        rules = [PotentialBelow(target), MaxRounds(max_rounds)]
+        trace, _ = simulate(RandomPartnerBalancer(), loads, rules, seed=rngs, replicas=len(rngs))
         per_trial = [
             _metrics_from_potentials(trace.replica_potentials(b), target, t_bound)
             for b in range(len(rngs))

@@ -33,7 +33,7 @@ from repro.core.bounds import (
 from repro.core.potential import potential
 from repro.core.random_partner import RandomPartnerBalancer, partner_round_discrete
 from repro.experiments.common import SEED
-from repro.simulation.ensemble import EnsembleSimulator
+from repro.simulation.engine import simulate
 from repro.simulation.initial import point_load
 from repro.simulation.montecarlo import monte_carlo
 from repro.simulation.stopping import MaxRounds, PotentialBelow
@@ -80,11 +80,10 @@ class _DiscretePartnerTrial:
         threshold = 3200.0 * n
         phi = potential(loads)
         t_bound = int(math.ceil(240.0 * c * math.log(phi / threshold))) if phi > threshold else 0
-        ens = EnsembleSimulator(
-            RandomPartnerBalancer(mode="discrete"),
-            stopping=[PotentialBelow(threshold), MaxRounds(max_rounds)],
+        rules = [PotentialBelow(threshold), MaxRounds(max_rounds)]
+        trace, _ = simulate(
+            RandomPartnerBalancer(mode="discrete"), loads, rules, seed=rngs, replicas=len(rngs)
         )
-        trace = ens.run(loads, seed=rngs)
         per_trial = [
             _metrics_from_potentials(trace.replica_potentials(b), threshold, t_bound)
             for b in range(len(rngs))

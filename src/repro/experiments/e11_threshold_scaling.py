@@ -36,7 +36,7 @@ from repro.core.diffusion import DiffusionBalancer
 from repro.experiments.common import SEED
 from repro.graphs.generators import random_regular
 from repro.graphs.spectral import lambda_2
-from repro.simulation.engine import Simulator
+from repro.simulation.engine import simulate
 from repro.simulation.initial import point_load
 from repro.simulation.stopping import MaxRounds, Stagnation
 
@@ -63,12 +63,9 @@ def run(
         topo = random_regular(n, degree, rng=rng)
         lam2 = lambda_2(topo)
         loads = point_load(topo.n, total=1000 * n, discrete=True)
-        sim = Simulator(
-            DiffusionBalancer(topo, mode="discrete"),
-            stopping=[Stagnation(patience=20), MaxRounds(max_rounds)],
-        )
-        trace = sim.run(loads, seed)
-        phi_stall = trace.last_potential
+        rules = [Stagnation(patience=20), MaxRounds(max_rounds)]
+        trace, _ = simulate(DiffusionBalancer(topo, mode="discrete"), loads, rules, seed=seed)
+        phi_stall = trace.last_potentials
         linear = theorem6_threshold(n, degree, lam2).value
         quadratic = float(degree**2) * n * n  # [MGS98]-scale threshold at eps=1
         table.add_row(

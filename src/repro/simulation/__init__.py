@@ -5,8 +5,10 @@
 - :mod:`repro.simulation.stopping` — declarative stopping criteria;
 - :mod:`repro.simulation.trace` — per-round records and convergence-time
   extraction;
-- :mod:`repro.simulation.engine` — the serial engine, and :func:`simulate`,
-  the one engine choice for a local run request;
+- :mod:`repro.simulation.engine` — :func:`simulate`, the one entry point
+  for a local run request (it picks the engine), and its one-replica
+  forms :class:`Simulator` and :func:`run_balancer`, which return a
+  :class:`Trace`;
 - :mod:`repro.simulation.ensemble` — the batched lockstep engine running
   whole replica ensembles through one vectorized round loop;
 - :mod:`repro.simulation.superstep` — the BSP / message-passing substrate

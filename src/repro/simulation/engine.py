@@ -1,32 +1,31 @@
-"""The serial engine: one replica, one load vector, one ``step`` per round.
+"""The one entry point for a local run: :func:`simulate`.
 
-`Simulator` wires a :class:`~repro.core.protocols.Balancer` to an initial
-load vector, a list of stopping rules and an RNG, and produces a
-:class:`~repro.simulation.trace.Trace`, the one-replica view of the
-record type every engine shares.  Its stepper is one ``step`` plus
-``record``; everything else a round does — monitor, conservation audit,
-stopping rules, ``round`` span — is the round driver of
-:class:`~repro.simulation.ensemble.RoundEngine`, which every engine
-shares, so the balancers stay pure round kernels.  The serial stepper
-works for every balancer, batched or not, and keeps its one replica in
-scalars: the trace's rows are floats, the stopping rules return bools
-and the audit compares one total.
-
-Determinism: a run is fully determined by ``(balancer, loads, seed)``.
-The RNG handed to the balancer each round is a single generator advanced
-across rounds (not reseeded), matching how a long-lived distributed
-system would consume randomness.
-
-:func:`simulate` picks the engine for a local run request; the CLI's
-``run`` and every sweep cell call it, so one request gets one engine on
-both.  ``partitions > 1`` on a partition-capable scheme runs the
+:func:`simulate` picks the engine for a local run request.  The CLI's
+``run`` and ``compare``, every sweep cell and every experiment call it
+(or one of its one-replica forms below), so one request gets one engine
+everywhere.  ``partitions > 1`` on a partition-capable scheme runs the
 :class:`~repro.simulation.partitioned.PartitionedSimulator` (process
 mode when ``workers > 1``); several replicas of a scheme without a
 batched kernel run one at a time and merge; several replicas with
 ``workers > 1`` are sharded over a process pool; anything else is one
 :class:`~repro.simulation.ensemble.EnsembleSimulator` run.  One replica
-draws its rounds from ``np.random.default_rng(seed)``, the stream of
-``Simulator.run(loads, seed)``; ``B`` replicas from ``spawn_rngs(seed, B)``.
+draws its rounds from ``np.random.default_rng(seed)``; ``B`` replicas
+from ``spawn_rngs(seed, B)``; explicit generators are used as given.
+
+The one-replica forms return a :class:`~repro.simulation.trace.Trace`,
+the one-replica view of the record type every engine shares, with every
+statistic recorded:
+
+- :class:`Simulator` wires a :class:`~repro.core.protocols.Balancer` to
+  a list of stopping rules and runs :func:`simulate`'s one-replica
+  branch — one ``step`` per round on the serial stepper of the shared
+  round driver, which works for every balancer, batched or not;
+- :func:`run_balancer` runs a fixed number of rounds.
+
+Determinism: a run is fully determined by ``(balancer, loads, seed)``.
+The RNG handed to the balancer each round is a single generator advanced
+across rounds (not reseeded), matching how a long-lived distributed
+system would consume randomness.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro.core.protocols import Balancer
 from repro.graphs.partition import parse_partitions
-from repro.simulation.ensemble import EnsembleSimulator, RoundEngine, serial_rounds, spawn_rngs
+from repro.simulation.ensemble import EnsembleSimulator, replica_rngs
 from repro.simulation.partitioned import PartitionedSimulator
 from repro.simulation.sharding import merge_ensemble_traces, parse_workers, run_sharded_ensemble
 from repro.simulation.stopping import MaxRounds, StoppingRule
@@ -46,11 +45,12 @@ from repro.simulation.trace import EnsembleTrace, Trace
 __all__ = ["Simulator", "run_balancer", "simulate"]
 
 
-class Simulator(RoundEngine):
-    """Run a balancer until a stopping rule fires.
+class Simulator(EnsembleSimulator):
+    """Run a balancer until a stopping rule fires: :func:`simulate`'s
+    one-replica run, read back as a :class:`Trace`.
 
     Parameters are those of :class:`~repro.simulation.ensemble.RoundEngine`;
-    the serial trace always records every statistic.
+    the trace always records every statistic (``record="full"``).
     """
 
     def __init__(
@@ -63,17 +63,14 @@ class Simulator(RoundEngine):
         backend: str | None = None,
     ) -> None:
         super().__init__(
-            balancer, stopping, keep_snapshots=keep_snapshots,
+            balancer, stopping, record="full", keep_snapshots=keep_snapshots,
             check_conservation=check_conservation, cons_tol=cons_tol, backend=backend,
         )
 
     def run(self, loads: np.ndarray, seed: int | np.random.Generator = 0) -> Trace:
         """Execute rounds until a rule fires; returns the trace."""
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        self.balancer.reset()
-        trace = Trace(balancer_name=self.balancer.name, keep_snapshots=self.keep_snapshots)
-        self._drive(trace, serial_rounds(self.balancer, trace, self.balancer.validate_loads(loads), rng))
-        return trace
+        return super().run(loads, seed=[rng]).replica_trace(0)
 
 
 def run_balancer(
@@ -109,7 +106,7 @@ def simulate(
     loads: np.ndarray,
     stopping: Sequence[StoppingRule] | None = None,
     *,
-    seed: int = 0,
+    seed: int | np.random.Generator | Sequence[np.random.Generator] = 0,
     replicas: int = 1,
     workers: int | str = 1,
     partitions: int | str = 1,
@@ -118,7 +115,9 @@ def simulate(
     """Run one request on the engine the module docstring's rules pick.
 
     ``loads`` is a shared ``(n,)`` vector or ``(replicas, n)`` states;
-    ``workers`` and ``partitions`` take the specs of ``parse_workers`` and
+    ``seed`` is a root seed, or the run's generators: one, or one per
+    replica (as a Monte-Carlo ``run_batch`` receives them).  ``workers``
+    and ``partitions`` take the specs of ``parse_workers`` and
     ``parse_partitions``.  Returns ``(trace, halo_stats)``; only the
     partitioned engine has ``halo_stats``, every other path gives None.
     """
@@ -126,13 +125,15 @@ def simulate(
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     processes, _ = parse_workers(workers)
     blocks, strategy = parse_partitions(partitions)
+    if replicas == 1 and isinstance(seed, (int, np.integer)):
+        seed = np.random.default_rng(seed)
+    rngs = replica_rngs(seed, replicas, loads)
     if blocks > 1 and getattr(balancer, "supports_partition", False):
         psim = PartitionedSimulator(
             balancer, partitions=blocks, strategy=strategy, stopping=stopping, record=record,
             mode="process" if processes > 1 else "inprocess",
         )
         return psim.run(loads, replicas=replicas), psim.halo_stats
-    rngs = [np.random.default_rng(seed)] if replicas == 1 else spawn_rngs(seed, replicas)
     batched = getattr(balancer, "supports_batch", False)
     if replicas > 1 and processes > 1 and batched:
         return run_sharded_ensemble(

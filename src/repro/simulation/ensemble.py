@@ -6,8 +6,7 @@ conservation audit, stopping rules and ``round`` span, plus the shared
 constructor (``MaxRounds`` safety net, ``record`` policy, backend
 pinning).  Each engine supplies only a *stepper*, an iterator that
 advances its state one round per item and records it: serial ``step``
-(:class:`~repro.simulation.engine.Simulator`), ``step_batch`` here, or
-the block loop and block executors of
+and ``step_batch`` here, or the block loop and block executors of
 :class:`~repro.simulation.partitioned.PartitionedSimulator`.
 
 :class:`EnsembleSimulator` verifies the paper's probabilistic results
@@ -36,13 +35,14 @@ Every engine records into one type,
 :class:`~repro.simulation.trace.EnsembleTrace` (re-exported here);
 the serial :class:`~repro.simulation.trace.Trace` is its one-replica
 view.  A one-replica ensemble runs the serial stepper straight into its
-own trace, whose rows are then scalars, so its round stays as cheap as
-a serial one.  Recorded statistics are computed once per round across
-the whole batch.  ``record="auto"`` keeps the throughput-critical
-minimum (potentials and load sums, plus discrepancies when a
-discrepancy rule is installed); ``record="full"`` adds discrepancies and
-per-round net movement, matching everything a serial :class:`Trace`
-records.  Derived statistics of a batch may differ from the serial ones
+own trace, whose rows are then scalars.  It is the only driver of a
+local one-replica run: :class:`~repro.simulation.engine.Simulator` is
+this run with ``record="full"``.  Recorded statistics are computed once
+per round across the whole batch.  ``record="auto"`` keeps the
+throughput-critical minimum (potentials and load sums, plus
+discrepancies when a discrepancy rule is installed); ``record="full"``
+adds discrepancies and per-round net movement, matching everything a
+serial :class:`Trace` records.  Derived statistics of a batch may differ from the serial ones
 in the last float ulp (different summation order); recorded *loads*
 never do.
 """
@@ -108,8 +108,8 @@ def replica_rngs(seed, replicas: int | None, loads) -> list[np.random.Generator]
 
     With ``replicas`` None the count comes from the generators, or from
     ``loads`` (its ``(B, n)`` rows; one replica for a shared ``(n,)``
-    vector).  Shared by the ensemble engine and the shard planner so
-    their seeding cannot drift.
+    vector).  Shared by the ensemble engine, the shard planner and
+    ``simulate`` so their seeding cannot drift.
     """
     if isinstance(seed, (int, np.integer)):
         if replicas is None:
@@ -320,8 +320,8 @@ class EnsembleSimulator(RoundEngine):
         else:
             if not getattr(self.balancer, "supports_batch", False):
                 raise TypeError(
-                    f"{self.balancer.name} has no batched kernel; use Simulator "
-                    "(the serial B=1 engine) instead"
+                    f"{self.balancer.name} has no batched kernel; use "
+                    "simulate(..., replicas=B), which merges one-replica runs"
                 )
             active = np.ones(B, dtype=bool)
 

@@ -359,7 +359,8 @@ class EnsembleTrace:
         The replica trace records what this one did: a series that was
         not recorded raises the same "not recorded" ``ValueError`` here.
         Load snapshots are attached when ``keep_snapshots`` was set, and
-        :attr:`last_totals` reads the replica's final loads.
+        :attr:`final_loads` (shape ``(1, n)``) and :attr:`last_totals`
+        read the replica's final loads.
         """
         upto = self.replica_rounds(b) + 1
         t = Trace(balancer_name=self.balancer_name, keep_snapshots=self.keep_snapshots,
@@ -375,7 +376,8 @@ class EnsembleTrace:
         if self.keep_snapshots:
             t._snapshots = [snap[b] for snap in self.snapshots[:upto]]
         if self._final_loads is not None:
-            t._last_loads = self._final_loads[b]
+            t._final_loads = self._final_loads[b : b + 1]
+            t._last_loads = t._final_loads[0]
         return t
 
     def summary(self) -> dict[str, float | int | str]:

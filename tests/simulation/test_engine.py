@@ -41,6 +41,16 @@ class TestBasicRun:
         sim.run(point_load(torus.n, discrete=False), 0)
         assert bal.state.round == 5  # reset, then 5 fresh rounds
 
+    def test_trace_has_final_loads(self, torus):
+        loads = point_load(torus.n, discrete=True)
+        trace = Simulator(DiffusionBalancer(torus, mode="discrete"), stopping=[MaxRounds(6)],
+                          keep_snapshots=True).run(loads, 0)
+        assert trace.final_loads.shape == (1, torus.n)
+        assert np.array_equal(trace.final_loads[0], trace.snapshots[-1])
+        assert trace.last_totals == loads.sum()
+        short = run_balancer(DiffusionBalancer(torus), point_load(torus.n, discrete=False), 2)
+        assert short.final_loads.shape == (1, torus.n)
+
     def test_seed_accepts_generator(self, torus):
         bal = DiffusionBalancer(torus)
         rng = np.random.default_rng(3)
@@ -242,6 +252,23 @@ class TestSimulate:
             loads, seed=8, replicas=3)
         self.assert_same(trace, want.final_loads, want.rounds_vector, want.stopped_by)
         assert halo is None
+
+    def test_seed_takes_generators(self, torus):
+        from repro.core.random_partner import RandomPartnerBalancer
+        from repro.simulation.ensemble import spawn_rngs
+
+        loads = point_load(torus.n, discrete=False)
+        want, _ = simulate(RandomPartnerBalancer(), loads, self.rules(), seed=8, replicas=3)
+        got, _ = simulate(RandomPartnerBalancer(), loads, self.rules(),
+                          seed=spawn_rngs(8, 3), replicas=3)
+        self.assert_same(got, want.final_loads, want.rounds_vector, want.stopped_by)
+        one, _ = simulate(RandomPartnerBalancer(), loads, self.rules(), seed=8)
+        gen, _ = simulate(RandomPartnerBalancer(), loads, self.rules(),
+                          seed=np.random.default_rng(8))
+        self.assert_same(gen, one.final_loads, one.rounds_vector, one.stopped_by)
+        with pytest.raises(ValueError, match="2 generators for 3 replicas"):
+            simulate(RandomPartnerBalancer(), loads, self.rules(), seed=spawn_rngs(8, 2),
+                     replicas=3)
 
     def test_bad_specs_rejected(self, torus):
         loads = point_load(torus.n, discrete=False)

@@ -4,6 +4,8 @@ These use reduced configurations (small graphs, few trials) so the whole
 file runs in seconds; the benchmarks run the full defaults.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,24 @@ class TestRegistry:
         # 13 paper experiments + extensions (E14, E15) + analysis (E16)
         # + systems view (E17).
         assert sorted(EXPERIMENTS) == [f"e{i:02d}" for i in range(1, 18)]
+
+
+def _record_section(eid: str) -> str:
+    """One experiment's section of the committed EXPERIMENTS.md."""
+    record = (Path(__file__).resolve().parents[1] / "EXPERIMENTS.md").read_text()
+    _, found, rest = record.partition(f"\n## {eid.upper()}\n")
+    assert found, f"EXPERIMENTS.md has no {eid.upper()} section"
+    return rest.split("\n---\n", 1)[0]
+
+
+class TestCommittedRecord:
+    """The committed paper-vs-measured record matches what the code measures."""
+
+    def test_e01_matches_regenerated_table(self):
+        table = EXPERIMENTS["e01"]()
+        assert all(v is True for v in table.column("within_bound"))
+        # Title, header, every row and the claim note, as committed.
+        assert table.to_markdown() in _record_section("e01")
 
 
 class TestE01Theorem4:
