@@ -32,8 +32,19 @@ Quickstart::
     print(trace.summary())
 """
 
-from repro import analysis, baselines, core, extensions, graphs, simulation
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = ["analysis", "baselines", "core", "extensions", "graphs", "simulation", "__version__"]
+#: Subpackages, imported on first attribute access (PEP 562) so that
+#: ``import repro.<module>`` loads only what that module needs — a
+#: ``repro-lb worker`` never pays for the analysis or experiment stack.
+_SUBPACKAGES = ("analysis", "baselines", "core", "extensions", "graphs", "simulation")
+
+__all__ = [*_SUBPACKAGES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

@@ -44,23 +44,13 @@ import sys
 
 import numpy as np
 
-from repro.analysis.reporting import Table
-from repro.core.bounds import (
-    theorem4_rounds,
-    theorem6_rounds,
-    theorem6_threshold,
-    theorem12_rounds,
-    theorem14_threshold,
-)
-from repro.core.potential import potential
+# Only what the parser and the shared request helpers need is imported
+# here; each command imports the rest itself, so ``repro-lb worker`` never
+# loads the report tables, the experiments or SciPy's linear algebra.
 from repro.core.protocols import get_balancer, registered_balancers
-from repro.graphs.generators import FAMILIES, by_name
+from repro.graphs.generators import by_name
 from repro.graphs.partition import parse_partitions
-from repro.graphs.spectral import lambda_2, spectral_profile
-from repro.simulation.engine import simulate
 from repro.simulation.initial import GENERATORS, make_loads
-from repro.simulation.sharding import parse_workers
-from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
 
 __all__ = ["main", "build_parser"]
 
@@ -474,6 +464,10 @@ def _with_telemetry(fn, role: str):
 
 
 def _cmd_topologies(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import Table
+    from repro.graphs.generators import FAMILIES
+    from repro.graphs.spectral import spectral_profile
+
     table = Table("Topologies", ["name", "n", "m", "delta", "lambda2", "gamma", "mu", "#distinct eig"])
     specs = args.spec or ["cycle:32", "path:32", "torus:8x8", "hypercube:6", "debruijn:6", "complete:16", "star:32", "petersen"]
     for spec in specs:
@@ -506,6 +500,8 @@ def _run_request(args: argparse.Namespace):
     and the ``record`` level (all statistics for one replica, so its summary
     has the final discrepancy).  None after printing a refused value.
     """
+    from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
+
     topo = by_name(args.topology)
     bal = get_balancer(args.balancer, topo)
     backend, err = _resolve_backend_arg(args.backend)
@@ -545,6 +541,9 @@ def _print_run_summary(trace) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.simulation.engine import simulate
+    from repro.simulation.sharding import parse_workers
+
     request = _run_request(args)
     if request is None:
         return 2
@@ -581,6 +580,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.analysis.reporting import Table
+    from repro.simulation.engine import simulate
+    from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
+
     topo = by_name(args.topology)
     table = Table(
         f"Compare on {topo.name} (rounds to Phi <= {args.eps:g}*Phi0)",
@@ -598,6 +601,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.simulation.sharding import parse_workers
     from repro.simulation.sweep import sweep
 
     try:
@@ -629,6 +633,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_partition_info(args: argparse.Namespace) -> int:
     import json
 
+    from repro.analysis.reporting import Table
     from repro.graphs.partition import make_partition
 
     topo = by_name(args.topology)
@@ -682,6 +687,7 @@ def _cmd_partition_info(args: argparse.Namespace) -> int:
 def _cmd_backends(args: argparse.Namespace) -> int:
     import json
 
+    from repro.analysis.reporting import Table
     from repro.core.backends import backend_summaries, resolve_backend
 
     summaries = backend_summaries()
@@ -848,6 +854,7 @@ def _run_summary_json(trace, stats: dict) -> str:
 def _cmd_mpi_run(args: argparse.Namespace) -> int:
     from repro.distributed.mpi import mpi_available, run_partitioned_mpi
     from repro.distributed.transport import TransportError
+    from repro.simulation.engine import simulate
 
     if not mpi_available():
         print("mpi-run requires mpi4py (launch under mpiexec with mpi4py installed)",
@@ -1013,6 +1020,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from repro.core.bounds import (
+        theorem4_rounds,
+        theorem6_rounds,
+        theorem6_threshold,
+        theorem12_rounds,
+        theorem14_threshold,
+    )
+    from repro.core.potential import potential
+    from repro.graphs.spectral import lambda_2
+
     topo = by_name(args.topology)
     lam2 = lambda_2(topo)
     tokens = args.tokens if args.tokens is not None else 100 * topo.n

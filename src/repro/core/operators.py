@@ -136,12 +136,15 @@ class EdgeOperator:
     """
 
     def __init__(self, topo: Topology, backend: str | KernelBackend | None = None):
-        self.topo = topo
+        # No reference back to ``topo``: the operator is cached on it, and
+        # a cycle would keep a dropped topology's CSR and edge arrays alive
+        # until a full garbage collection.  Keep what the kernels read.
         self.n = topo.n
         self.m = topo.m
         edges = topo.edges
         self.u = edges[:, 0]
         self.v = edges[:, 1]
+        self.degrees = topo.degrees
         if isinstance(backend, KernelBackend):
             self.kernels = backend
             self.backend = backend.name
@@ -277,7 +280,7 @@ class EdgeOperator:
         if M is None:
             pattern, diag_pos = self._fos_pattern()
             data = np.full(pattern.nnz, key, dtype=np.float64)
-            deg = self.topo.degrees
+            deg = self.degrees
             # Subtraction ladder: ladder[d] is the d-step sequential fold
             # 1 - alpha - ... - alpha, the exact value np.subtract.at
             # accumulates for a degree-d node — O(max_degree + n) instead
@@ -398,22 +401,6 @@ class EdgeOperator:
         if out is None:
             out = np.empty_like(loads)
         return self.kernels.add_matvec(A, loads, flows, out)
-
-    def linear_round(self, M, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """One linear round ``M @ loads`` for ``(n,)`` or node-major ``(n, B)``.
-
-        ``M`` may be a :class:`~repro.core.backends.PlainCSR` (dispatched
-        through this operator's backend) or any scipy-compatible sparse
-        matrix (back-compat; multiplied directly).
-        """
-        if isinstance(M, PlainCSR):
-            if out is None:
-                out = np.empty_like(loads)
-            return self.kernels.matvec(M, loads, out)
-        if out is None:
-            return M @ loads
-        out[...] = M @ loads
-        return out
 
     # ------------------------------------------------------------------
     # Full rounds for Algorithm 1 (diffusion) and FOS/Richardson

@@ -603,6 +603,21 @@ def launch_worker_process(bind: str = "127.0.0.1:0", *, extra_args: tuple = ()):
     return proc, match.group(1)
 
 
+def _load_job_runtime() -> None:
+    """Import everything a job runs before the worker reports ready.
+
+    The block loop, the row-sliced kernels, the shard runner and every
+    balancer class a payload can name are otherwise imported by the first
+    job, and that import time would land inside the dispatcher's timed
+    run instead of in start-up.
+    """
+    import repro.simulation.partitioned  # noqa: F401 - block loop and kernels
+    import repro.simulation.sharding  # noqa: F401 - shard runner
+    from repro.core.protocols import registered_balancers
+
+    registered_balancers()
+
+
 class _JobError(RuntimeError):
     """A job failed; the worker reported it and keeps serving."""
 
@@ -660,6 +675,7 @@ def serve(bind: str = "127.0.0.1:0", *, max_jobs: int = 0,
     """
     host, port = parse_address(bind)
     key = resolve_authkey(authkey)
+    _load_job_runtime()
     listener = TcpListener(host, port)
     peer_listener = TcpListener(host, 0)
     ctrl_addr, peer_addr = listener.address, peer_listener.address
@@ -879,10 +895,11 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
                     raise _JobError(f"unknown job kind {kind!r}")
             finally:
                 progress.job_done()
-                # A job's topology and its cached operators form reference
-                # cycles; collect them now so a long-lived worker holds
-                # one job's structures at a time, not every job since the
-                # last full collection.
+                # A job's topology, operators and partition are freed by
+                # reference counting; collect whatever cyclic garbage the
+                # job still left (a failed job's traceback frames, say) so
+                # a long-lived worker holds one job's structures at a
+                # time, not every job since the last full collection.
                 gc.collect()
             log(f"worker: job done (kind={kind})")
     finally:

@@ -24,9 +24,6 @@ like ``"torus:8x8"`` — used by the CLI and the experiment configs.
 
 from __future__ import annotations
 
-import math
-from typing import Callable
-
 import numpy as np
 
 from repro.graphs.topology import Topology
@@ -53,76 +50,71 @@ __all__ = [
 ]
 
 
+def _pairs(u, v) -> np.ndarray:
+    """Stack two endpoint sequences into an ``(m, 2)`` int64 edge array."""
+    return np.stack([np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)], axis=1)
+
+
+def _clique_edges(k: int, offset: int = 0) -> np.ndarray:
+    """Every pair of the ``k`` nodes ``offset .. offset + k - 1``."""
+    iu, ju = np.triu_indices(k, k=1)
+    return _pairs(iu + offset, ju + offset)
+
+
 def path(n: int) -> Topology:
     """Path ``0 - 1 - ... - (n-1)``; the paper's worst-case discrete example."""
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return Topology(n, edges, name=f"path:{n}")
+    i = np.arange(n - 1)
+    return Topology(n, _pairs(i, i + 1), name=f"path:{n}")
 
 
 def cycle(n: int) -> Topology:
     """Cycle on ``n >= 3`` nodes."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Topology(n, edges, name=f"cycle:{n}")
+    i = np.arange(n)
+    return Topology(n, _pairs(i, (i + 1) % n), name=f"cycle:{n}")
 
 
 def complete(n: int) -> Topology:
     """Complete graph ``K_n``."""
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Topology(n, edges, name=f"complete:{n}")
+    return Topology(n, _clique_edges(n), name=f"complete:{n}")
 
 
 def star(n: int) -> Topology:
     """Star: hub ``0`` connected to ``1 .. n-1``."""
     if n < 2:
         raise ValueError("star needs n >= 2")
-    edges = [(0, i) for i in range(1, n)]
-    return Topology(n, edges, name=f"star:{n}")
+    rim = np.arange(1, n)
+    return Topology(n, _pairs(np.zeros_like(rim), rim), name=f"star:{n}")
 
 
 def wheel(n: int) -> Topology:
     """Wheel: hub ``0`` plus a cycle on ``1 .. n-1``."""
     if n < 4:
         raise ValueError("wheel needs n >= 4")
-    rim = list(range(1, n))
-    edges = [(0, i) for i in rim]
-    edges += [(rim[k], rim[(k + 1) % len(rim)]) for k in range(len(rim))]
-    return Topology(n, edges, name=f"wheel:{n}")
+    rim = np.arange(1, n)
+    spokes = _pairs(np.zeros_like(rim), rim)
+    return Topology(n, np.concatenate([spokes, _pairs(rim, np.roll(rim, -1))]), name=f"wheel:{n}")
 
 
 def grid_2d(rows: int, cols: int) -> Topology:
     """Open 2-D grid (no wraparound)."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
-
-    def nid(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((nid(r, c), nid(r, c + 1)))
-            if r + 1 < rows:
-                edges.append((nid(r, c), nid(r + 1, c)))
-    return Topology(rows * cols, edges, name=f"grid:{rows}x{cols}")
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right = _pairs(ids[:, :-1].ravel(), ids[:, 1:].ravel())
+    down = _pairs(ids[:-1, :].ravel(), ids[1:, :].ravel())
+    return Topology(rows * cols, np.concatenate([right, down]), name=f"grid:{rows}x{cols}")
 
 
 def torus_2d(rows: int, cols: int) -> Topology:
     """2-D torus (grid with wraparound); 4-regular when both dims >= 3."""
     if rows < 3 or cols < 3:
         raise ValueError("torus needs both dimensions >= 3")
-
-    def nid(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            edges.append((nid(r, c), nid(r, (c + 1) % cols)))
-            edges.append((nid(r, c), nid((r + 1) % rows, c)))
-    return Topology(rows * cols, edges, name=f"torus:{rows}x{cols}")
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    right = _pairs(ids.ravel(), np.roll(ids, -1, axis=1).ravel())
+    down = _pairs(ids.ravel(), np.roll(ids, -1, axis=0).ravel())
+    return Topology(rows * cols, np.concatenate([right, down]), name=f"torus:{rows}x{cols}")
 
 
 def hypercube(dim: int) -> Topology:
@@ -130,12 +122,9 @@ def hypercube(dim: int) -> Topology:
     if dim < 1:
         raise ValueError("hypercube needs dim >= 1")
     n = 1 << dim
-    edges = []
-    for v in range(n):
-        for b in range(dim):
-            u = v ^ (1 << b)
-            if v < u:
-                edges.append((v, u))
+    v = np.arange(n)
+    low = [v[((v >> b) & 1) == 0] for b in range(dim)]
+    edges = np.concatenate([_pairs(lo, lo | (1 << b)) for b, lo in enumerate(low)])
     return Topology(n, edges, name=f"hypercube:{dim}")
 
 
@@ -150,12 +139,9 @@ def de_bruijn(dim: int) -> Topology:
     if dim < 1:
         raise ValueError("de Bruijn needs dim >= 1")
     n = 1 << dim
-    edges = []
-    for v in range(n):
-        for succ in ((2 * v) % n, (2 * v + 1) % n):
-            if v != succ:
-                edges.append((v, succ))
-    return Topology(n, edges, name=f"debruijn:{dim}")
+    v = np.arange(n)
+    arcs = np.concatenate([_pairs(v, (2 * v) % n), _pairs(v, (2 * v + 1) % n)])
+    return Topology(n, arcs[arcs[:, 0] != arcs[:, 1]], name=f"debruijn:{dim}")
 
 
 def binary_tree(depth: int) -> Topology:
@@ -163,10 +149,8 @@ def binary_tree(depth: int) -> Topology:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = (1 << (depth + 1)) - 1
-    edges = []
-    for child in range(1, n):
-        edges.append(((child - 1) // 2, child))
-    return Topology(n, edges, name=f"bintree:{depth}")
+    child = np.arange(1, n)
+    return Topology(n, _pairs((child - 1) // 2, child), name=f"bintree:{depth}")
 
 
 def k_ary_tree(k: int, depth: int) -> Topology:
@@ -176,10 +160,8 @@ def k_ary_tree(k: int, depth: int) -> Topology:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     n = (k ** (depth + 1) - 1) // (k - 1)
-    edges = []
-    for child in range(1, n):
-        edges.append(((child - 1) // k, child))
-    return Topology(n, edges, name=f"{k}arytree:{depth}")
+    child = np.arange(1, n)
+    return Topology(n, _pairs((child - 1) // k, child), name=f"{k}arytree:{depth}")
 
 
 def _circulant_regular(n: int, d: int) -> set[tuple[int, int]]:
@@ -284,9 +266,7 @@ def barbell(k: int) -> Topology:
     """
     if k < 2:
         raise ValueError("barbell needs k >= 2")
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    edges += [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
-    edges.append((k - 1, k))
+    edges = np.concatenate([_clique_edges(k), _clique_edges(k, offset=k), _pairs([k - 1], [k])])
     return Topology(2 * k, edges, name=f"barbell:{k}")
 
 
@@ -294,11 +274,8 @@ def lollipop(k: int, tail: int) -> Topology:
     """``K_k`` clique with a path of ``tail`` extra nodes attached."""
     if k < 2 or tail < 1:
         raise ValueError("lollipop needs k >= 2 and tail >= 1")
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    prev = k - 1
-    for t in range(tail):
-        edges.append((prev, k + t))
-        prev = k + t
+    t = np.arange(k - 1, k + tail - 1)
+    edges = np.concatenate([_clique_edges(k), _pairs(t, t + 1)])
     return Topology(k + tail, edges, name=f"lollipop:{k}+{tail}")
 
 

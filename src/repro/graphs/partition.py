@@ -32,12 +32,15 @@ strategy only fixes the node→block map; all derived structure is
 recomputed per topology, so a *dynamic* network (fixed nodes, changing
 edges) keeps its assignment while ghosts, cut set and halo plans track
 each round's edge set — :meth:`Partition.for_topology` caches the
-derived structure on the (immutable) topology instance exactly like
-:class:`~repro.core.operators.EdgeOperator` does.
+derived structure on the (immutable) topology instance like
+:class:`~repro.core.operators.EdgeOperator` does (holding it weakly, so
+no cache entry keeps its topology alive).
 """
 
 from __future__ import annotations
 
+import heapq
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,42 +118,46 @@ def bfs_assignment(topo: Topology, blocks: int) -> np.ndarray:
     so disconnected graphs — including dynamic-round subgraphs with
     failed edges — always get a total assignment.
     """
-    import heapq
-
     n = topo.n
     if not 1 <= blocks <= n:
         raise ValueError(f"blocks must be in [1, {n}], got {blocks}")
-    indptr, indices = topo.indptr, topo.indices
-    degrees = topo.degrees
-    assignment = np.full(n, -1, dtype=np.int64)
+    # Python lists, not arrays: the grower touches one node at a time,
+    # and indexing a list is several times cheaper than a numpy scalar.
+    indptr = topo.indptr.tolist()
+    indices = topo.indices.tolist()
+    degrees = topo.degrees.tolist()
+    assignment = [-1] * n
+    heappush, heappop = heapq.heappush, heapq.heappop
+    seed = 0  # every node below it is assigned; assignments never revert
     base, extra = divmod(n, blocks)
     for p in range(blocks):
         target = base + (1 if p < extra else 0)
-        in_p = np.zeros(n, dtype=np.int64)
+        in_p = [0] * n
         heap: list[tuple[int, int]] = []
         taken = 0
         while taken < target:
             node = -1
             while heap:
-                key, cand = heapq.heappop(heap)
+                key, cand = heappop(heap)
                 if assignment[cand] >= 0:
                     continue
-                cur = int(degrees[cand] - in_p[cand])
+                cur = degrees[cand] - in_p[cand]
                 if cur != key:
-                    heapq.heappush(heap, (cur, cand))
+                    heappush(heap, (cur, cand))
                     continue
                 node = cand
                 break
-            if node < 0:
-                node = int(np.argmax(assignment < 0))  # (re-)seed
+            if node < 0:  # (re-)seed at the smallest unassigned node
+                while assignment[seed] >= 0:
+                    seed += 1
+                node = seed
             assignment[node] = p
             taken += 1
             for nb in indices[indptr[node] : indptr[node + 1]]:
-                nb = int(nb)
-                in_p[nb] += 1
+                inside = in_p[nb] = in_p[nb] + 1
                 if assignment[nb] < 0:
-                    heapq.heappush(heap, (int(degrees[nb] - in_p[nb]), nb))
-    return assignment
+                    heappush(heap, (degrees[nb] - inside, nb))
+    return np.asarray(assignment, dtype=np.int64)
 
 
 _ASSIGNERS = {"contiguous": contiguous_assignment, "bfs": bfs_assignment}
@@ -252,7 +259,7 @@ class Partition:
         self.strategy = str(strategy)
 
     # ------------------------------------------------------------------
-    # Caching (mirrors EdgeOperator.for_topology)
+    # Caching (like EdgeOperator.for_topology, but weak)
     # ------------------------------------------------------------------
     @classmethod
     def for_topology(
@@ -260,10 +267,17 @@ class Partition:
     ) -> "Partition":
         """The partition of ``topo`` under ``assignment``, cached on the
         topology instance — dynamic networks that cycle through a fixed
-        set of graphs derive the halo structure once per distinct graph."""
+        set of graphs derive the halo structure once per distinct graph.
+
+        The cache holds its partitions weakly: a partition refers to its
+        topology, so a strong entry would make a cycle that keeps a dropped
+        topology's arrays alive until a full garbage collection.  An entry
+        lives as long as someone (a run's partition memo, a caller) holds
+        the partition; the expensive part, the strategy assignment, is
+        cached strongly by :func:`make_partition`."""
         cache = topo.__dict__.get(_CACHE_ATTR)
         if cache is None:
-            cache = topo.__dict__[_CACHE_ATTR] = {}
+            cache = topo.__dict__[_CACHE_ATTR] = weakref.WeakValueDictionary()
         key = np.asarray(assignment, dtype=np.int64).tobytes()
         part = cache.get(key)
         if part is None:

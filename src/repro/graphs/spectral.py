@@ -16,7 +16,8 @@ Eigen-decompositions are computed densely (``scipy.linalg.eigh`` on the
 symmetric Laplacian) and memoized per topology: the graphs in this
 reproduction are laptop-scale (``n <= 4096``) and dense solves are both
 exact and fast at that size.  For larger graphs ``lambda_2`` falls back to
-a sparse Lanczos solve.
+a sparse Lanczos solve.  SciPy is imported inside the functions that use
+it, so importing the package does not load its linear algebra.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.graphs.topology import Topology
 
@@ -52,6 +50,8 @@ def adjacency_matrix(topo: Topology, sparse: bool = False):
     """Symmetric 0/1 adjacency matrix ``A`` (dense ndarray or CSR)."""
     u, v = topo.edges[:, 0], topo.edges[:, 1]
     if sparse:
+        import scipy.sparse
+
         data = np.ones(2 * topo.m)
         rows = np.concatenate([u, v])
         cols = np.concatenate([v, u])
@@ -65,6 +65,8 @@ def adjacency_matrix(topo: Topology, sparse: bool = False):
 def laplacian_matrix(topo: Topology, sparse: bool = False):
     """Graph Laplacian ``L = D - A``."""
     if sparse:
+        import scipy.sparse
+
         a = adjacency_matrix(topo, sparse=True)
         d = scipy.sparse.diags(topo.degrees.astype(float))
         return (d - a).tocsr()
@@ -89,6 +91,8 @@ def diffusion_matrix(topo: Topology, alpha: float | None = None) -> np.ndarray:
 
 @lru_cache(maxsize=512)
 def _laplacian_spectrum_cached(topo: Topology) -> np.ndarray:
+    import scipy.linalg
+
     lap = laplacian_matrix(topo)
     vals = scipy.linalg.eigvalsh(lap)
     vals = np.clip(vals, 0.0, None)  # symmetric PSD; clip fp noise at zero
@@ -132,6 +136,8 @@ def fiedler_vector(topo: Topology) -> np.ndarray:
     """
     if topo.n < 2:
         raise ValueError("Fiedler vector needs n >= 2")
+    import scipy.linalg
+
     lap = laplacian_matrix(topo)
     vals, vecs = scipy.linalg.eigh(lap)
     vec = vecs[:, 1].copy()
@@ -153,6 +159,8 @@ def lambda_2(topo: Topology) -> float:
         return 0.0
     if topo.n <= _DENSE_LIMIT:
         return float(laplacian_eigenvalues(topo)[1])
+    import scipy.sparse.linalg
+
     lap = laplacian_matrix(topo, sparse=True).asfptype()
     vals = scipy.sparse.linalg.eigsh(lap, k=2, sigma=0, which="LM", return_eigenvectors=False)
     return float(np.sort(np.clip(vals, 0.0, None))[1])

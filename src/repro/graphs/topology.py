@@ -27,26 +27,36 @@ import numpy as np
 __all__ = ["Topology"]
 
 
-def _canonicalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> np.ndarray:
+def _canonicalize_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
     """Return a sorted, deduplicated ``(m, 2)`` int64 array with ``u < v``.
 
     Self-loops are rejected: a node never balances with itself and a loop
     would corrupt the degree bookkeeping that the transfer rate
-    ``1 / (4 max(d_i, d_j))`` depends on.
+    ``1 / (4 max(d_i, d_j))`` depends on.  An ndarray of pairs is used as
+    is; any other iterable is materialized first.  Duplicates go in one
+    sort of the 1-D keys ``lo * n + hi`` (their order is the lexicographic
+    order of the ``(lo, hi)`` rows) and an adjacent-difference mask, far
+    cheaper than a row-wise ``np.unique(axis=0)``.
     """
-    arr = np.asarray(list(edges), dtype=np.int64)
+    if isinstance(edges, np.ndarray):
+        arr = edges.astype(np.int64, copy=False)
+    else:
+        arr = np.asarray(list(edges), dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"edges must be pairs, got array of shape {arr.shape}")
-    if (arr < 0).any() or (arr >= n).any():
+    if arr.min() < 0 or arr.max() >= n:
         raise ValueError("edge endpoint out of range")
-    if (arr[:, 0] == arr[:, 1]).any():
-        raise ValueError("self-loops are not allowed")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    canon = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return canon
+    if (lo == hi).any():
+        raise ValueError("self-loops are not allowed")
+    keys = np.sort(lo * n + hi)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return np.stack(np.divmod(keys[keep], n), axis=1)
 
 
 class Topology:
@@ -57,8 +67,9 @@ class Topology:
     n:
         Number of nodes.  Must be positive.
     edges:
-        Iterable of ``(u, v)`` pairs.  Direction, duplicates and ordering
-        are normalized away; self-loops raise ``ValueError``.
+        Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array.
+        Direction, duplicates and ordering are normalized away; self-loops
+        raise ``ValueError``.
     name:
         Optional human-readable label used by reports and benchmarks.
 
@@ -68,9 +79,9 @@ class Topology:
     so topologies can key caches and be compared in tests.
     """
 
-    __slots__ = ("_n", "_edges", "_name", "__dict__")
+    __slots__ = ("_n", "_edges", "_name", "__dict__", "__weakref__")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = "graph"):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray, name: str = "graph"):
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         self._n = int(n)

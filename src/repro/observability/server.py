@@ -34,9 +34,12 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import TYPE_CHECKING
 
 from .recorder import get_recorder, metrics_to_prom, prom_sample
+
+if TYPE_CHECKING:  # http.server loads when a server starts, not with the status board
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "StatusBoard",
@@ -271,6 +274,8 @@ class MetricsServer:
     def start(self) -> tuple[str, int]:
         if self._httpd is not None:
             return self.address
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         server = self
 
         class _Handler(BaseHTTPRequestHandler):

@@ -159,7 +159,6 @@ class BlockLocal:
     def __init__(self, part: Partition, block_id: int, backend: str | None = None):
         if not 0 <= block_id < part.blocks:
             raise ValueError(f"block {block_id} out of range for {part.blocks} blocks")
-        self.part = part
         self.p = int(block_id)
         self.op: EdgeOperator = edge_operator(part.topo, backend)
         op = self.op
@@ -432,10 +431,11 @@ class BlockLocal:
 def block_local(part: Partition, block_id: int, backend: str | None = None) -> BlockLocal:
     """The cached :class:`BlockLocal` for one block of ``part``.
 
-    Cached on the partition instance (which is itself cached on the
-    immutable topology), one per kernel backend — dynamic networks that
-    cycle through a fixed set of graphs build each block's slices once
-    per distinct graph.
+    Cached on the partition instance (which its immutable topology
+    caches while the partition is held), one per kernel backend — dynamic
+    networks that cycle through a fixed set of graphs build each block's
+    slices once per distinct graph.  A block keeps no reference to its
+    partition, so the cache forms no cycle.
     """
     cache = part.__dict__.get(_LOCALS_ATTR)
     if cache is None:

@@ -30,15 +30,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.analysis.reporting import Table
 from repro.core.protocols import get_balancer
 from repro.graphs.generators import by_name
 from repro.simulation.engine import simulate
 from repro.simulation.initial import make_loads
 from repro.simulation.stopping import MaxRounds, PotentialFractionBelow, Stagnation
+
+if TYPE_CHECKING:  # the report layer loads with the first sweep, not with the runtime
+    from repro.analysis.reporting import Table
 
 __all__ = ["SweepCell", "sweep"]
 
@@ -140,6 +143,8 @@ def sweep(
     backend on every constructed balancer (bit-for-bit interchangeable,
     so the grid's numbers do not depend on it).
     """
+    from repro.analysis.reporting import Table
+
     if not topology_specs or not balancer_names:
         raise ValueError("need at least one topology and one balancer")
     if replicas < 1:
