@@ -33,7 +33,6 @@ halos.
 
 from __future__ import annotations
 
-import gc
 import os
 import socket as _socket
 import sys
@@ -895,12 +894,6 @@ def _serve_connection(ctrl: Channel, peer_listener: TcpListener,
                     raise _JobError(f"unknown job kind {kind!r}")
             finally:
                 progress.job_done()
-                # A job's topology, operators and partition are freed by
-                # reference counting; collect whatever cyclic garbage the
-                # job still left (a failed job's traceback frames, say) so
-                # a long-lived worker holds one job's structures at a
-                # time, not every job since the last full collection.
-                gc.collect()
             log(f"worker: job done (kind={kind})")
     finally:
         hb_stop.set()

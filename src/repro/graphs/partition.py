@@ -32,9 +32,9 @@ strategy only fixes the node→block map; all derived structure is
 recomputed per topology, so a *dynamic* network (fixed nodes, changing
 edges) keeps its assignment while ghosts, cut set and halo plans track
 each round's edge set — :meth:`Partition.for_topology` caches the
-derived structure on the (immutable) topology instance like
-:class:`~repro.core.operators.EdgeOperator` does (holding it weakly, so
-no cache entry keeps its topology alive).
+derived structure on the (immutable) topology instance exactly like
+:class:`~repro.core.operators.EdgeOperator` does.  A partition refers to
+its topology weakly, so the cache forms no reference cycle.
 """
 
 from __future__ import annotations
@@ -252,14 +252,29 @@ class Partition:
         if (counts == 0).any():
             empty = np.flatnonzero(counts == 0).tolist()
             raise ValueError(f"blocks {empty} own no nodes")
-        self.topo = topo
+        # The arrays the derived structure reads, and a weak reference to
+        # the topology itself: the partition is cached on the topology, and
+        # a strong reference back would make a cycle that keeps a dropped
+        # topology's arrays alive until a full garbage collection.
+        self.n = topo.n
+        self.m = topo.m
+        self.edges = topo.edges
+        self._topo = weakref.ref(topo)
         self.assignment = arr.copy()
         self.assignment.setflags(write=False)
         self.blocks = blocks
         self.strategy = str(strategy)
 
+    @property
+    def topo(self) -> Topology:
+        """The partitioned topology (held weakly; the caller keeps it alive)."""
+        topo = self._topo()
+        if topo is None:
+            raise ReferenceError("the partition's topology has been freed")
+        return topo
+
     # ------------------------------------------------------------------
-    # Caching (like EdgeOperator.for_topology, but weak)
+    # Caching (mirrors EdgeOperator.for_topology)
     # ------------------------------------------------------------------
     @classmethod
     def for_topology(
@@ -267,17 +282,10 @@ class Partition:
     ) -> "Partition":
         """The partition of ``topo`` under ``assignment``, cached on the
         topology instance — dynamic networks that cycle through a fixed
-        set of graphs derive the halo structure once per distinct graph.
-
-        The cache holds its partitions weakly: a partition refers to its
-        topology, so a strong entry would make a cycle that keeps a dropped
-        topology's arrays alive until a full garbage collection.  An entry
-        lives as long as someone (a run's partition memo, a caller) holds
-        the partition; the expensive part, the strategy assignment, is
-        cached strongly by :func:`make_partition`."""
+        set of graphs derive the halo structure once per distinct graph."""
         cache = topo.__dict__.get(_CACHE_ATTR)
         if cache is None:
-            cache = topo.__dict__[_CACHE_ATTR] = weakref.WeakValueDictionary()
+            cache = topo.__dict__[_CACHE_ATTR] = {}
         key = np.asarray(assignment, dtype=np.int64).tobytes()
         part = cache.get(key)
         if part is None:
@@ -287,9 +295,9 @@ class Partition:
     def with_topology(self, topo: Topology) -> "Partition":
         """The same node→block map applied to another graph on the same
         node set (a dynamic round's edge subset)."""
-        if topo.n != self.topo.n:
-            raise ValueError(f"topology has {topo.n} nodes, assignment covers {self.topo.n}")
-        if topo is self.topo:
+        if topo.n != self.n:
+            raise ValueError(f"topology has {topo.n} nodes, assignment covers {self.n}")
+        if topo is self._topo():
             return self
         return Partition.for_topology(topo, self.assignment, strategy=self.strategy)
 
@@ -311,7 +319,7 @@ class Partition:
     @cached_property
     def cut_edges(self) -> np.ndarray:
         """Global edge ids whose endpoints live in different blocks (sorted)."""
-        edges = self.topo.edges
+        edges = self.edges
         if edges.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         mask = self.assignment[edges[:, 0]] != self.assignment[edges[:, 1]]
@@ -325,7 +333,7 @@ class Partition:
         endpoints opposite an owned node — the values ``p`` must receive
         before it can evaluate any of its nodes' rounds.
         """
-        edges = self.topo.edges
+        edges = self.edges
         cut = self.cut_edges
         out: list[np.ndarray] = []
         u = edges[cut, 0]
@@ -394,7 +402,7 @@ class Partition:
         Positions are sorted (owned lists are sorted by global id, and
         the incident node set is uniqued before translation).
         """
-        edges = self.topo.edges
+        edges = self.edges
         cut = self.cut_edges
         out: list[np.ndarray] = []
         u = edges[cut, 0] if cut.size else np.empty(0, dtype=np.int64)
@@ -424,7 +432,7 @@ class Partition:
 
     def boundary_fraction(self) -> float:
         """Fraction of all nodes that are boundary rows (0.0 = no cut)."""
-        n = self.topo.n
+        n = self.n
         return float(sum(b.size for b in self.boundary_owned) / n) if n else 0.0
 
     @cached_property
@@ -444,11 +452,11 @@ class Partition:
 
     def metrics(self) -> dict[str, float | int | str]:
         """Quality summary: the costs a partitioned run pays per round."""
-        m = self.topo.m
+        m = self.m
         return {
             "strategy": self.strategy,
             "blocks": self.blocks,
-            "n": self.topo.n,
+            "n": self.n,
             "m": m,
             "block_min": int(self.block_sizes.min()),
             "block_max": int(self.block_sizes.max()),
@@ -465,5 +473,5 @@ class Partition:
     def __repr__(self) -> str:
         return (
             f"Partition(blocks={self.blocks}, strategy={self.strategy!r}, "
-            f"n={self.topo.n}, edge_cut={self.cut_edges.size}, halo={self.halo_volume})"
+            f"n={self.n}, edge_cut={self.cut_edges.size}, halo={self.halo_volume})"
         )

@@ -194,7 +194,7 @@ class BlockLocal:
         self.boundary = part.boundary_owned[self.p]
         #: global ids of the extended index space (owned then ghosts)
         self.ext_ids = np.concatenate([self.owned, self.ghosts])
-        colmap = np.full(part.topo.n, -1, dtype=np.int64)
+        colmap = np.full(part.n, -1, dtype=np.int64)
         colmap[self.ext_ids] = np.arange(self.n_ext, dtype=np.int64)
         self._colmap = colmap
         # Edges with at least one owned endpoint, ascending global edge
@@ -431,11 +431,11 @@ class BlockLocal:
 def block_local(part: Partition, block_id: int, backend: str | None = None) -> BlockLocal:
     """The cached :class:`BlockLocal` for one block of ``part``.
 
-    Cached on the partition instance (which its immutable topology
-    caches while the partition is held), one per kernel backend — dynamic
-    networks that cycle through a fixed set of graphs build each block's
-    slices once per distinct graph.  A block keeps no reference to its
-    partition, so the cache forms no cycle.
+    Cached on the partition instance (which is itself cached on the
+    immutable topology), one per kernel backend — dynamic networks that
+    cycle through a fixed set of graphs build each block's slices once
+    per distinct graph.  A block keeps no reference to its partition, so
+    the cache forms no cycle.
     """
     cache = part.__dict__.get(_LOCALS_ATTR)
     if cache is None:
@@ -618,9 +618,8 @@ class _LocalProcessExecutor(_BlockChannels):
         # warmed caches copy-on-write instead of each rebuilding them
         # (at n=65536 the build costs more than hundreds of rounds).
         resolved = resolve_backend(sim.backend)
-        part0 = Partition.for_topology(
-            sim.balancer.partition_topology(0), assignment, strategy=sim.strategy
-        )
+        topo0 = sim.balancer.partition_topology(0)  # held: part0 refers to it weakly
+        part0 = Partition.for_topology(topo0, assignment, strategy=sim.strategy)
         for p in range(P):
             block_local(part0, p, resolved)
         ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")

@@ -12,10 +12,12 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.diffusion import DiffusionBalancer
 from repro.core.operators import edge_operator
 from repro.graphs.generators import torus_2d
 from repro.graphs.partition import make_partition
-from repro.simulation.partitioned import block_local
+from repro.simulation.partitioned import PartitionedSimulator, block_local
+from repro.simulation.stopping import MaxRounds
 
 
 @pytest.fixture
@@ -47,18 +49,40 @@ def test_topology_freed_without_cyclic_gc(no_cyclic_gc):
     assert ref() is None
 
 
-def test_partition_keeps_its_topology_alive(no_cyclic_gc):
+def test_partition_holds_its_topology_weakly(no_cyclic_gc):
     topo = torus_2d(8, 8)
     part = _warm(topo)
+    cut = part.cut_edges.copy()
     ref = weakref.ref(topo)
     del topo
-    assert part.topo is ref()
-    # The topology's cache holds the partition weakly: dropping the last
-    # holder frees both.
-    part_ref = weakref.ref(part)
-    del part
-    assert part_ref() is None
     assert ref() is None
+    # The derived structure reads the arrays the partition keeps.
+    assert np.array_equal(part.cut_edges, cut)
+    assert part.metrics()["n"] == 64
+    with pytest.raises(ReferenceError, match="freed"):
+        part.topo
+
+
+def test_partitioned_runs_reuse_block_slices():
+    """The cache is strong: a run's block slices outlive the run, so a
+    second run on the same topology (a warmed benchmark, a dynamic model
+    cycling through its graphs) does not rebuild them."""
+    topo = torus_2d(8, 8)
+    loads = np.random.default_rng(5).uniform(0.0, 100.0, topo.n)
+
+    def run():
+        PartitionedSimulator(
+            DiffusionBalancer(topo), partitions=2, strategy="bfs",
+            stopping=[MaxRounds(5)],
+        ).run(loads.copy())
+
+    run()
+    gc.collect()
+    blocks = [weakref.ref(block_local(make_partition(topo, 2, "bfs"), p)) for p in range(2)]
+    assert all(b() is not None for b in blocks)
+    run()
+    for p, b in enumerate(blocks):
+        assert block_local(make_partition(topo, 2, "bfs"), p) is b()
 
 
 def test_partition_cache_returns_the_held_instance():
