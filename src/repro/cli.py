@@ -159,8 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument(
         "--bind", default="127.0.0.1:0",
         help="control address to listen on ('host:port'; port 0 picks an ephemeral "
-        "port, printed on startup).  A second ephemeral peer port for halo links "
-        "is opened on the same host and advertised to the dispatcher.",
+        "port, printed on startup), or 'fd:N': an inherited socket, already bound "
+        "and listening, that a launcher handed over.  A second ephemeral peer port "
+        "for halo links is opened on the same host and advertised to the dispatcher.",
     )
     p_worker.add_argument(
         "--max-jobs", type=int, default=0,
@@ -579,10 +580,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Rounds without a potential drop after which ``compare`` ends a
+#: discrete-mode run.  A discrete scheme stalls for good above its
+#: Theorem 6 threshold (on torus:8x8 at ``--eps 1e-4`` diffusion-discrete
+#: stops improving near round 80 and would spin to ``--max-rounds``),
+#: while runs that do reach ``eps*Phi0`` pause for a few rounds at most.
+COMPARE_STAGNATION_PATIENCE = 1000
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.analysis.reporting import Table
     from repro.simulation.engine import simulate
-    from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
+    from repro.simulation.stopping import MaxRounds, PotentialFractionBelow, Stagnation
 
     topo = by_name(args.topology)
     table = Table(
@@ -594,6 +603,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         loads = make_loads("point", topo.n, rng=rng, discrete=bal.mode == "discrete")
         rules = [PotentialFractionBelow(args.eps), MaxRounds(args.max_rounds)]
+        if bal.mode == "discrete":
+            rules.append(Stagnation(COMPARE_STAGNATION_PATIENCE))
         s = _run_summary(simulate(bal, loads, rules, seed=args.seed)[0])
         table.add_row(name, s["rounds"], s["phi_final"], s["mean_drop_factor"], s["stopped_by"])
     print(table.to_text())

@@ -351,30 +351,34 @@ def _handshake(channel: Channel, timeout: float, authkey: bytes | None,
     return reply[1]
 
 
-def _connect_worker(address: tuple[str, int], *, timeout: float,
-                    tcp_options: dict | None = None,
-                    authkey: bytes | None = None,
-                    heartbeat: float | None = None,
-                    miss_budget: float = DEFAULT_HEARTBEAT_MISS_BUDGET,
-                    stats_interval: float | None = None) -> WorkerHandle:
-    """Connect + handshake one worker (``authkey`` already resolved)."""
-    label = format_address(address)
-    channel = None
+def _open_control(address: tuple[str, int], timeout: float,
+                  tcp_options: dict | None) -> Channel:
+    """Open one worker's control connection (no handshake yet)."""
     # The connect timeout doubles as the total retry deadline: a worker
     # that is still coming up gets the whole window, a dead one fails
     # the rendezvous in bounded time (explicit tcp_options still win).
     options = {"deadline": timeout, **(tcp_options or {})}
     try:
-        channel = tcp_connect(address, timeout=timeout, **options)
+        return tcp_connect(address, timeout=timeout, **options)
+    except TransportError as exc:
+        raise DispatcherError(f"cannot reach worker {format_address(address)}: {exc}") from exc
+
+
+def _greet_worker(address: tuple[str, int], channel: Channel, *, timeout: float,
+                  authkey: bytes | None = None,
+                  heartbeat: float | None = None,
+                  miss_budget: float = DEFAULT_HEARTBEAT_MISS_BUDGET,
+                  stats_interval: float | None = None) -> WorkerHandle:
+    """Handshake over an open control channel; closes it on failure."""
+    label = format_address(address)
+    try:
         info = _handshake(channel, timeout, authkey, heartbeat, label,
                           stats_interval)
     except TransportError as exc:
-        if channel is not None:
-            channel.close()
+        channel.close()
         raise DispatcherError(f"cannot reach worker {label}: {exc}") from exc
     except BaseException:
-        if channel is not None:
-            channel.close()
+        channel.close()
         raise
     return WorkerHandle(
         address=address, channel=channel, info=info,
@@ -382,6 +386,13 @@ def _connect_worker(address: tuple[str, int], *, timeout: float,
         miss_budget=miss_budget, authkey=authkey,
         stats_interval=float(stats_interval) if stats_interval else None,
     )
+
+
+def _connect_worker(address: tuple[str, int], *, timeout: float,
+                    tcp_options: dict | None = None, **greet) -> WorkerHandle:
+    """Connect + handshake one worker (``authkey`` already resolved)."""
+    channel = _open_control(address, timeout, tcp_options)
+    return _greet_worker(address, channel, timeout=timeout, **greet)
 
 
 def connect_workers(addresses: Sequence[str | tuple[str, int]], *,
@@ -400,6 +411,13 @@ def connect_workers(addresses: Sequence[str | tuple[str, int]], *,
     naming the first unreachable or version-mismatched worker;
     already-opened channels are closed before the raise so a failed
     rendezvous leaves nothing dangling.
+
+    Every control connection is opened before the first handshake.  A
+    worker still starting up (see
+    :func:`~repro.distributed.worker.launch_worker_process`) holds its
+    connection in the accept backlog until it is ready; one that dies
+    meanwhile resets it, which fails the rendezvous at once instead of
+    leaving a later connect to be refused and retried until ``timeout``.
     """
     normalized = [
         parse_address(spec) if isinstance(spec, str) else (spec[0], int(spec[1]))
@@ -416,18 +434,22 @@ def connect_workers(addresses: Sequence[str | tuple[str, int]], *,
             + ", ".join(sorted(format_address(a) for a in duplicates))
         )
     key = resolve_authkey(authkey)
+    channels: list[Channel] = []
     handles: list[WorkerHandle] = []
     try:
         for address in normalized:
+            channels.append(_open_control(address, timeout, tcp_options))
+        for address, channel in zip(normalized, channels):
             handles.append(
-                _connect_worker(
-                    address, timeout=timeout, tcp_options=tcp_options,
-                    authkey=key, heartbeat=heartbeat, miss_budget=miss_budget,
+                _greet_worker(
+                    address, channel, timeout=timeout, authkey=key,
+                    heartbeat=heartbeat, miss_budget=miss_budget,
                     stats_interval=stats_interval,
                 )
             )
     except BaseException:
-        close_workers(handles)
+        for channel in channels:
+            channel.close()
         raise
     return handles
 

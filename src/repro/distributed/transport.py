@@ -1053,6 +1053,35 @@ class TcpListener:
             raise TransportError(f"cannot bind {host}:{port}: {exc}") from exc
         self._sock.listen(backlog)
 
+    @classmethod
+    def from_fd(cls, fd: int, *, nodelay: bool = True, buffer_size: int | None = None,
+                send_timeout: float | None = DEFAULT_SEND_TIMEOUT) -> "TcpListener":
+        """Adopt an inherited TCP socket that is already bound and listening.
+
+        A launcher binds a worker's control port, hands the socket over as
+        ``fd`` and closes its own copy; the adopted socket is made
+        non-inheritable again, so processes this one starts hold no copy
+        either.
+        """
+        self = cls.__new__(cls)
+        self._opts = {
+            "nodelay": nodelay, "buffer_size": buffer_size, "send_timeout": send_timeout,
+        }
+        try:
+            self._sock = socket.socket(fileno=fd)
+        except OSError as exc:
+            raise TransportError(f"cannot adopt socket fd {fd}: {exc}") from exc
+        if (self._sock.family not in (socket.AF_INET, socket.AF_INET6)
+                or self._sock.type != socket.SOCK_STREAM
+                or not self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN)):
+            self._sock.close()
+            raise TransportError(f"fd {fd} is not a listening TCP socket")
+        self._sock.set_inheritable(False)
+        return self
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     @property
     def address(self) -> tuple[str, int]:
         host, port = self._sock.getsockname()[:2]

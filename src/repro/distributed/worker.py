@@ -497,8 +497,8 @@ def _default_log(msg: str) -> None:
     """Route server diagnostics through the ``repro.distributed`` logger.
 
     Structured (timestamp + level) but still line-oriented on stdout, so
-    :func:`launch_worker_process`'s ``listening on H:P`` search keeps
-    matching and drained worker logs stay greppable.
+    the ``listening on H:P`` start-up line and drained worker logs stay
+    greppable.
     """
     ensure_handler().info(msg)
 
@@ -571,26 +571,37 @@ def launch_worker_process(bind: str = "127.0.0.1:0", *, extra_args: tuple = ()):
     """Spawn ``repro-lb worker`` as a subprocess; returns ``(proc, address)``.
 
     The one blessed way to programmatically start a worker (tests and
-    benches included): it owns the startup-line format :func:`serve`
-    prints, parses the bound control address back out of it, and wires
-    ``PYTHONPATH`` so the subprocess finds this very package.  The
-    caller terminates ``proc`` when done.
+    benches included).  It returns as soon as the process exists, so K
+    launches in a row start K workers side by side: the launcher binds
+    the control listener on ``bind`` itself, hands the listening socket
+    to the child as ``--bind fd:N``, closes its own copy and returns the
+    bound ``HOST:PORT``.  A dispatcher that connects while the worker is
+    still importing waits in the kernel's accept backlog, and the worker
+    loads its job runtime before its first ``accept``, so the start-up
+    wait lands in :func:`~repro.distributed.dispatcher.connect_workers`,
+    never in a job.  A worker that dies during start-up takes the only
+    copy of the listener with it: ``connect_workers`` then raises its
+    usual ``DispatcherError`` naming the address.
+
+    ``PYTHONPATH`` is wired so the subprocess finds this very package.
+    The caller terminates ``proc`` when done.
     """
-    import re
     import subprocess
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parents[2])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", "--bind", bind, *extra_args],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
-    )
-    line = proc.stdout.readline()
-    match = re.search(r"listening on (\S+?:\d+)", line)
-    if not match:
-        proc.terminate()
-        raise RuntimeError(f"worker failed to start: {line!r}")
+    listener = TcpListener(*parse_address(bind))
+    try:
+        address = format_address(listener.address)
+        fd = listener.fileno()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "worker", "--bind", f"fd:{fd}", *extra_args],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+            pass_fds=(fd,),
+        )
+    finally:
+        listener.close()
     # Keep draining the worker's log output: the server prints a couple
     # of lines per job, and an undrained pipe would fill and block it
     # mid-job after enough dispatches.
@@ -599,7 +610,7 @@ def launch_worker_process(bind: str = "127.0.0.1:0", *, extra_args: tuple = ()):
             pass
 
     threading.Thread(target=_drain, name="worker-log-drain", daemon=True).start()
-    return proc, match.group(1)
+    return proc, address
 
 
 def _load_job_runtime() -> None:
@@ -617,6 +628,17 @@ def _load_job_runtime() -> None:
     registered_balancers()
 
 
+def _control_listener(bind: str) -> TcpListener:
+    """Bind ``HOST:PORT``, or adopt the listening socket ``fd:N`` names."""
+    if not bind.startswith("fd:"):
+        return TcpListener(*parse_address(bind))
+    try:
+        fd = int(bind[3:])
+    except ValueError:
+        raise ValueError(f"bind must be 'host:port' or 'fd:N', got {bind!r}") from None
+    return TcpListener.from_fd(fd)
+
+
 class _JobError(RuntimeError):
     """A job failed; the worker reported it and keeps serving."""
 
@@ -631,11 +653,14 @@ def serve(bind: str = "127.0.0.1:0", *, max_jobs: int = 0,
           authkey: str | bytes | None = None, log=_default_log) -> int:
     """Serve distributed jobs until killed (or after ``max_jobs`` jobs).
 
-    Opens two listeners on the bind host: the *control* port (``bind``;
-    port 0 picks an ephemeral one) that dispatchers connect to, and an
-    ephemeral *peer* port advertised in the rendezvous hello that other
-    workers' blocks connect their halo links to.  Prints a parseable
-    ``worker listening on HOST:PORT (peer HOST:PORT)`` line once ready.
+    Listens on two ports of the bind host: the *control* port that
+    dispatchers connect to, and an ephemeral *peer* port advertised in
+    the rendezvous hello that other workers' blocks connect their halo
+    links to.  ``bind`` is ``HOST:PORT`` (port 0 picks an ephemeral
+    one) or ``fd:N``: an inherited socket that is already bound and
+    listening, as :func:`launch_worker_process` hands over.  The job
+    runtime is imported before the first ``accept``, then a
+    ``worker listening on HOST:PORT (peer HOST:PORT)`` line is printed.
 
     ``advertise`` names the host other *workers* should dial this
     worker's peer port at.  Without it the dispatcher substitutes the
@@ -672,11 +697,10 @@ def serve(bind: str = "127.0.0.1:0", *, max_jobs: int = 0,
     vanished dispatcher surfaces as EOF, not silence).  Failed jobs are
     logged and the worker keeps serving.
     """
-    host, port = parse_address(bind)
     key = resolve_authkey(authkey)
+    listener = _control_listener(bind)
     _load_job_runtime()
-    listener = TcpListener(host, port)
-    peer_listener = TcpListener(host, 0)
+    peer_listener = TcpListener(listener.address[0], 0)
     ctrl_addr, peer_addr = listener.address, peer_listener.address
     log(
         f"worker listening on {ctrl_addr[0]}:{ctrl_addr[1]} "

@@ -13,7 +13,7 @@ Every convergence bound in the paper is spectral:
   full list of distinct Laplacian eigenvalues.
 
 Eigen-decompositions are computed densely (``scipy.linalg.eigh`` on the
-symmetric Laplacian) and memoized per topology: the graphs in this
+symmetric Laplacian) and memoized on each topology instance: the graphs in this
 reproduction are laptop-scale (``n <= 4096``) and dense solves are both
 exact and fast at that size.  For larger graphs ``lambda_2`` falls back to
 a sparse Lanczos solve.  SciPy is imported inside the functions that use
@@ -23,7 +23,6 @@ it, so importing the package does not load its linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,8 +88,20 @@ def diffusion_matrix(topo: Topology, alpha: float | None = None) -> np.ndarray:
     return np.eye(topo.n) - alpha * laplacian_matrix(topo)
 
 
-@lru_cache(maxsize=512)
-def _laplacian_spectrum_cached(topo: Topology) -> np.ndarray:
+def _cached_on(topo: Topology, attr: str, build) -> np.ndarray:
+    """``build(topo)``, memoized in the topology's own ``__dict__``.
+
+    The result lives and dies with the instance (like its
+    :class:`~repro.core.operators.EdgeOperator`), so a module-level cache
+    never keeps a dropped topology alive.
+    """
+    value = topo.__dict__.get(attr)
+    if value is None:
+        value = topo.__dict__[attr] = build(topo)
+    return value
+
+
+def _laplacian_spectrum(topo: Topology) -> np.ndarray:
     import scipy.linalg
 
     lap = laplacian_matrix(topo)
@@ -107,7 +118,7 @@ def laplacian_eigenvalues(topo: Topology) -> np.ndarray:
             f"full spectrum requested for n={topo.n} > {_DENSE_LIMIT}; "
             "use lambda_2() which falls back to a sparse solver"
         )
-    return _laplacian_spectrum_cached(topo)
+    return _cached_on(topo, "_laplacian_spectrum", _laplacian_spectrum)
 
 
 def distinct_laplacian_eigenvalues(topo: Topology, tol: float = 1e-8) -> np.ndarray:
@@ -124,7 +135,6 @@ def distinct_laplacian_eigenvalues(topo: Topology, tol: float = 1e-8) -> np.ndar
     return np.asarray(out)
 
 
-@lru_cache(maxsize=512)
 def fiedler_vector(topo: Topology) -> np.ndarray:
     """Unit eigenvector of the Laplacian for ``lambda_2`` (read-only).
 
@@ -136,6 +146,10 @@ def fiedler_vector(topo: Topology) -> np.ndarray:
     """
     if topo.n < 2:
         raise ValueError("Fiedler vector needs n >= 2")
+    return _cached_on(topo, "_fiedler_vector", _fiedler_vector)
+
+
+def _fiedler_vector(topo: Topology) -> np.ndarray:
     import scipy.linalg
 
     lap = laplacian_matrix(topo)

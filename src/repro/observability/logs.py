@@ -2,9 +2,9 @@
 
 One namespace — ``repro.distributed`` — with a stdout handler carrying
 timestamps and levels, replacing the free-form ``print`` diagnostics so
-worker output drained by ``launch_worker_process`` stays parseable
-(the launcher's ``listening on H:P`` regex is a search, so the prefix
-is harmless) while gaining severity and timing.
+worker output (the ``listening on H:P`` start-up line, the per-job
+lines ``launch_worker_process`` drains) stays line-oriented and
+greppable while gaining severity and timing.
 """
 
 from __future__ import annotations

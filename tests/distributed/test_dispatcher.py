@@ -8,7 +8,10 @@ P ∈ {2, 4} and K ∈ {2, 4}; and a worker dying mid-run aborts the
 dispatch cleanly — nonzero/diagnostic, never a hang.
 """
 
+import re
 import signal
+import socket
+import sys
 import threading
 import time
 
@@ -497,6 +500,55 @@ class TestHandshakeCap:
         assert not server.is_alive()
 
 
+class TestLaunchHandoff:
+    """``launch_worker_process`` binds the control port, hands the
+    listening socket to the worker and returns at once; the start-up
+    wait moves into ``connect_workers``."""
+
+    def test_launch_returns_before_the_worker_is_up(self, tmp_path, monkeypatch):
+        wrapper = tmp_path / "python"
+        wrapper.write_text(f'#!/bin/sh\nsleep 2\nexec "{sys.executable}" "$@"\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(wrapper))
+        start = time.monotonic()
+        proc, addr = spawn_worker()
+        try:
+            assert time.monotonic() - start < 1.0
+            handles = connect_workers([addr])
+            try:
+                assert handles[0].info["pid"] == proc.pid
+            finally:
+                close_workers(handles)
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
+    def test_worker_failing_at_startup_is_a_named_dispatcher_error(self):
+        proc, addr = launch_worker_process(extra_args=("--no-such-flag",))
+        try:
+            start = time.monotonic()
+            with pytest.raises(DispatcherError, match=re.escape(addr)):
+                connect_workers([addr], timeout=10.0)
+            assert time.monotonic() - start < 5.0
+            assert proc.wait(timeout=10) != 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+
+    def test_killed_worker_refuses_connects(self):
+        """The launcher keeps no copy of the listener: once the worker is
+        gone a connect is refused, not queued in an orphaned backlog."""
+        proc, addr = spawn_worker()
+        try:
+            close_workers(connect_workers([addr]))
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(parse_address(addr), timeout=5).close()
+
+
 class TestWorkerFailure:
     def test_worker_death_aborts_cleanly(self):
         """SIGKILL one of two workers mid-run: the dispatcher must raise
@@ -523,6 +575,9 @@ class TestWorkerFailure:
                 except DispatcherError as exc:
                     outcome["result"] = f"error: {exc}"
 
+            # The launch returns before the workers are up: handshake
+            # first, so the kill lands mid-run rather than in start-up.
+            close_workers(connect_workers([addr1, addr2]))
             thread = threading.Thread(target=run)
             thread.start()
             time.sleep(1.0)

@@ -55,6 +55,16 @@ def _reap(*procs):
         proc.wait(timeout=10)
 
 
+def _wait_ready(*addrs):
+    """Handshake once with every worker and hang up again.
+
+    ``launch_worker_process`` returns before the worker is up, so a kill
+    timer started at launch could land during start-up; started after
+    this, it lands mid-job as the tests intend.
+    """
+    close_workers(connect_workers(list(addrs)))
+
+
 def _kill_after(proc, delay):
     """SIGKILL ``proc`` after ``delay`` seconds; returns the Timer."""
     t = threading.Timer(delay, proc.kill)
@@ -194,6 +204,7 @@ class TestShardedRequeue:
             ref = EnsembleSimulator(
                 DiffusionBalancer(topo), stopping=[MaxRounds(R)], serial_singleton=False
             ).run(loads.copy(), seed=0, replicas=B)
+            _wait_ready(*addrs)
             killer = _kill_after(procs[0], 0.4)
             start = time.monotonic()
             try:
@@ -220,6 +231,7 @@ class TestShardedRequeue:
         try:
             topo = torus_2d(48, 48)
             loads = np.random.default_rng(5).uniform(0.0, 10_000.0, topo.n)
+            _wait_ready(addr)
             killer = _kill_after(proc, 0.4)
             start = time.monotonic()
             try:
@@ -254,6 +266,7 @@ class TestPartitionedCheckpointRecovery:
             serial = Simulator(
                 DiffusionBalancer(topo, mode="discrete"), stopping=[MaxRounds(R)]
             ).run(loads.copy(), 0)
+            _wait_ready(*addrs)
             killer = _kill_after(procs[1], 1.0)
             start = time.monotonic()
             try:
@@ -356,6 +369,7 @@ class TestFailureTimingWindows:
         try:
             topo = torus_2d(16, 16)
             loads = np.random.default_rng(5).integers(0, 10_000, topo.n).astype(np.int64)
+            _wait_ready(*addrs)
             killer = _kill_after(procs[0], 1.0)
             start = time.monotonic()
             try:

@@ -182,6 +182,30 @@ class TestTcpSpecifics:
         assert server.recv(timeout=5.0) == "late"
         ch.close(), server.close(), listener_box["l"].close()
 
+    def test_listener_adopts_a_listening_fd(self):
+        import os
+        import socket
+
+        with TcpListener("127.0.0.1", 0) as original:
+            address = original.address
+            fd = os.dup(original.fileno())
+            os.set_inheritable(fd, True)  # as a child receives it
+            adopted = TcpListener.from_fd(fd)
+        with adopted:
+            assert adopted.address == address
+            assert not os.get_inheritable(adopted.fileno())
+            ch = tcp_connect(adopted.address, retries=0)
+            server = adopted.accept(timeout=5.0)
+            ch.send("handed over")
+            assert server.recv(timeout=5.0) == "handed over"
+            ch.close(), server.close()
+        unbound = socket.socket()
+        try:
+            with pytest.raises(TransportError, match="not a listening TCP socket"):
+                TcpListener.from_fd(os.dup(unbound.fileno()))
+        finally:
+            unbound.close()
+
     def test_socket_options_applied(self):
         a, b = tcp_pair(nodelay=True, buffer_size=65536)
         a.send(np.arange(10))

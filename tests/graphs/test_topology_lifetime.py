@@ -98,3 +98,24 @@ def test_operator_keeps_the_degrees_it_reads():
     assert op.degrees is topo.degrees
     assert not hasattr(op, "topo")
     assert np.array_equal(op.fos_csr(0.1).data, edge_operator(torus_2d(4, 5)).fos_csr(0.1).data)
+
+
+def test_spectral_results_do_not_pin_the_topology():
+    """Spectra and Fiedler vectors are cached on the instance, not in a
+    module-level cache that would keep every graph they were asked about
+    (with its operators and partitions) alive."""
+    from repro.graphs.spectral import fiedler_vector, lambda_2
+
+    topo = torus_2d(8, 8)
+    lam2 = lambda_2(topo)
+    vec = fiedler_vector(topo)
+    assert lambda_2(topo) == lam2 and fiedler_vector(topo) is vec
+    _warm(topo)
+    ref = weakref.ref(topo)
+    del topo
+    gc.collect()
+    assert ref() is None
+    # A fresh equal graph gets the same values.
+    again = torus_2d(8, 8)
+    assert lambda_2(again) == lam2
+    assert np.array_equal(fiedler_vector(again), vec)

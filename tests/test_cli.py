@@ -48,6 +48,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "diffusion" in out and "fos" in out
 
+    def test_compare_ends_stalled_discrete_runs(self, capsys):
+        """At the default eps the discrete schemes stall far above
+        eps*Phi0; compare ends them by stagnation instead of spinning to
+        --max-rounds, and a discrete run that does reach eps is untouched."""
+        from repro.cli import COMPARE_STAGNATION_PATIENCE
+
+        rc = main([
+            "compare", "--topology", "torus:8x8", "--seed", "3",
+            "--balancers", "diffusion-discrete", "async-diffusion-discrete", "fos-floor",
+        ])
+        assert rc == 0
+        rows = {
+            line.split()[0]: line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.split() and line.split()[0] in {
+                "diffusion-discrete", "async-diffusion-discrete", "fos-floor"}
+        }
+        for name in ("diffusion-discrete", "async-diffusion-discrete"):
+            assert rows[name][-1] == f"stagnation({COMPARE_STAGNATION_PATIENCE})"
+            assert int(rows[name][1]) < 2 * COMPARE_STAGNATION_PATIENCE
+        assert rows["fos-floor"][1] == "30"
+        assert rows["fos-floor"][-1] == "potential<=0.0001*Phi0"
+
     def test_sweep(self, capsys):
         rc = main([
             "sweep", "--topologies", "torus:4x4", "cycle:8",

@@ -4,7 +4,7 @@ A worker process pays for every module it imports before it can take a
 job, so the runtime must not drag in the report layer, the experiments,
 SciPy's dense linear algebra or the HTTP server.  The job runtime itself
 (kernels, block loop, balancer classes) must be loaded *before* the
-worker reports its address, or the import lands in the first timed job.
+worker answers its first hello, or the import lands in the first timed job.
 Each check runs in a fresh interpreter.
 """
 
@@ -100,6 +100,13 @@ from repro.distributed import worker
 HEAVY = {heavy!r}
 JOB_RUNTIME = {job!r}
 _serve = worker.serve
+_load_job_runtime = worker._load_job_runtime
+loaded = []
+
+
+def load_job_runtime():
+    _load_job_runtime()
+    loaded.append(True)
 
 
 def serve(*args, log=worker._default_log, **kwargs):
@@ -107,14 +114,20 @@ def serve(*args, log=worker._default_log, **kwargs):
         if "listening on" in message:
             missing = [m for m in JOB_RUNTIME if m not in sys.modules]
             heavy = [m for m in HEAVY if m in sys.modules]
-            if missing or heavy:
-                message = f"not ready: missing {{missing}}, loaded {{heavy}}"
+            if missing or heavy or not loaded:
+                # Exit before the first accept: the handed-over listener
+                # dies with this process and the waiting hello is reset.
+                raise SystemExit(
+                    f"not ready: runtime loaded {{bool(loaded)}}, "
+                    f"missing {{missing}}, loaded {{heavy}}"
+                )
         log(message)
 
     return _serve(*args, log=probe, **kwargs)
 
 
 worker.serve = serve
+worker._load_job_runtime = load_job_runtime
 sys.argv = ["repro", *sys.argv[3:]]  # drop "-m repro"
 runpy.run_module("repro", run_name="__main__", alter_sys=True)
 """
@@ -122,9 +135,14 @@ runpy.run_module("repro", run_name="__main__", alter_sys=True)
 
 def test_launched_worker_loads_its_job_runtime_before_reporting(tmp_path, monkeypatch):
     """``launch_worker_process`` runs ``<python> -m repro worker``.  Through a
-    wrapper interpreter, the worker's ``listening on`` line is replaced by a
-    ``not ready`` report when, at that moment, a job module is still
-    missing or a heavy one is loaded, so the launch itself fails."""
+    wrapper interpreter, the worker exits at its ``listening on`` line when,
+    at that moment, ``_load_job_runtime`` has not run, a job module is
+    still missing or a heavy one is loaded.  (The CLI's own imports load
+    the job modules too, so their presence alone would not show a loader
+    moved after the line.)  The launch returns before that line, so the
+    test handshakes with the worker: the job runtime must be loaded
+    before it answers its first hello."""
+    from repro.distributed.dispatcher import close_workers, connect_workers
     from repro.distributed.worker import launch_worker_process
 
     probe = tmp_path / "probe.py"
@@ -136,6 +154,7 @@ def test_launched_worker_loads_its_job_runtime_before_reporting(tmp_path, monkey
     proc, address = launch_worker_process()
     try:
         assert address.startswith("127.0.0.1:")
+        close_workers(connect_workers([address], timeout=30.0))
     finally:
         proc.terminate()
         proc.wait(timeout=10)
