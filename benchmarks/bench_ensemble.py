@@ -432,21 +432,47 @@ def transport_gate_failures(rows: list[dict]) -> list[str]:
 # ----------------------------------------------------------------------
 # Distributed section: the dispatcher over real `repro-lb worker` processes
 # ----------------------------------------------------------------------
-def _spawn_local_workers(count: int) -> tuple[list, list[str]]:
-    """Launch ``count`` ``repro-lb worker`` subprocesses on loopback."""
+def _spawn_local_workers(count: int, authkey: str | None = None) -> tuple[list, list[str]]:
+    """Launch ``count`` ``repro-lb worker`` subprocesses on loopback.
+
+    Returns once every worker has answered a handshake:
+    ``launch_worker_process`` returns before its worker is up, and no
+    timed row (nor a kill timer) may start during worker start-up.  A
+    worker that fails to start raises with the tail of its output.
+    """
+    from repro.distributed.dispatcher import close_workers, connect_workers
     from repro.distributed.worker import launch_worker_process
 
+    extra_args = ("--authkey", authkey) if authkey else ()
     procs, addrs = [], []
     try:
         for _ in range(count):
-            proc, addr = launch_worker_process()
+            proc, addr = launch_worker_process(extra_args=extra_args)
             procs.append(proc)
             addrs.append(addr)
-    except RuntimeError:
-        for proc in procs:
-            proc.terminate()
+        try:
+            close_workers(connect_workers(addrs, authkey=authkey))
+        except Exception as exc:
+            tails = [
+                f"{addr}: {' | '.join(proc.log_tail)}"
+                for proc, addr in zip(procs, addrs) if proc.log_tail
+            ]
+            raise RuntimeError("; ".join([str(exc), *tails])) from exc
+    except BaseException:
+        _stop_local_workers(procs)
         raise
     return procs, addrs
+
+
+def _stop_local_workers(procs: list) -> None:
+    for proc in procs:
+        if proc.poll() is None:
+            proc.terminate()
+    for proc in procs:
+        try:
+            proc.wait(timeout=10)
+        except Exception:  # pragma: no cover - defensive
+            proc.kill()
 
 
 def measure_dispatch_partitioned(side, mode, rounds, worker_addrs, partitions=4,
@@ -553,18 +579,13 @@ def measure_dispatch_hardened(side, replicas, mode, rounds, plain_row,
     round-trips at rendezvous and beats ride send_nowait.
     """
     from repro.distributed.dispatcher import dispatch_sharded
-    from repro.distributed.worker import launch_worker_process
 
     authkey = "bench-hardened"
     heartbeat = 0.5
     topo = torus_2d(side, side)
     loads = _initial_loads(topo.n, discrete=mode == "discrete")
-    procs, addrs = [], []
+    procs, addrs = _spawn_local_workers(2, authkey=authkey)
     try:
-        for _ in range(2):
-            proc, addr = launch_worker_process(extra_args=("--authkey", authkey))
-            procs.append(proc)
-            addrs.append(addr)
         disp_s = float("inf")
         stats: dict = {}
         for _ in range(repeats):
@@ -579,13 +600,7 @@ def measure_dispatch_hardened(side, replicas, mode, rounds, plain_row,
             if elapsed < disp_s:
                 disp_s, stats = elapsed, s
     finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except Exception:  # pragma: no cover - defensive
-                proc.kill()
+        _stop_local_workers(procs)
     plain_s = plain_row["dispatched_seconds"]
     return {
         "kind": "sharded-dispatch-hardened",
@@ -616,7 +631,6 @@ def measure_recovery_row(smoke: bool) -> dict:
     import threading
 
     from repro.distributed.dispatcher import dispatch_sharded
-    from repro.distributed.worker import launch_worker_process
 
     side = 32
     replicas, shards = 6, 6
@@ -629,12 +643,10 @@ def measure_recovery_row(smoke: bool) -> dict:
     loads = _initial_loads(topo.n, discrete=False)
 
     def _run(kill: bool):
-        procs, addrs = [], []
+        # Workers are ready on return, so the kill lands mid-sweep and
+        # neither timing includes worker start-up.
+        procs, addrs = _spawn_local_workers(3)
         try:
-            for _ in range(3):
-                proc, addr = launch_worker_process()
-                procs.append(proc)
-                addrs.append(addr)
             killer = threading.Timer(kill_at, procs[0].kill) if kill else None
             if killer is not None:
                 killer.start()
@@ -650,14 +662,7 @@ def measure_recovery_row(smoke: bool) -> dict:
                     killer.cancel()
             return time.perf_counter() - start, stats
         finally:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=10)
-                except Exception:  # pragma: no cover - defensive
-                    proc.kill()
+            _stop_local_workers(procs)
 
     clean_s, _ = _run(kill=False)
     killed_s, stats = _run(kill=True)
@@ -704,13 +709,7 @@ def measure_distributed_section(smoke: bool, worker_addrs: list[str] | None = No
             measure_dispatch_hardened(side, replicas, "continuous", rounds, rows[-1])
         )
     finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except Exception:  # pragma: no cover - defensive
-                proc.kill()
+        _stop_local_workers(procs)
     rows.append(measure_recovery_row(smoke))
     for row in rows:
         if row["kind"] == "partitioned-dispatch":

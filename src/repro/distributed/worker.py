@@ -33,6 +33,7 @@ halos.
 
 from __future__ import annotations
 
+import collections
 import os
 import socket as _socket
 import sys
@@ -567,6 +568,10 @@ class WorkerProgress:
             }
 
 
+#: Output lines of a launched worker kept on ``proc.log_tail``.
+LOG_TAIL_LINES = 20
+
+
 def launch_worker_process(bind: str = "127.0.0.1:0", *, extra_args: tuple = ()):
     """Spawn ``repro-lb worker`` as a subprocess; returns ``(proc, address)``.
 
@@ -581,7 +586,11 @@ def launch_worker_process(bind: str = "127.0.0.1:0", *, extra_args: tuple = ()):
     wait lands in :func:`~repro.distributed.dispatcher.connect_workers`,
     never in a job.  A worker that dies during start-up takes the only
     copy of the listener with it: ``connect_workers`` then raises its
-    usual ``DispatcherError`` naming the address.
+    usual ``DispatcherError`` naming the address — a reset connection if
+    it connected first, else a refused connect retried until its
+    ``timeout``.  The cause (a traceback, a bad flag) is not in that
+    error; the last lines the worker printed are kept in
+    ``proc.log_tail``.
 
     ``PYTHONPATH`` is wired so the subprocess finds this very package.
     The caller terminates ``proc`` when done.
@@ -605,9 +614,11 @@ def launch_worker_process(bind: str = "127.0.0.1:0", *, extra_args: tuple = ()):
     # Keep draining the worker's log output: the server prints a couple
     # of lines per job, and an undrained pipe would fill and block it
     # mid-job after enough dispatches.
+    proc.log_tail = collections.deque(maxlen=LOG_TAIL_LINES)
+
     def _drain() -> None:
-        for _ in proc.stdout:
-            pass
+        for line in proc.stdout:
+            proc.log_tail.append(line.rstrip("\n"))
 
     threading.Thread(target=_drain, name="worker-log-drain", daemon=True).start()
     return proc, address

@@ -196,7 +196,9 @@ class MarkovEdgeDynamics(DynamicNetwork):
 
     State at round ``k`` is computed by replaying the chain from round 0,
     memoized, so access stays deterministic and O(1) amortized for the
-    sequential access pattern of a simulation.
+    sequential access pattern of a simulation.  While no edge flips,
+    consecutive rounds return the same :class:`Topology` instance (named
+    after the round it appeared in), so its cached spectrum is reused.
     """
 
     def __init__(self, base: Topology, p_fail: float, p_recover: float, seed: int = 0):
@@ -207,6 +209,7 @@ class MarkovEdgeDynamics(DynamicNetwork):
         self.p_fail = float(p_fail)
         self.p_recover = float(p_recover)
         self._states: list[np.ndarray] = [np.ones(base.m, dtype=bool)]  # round 0: all up
+        self._last: tuple[np.ndarray, Topology] | None = None
 
     def _state_at(self, k: int) -> np.ndarray:
         while len(self._states) <= k:
@@ -215,12 +218,18 @@ class MarkovEdgeDynamics(DynamicNetwork):
             prev = self._states[-1]
             u = rng.random(self.base.m)
             nxt = np.where(prev, u >= self.p_fail, u < self.p_recover)
-            self._states.append(nxt)
+            # An unchanged state is stored as the same array, which
+            # topology_at recognizes to hand back the same graph.
+            self._states.append(prev if np.array_equal(nxt, prev) else nxt)
         return self._states[k]
 
     def topology_at(self, k: int) -> Topology:
         mask = self._state_at(k)
-        return self.base.subgraph_with_edges(mask, name=f"{self.base.name}|markov@r{k}")
+        if self._last is not None and self._last[0] is mask:
+            return self._last[1]
+        topo = self.base.subgraph_with_edges(mask, name=f"{self.base.name}|markov@r{k}")
+        self._last = (mask, topo)
+        return topo
 
     @property
     def stationary_up_probability(self) -> float:

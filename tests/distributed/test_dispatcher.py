@@ -531,6 +531,11 @@ class TestLaunchHandoff:
                 connect_workers([addr], timeout=10.0)
             assert time.monotonic() - start < 5.0
             assert proc.wait(timeout=10) != 0
+            # The cause is not in the error; the worker's output tail has it.
+            deadline = time.monotonic() + 5.0
+            while not any("--no-such-flag" in line for line in proc.log_tail):
+                assert time.monotonic() < deadline, list(proc.log_tail)
+                time.sleep(0.05)
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -127,6 +127,19 @@ class TestMarkov:
         frac = np.mean([dyn.topology_at(k).m / torus.m for k in range(60, 160)])
         assert abs(frac - dyn.stationary_up_probability) < 0.08
 
+    def test_unchanged_rounds_share_one_graph(self, torus):
+        """Rounds without a flip reuse one instance, so its spectrum is
+        computed once; a flip gives a fresh, equal-to-replay graph."""
+        dyn = MarkovEdgeDynamics(torus, p_fail=0.002, p_recover=0.02, seed=4)
+        graphs = dyn.sequence(200)
+        shared = sum(a is b for a, b in zip(graphs, graphs[1:]))
+        assert 0 < shared < 199
+        fresh = MarkovEdgeDynamics(torus, p_fail=0.002, p_recover=0.02, seed=4)
+        for k in (0, 57, 199):
+            assert graphs[k] == fresh.topology_at(k)
+        for a, b in zip(graphs, graphs[1:]):
+            assert (a is b) == (a == b)
+
 
 class TestAggregates:
     def test_average_normalized_gap_helper(self, torus):
