@@ -45,6 +45,7 @@ __all__ = [
     "fos_round_continuous",
     "fos_round_discrete_floor",
     "fos_round_discrete_randomized",
+    "cap_extra_tokens",
     "FirstOrderBalancer",
 ]
 
@@ -108,23 +109,46 @@ def fos_round_discrete_randomized(
     """One Elsässer–Monien randomized-rounding round.
 
     For continuous flow ``f`` the edge ships ``floor(|f|) + Bernoulli(frac(|f|))``
-    tokens in the direction of ``f``; expectation equals the continuous flow.
-    For a replica-major ``(B, n)`` batch pass a sequence of ``B``
-    generators — each replica consumes its stream exactly as a serial
-    call would.
+    tokens in the direction of ``f``; expectation equals the continuous flow
+    except where a node would ship more tokens than it holds (see
+    :func:`cap_extra_tokens`).  For a replica-major ``(B, n)`` batch pass
+    a sequence of ``B`` generators — each replica consumes its stream
+    exactly as a serial call would.
     """
     l = np.asarray(loads, dtype=np.int64)
     f = fos_flows(l, topo, alpha)
     mag = np.abs(f)
     base = np.floor(mag)
+    op = edge_operator(topo)
     if l.ndim == 1:
         extra = rng.random(mag.shape[-1]) < (mag - base)
+        cap_extra_tokens(l, f, base, extra, op.u, op.v)
     else:
         extra = np.empty(mag.shape, dtype=bool)
         for b, gen in enumerate(rng):
             extra[b] = gen.random(mag.shape[-1]) < (mag[b] - base[b])
+            cap_extra_tokens(l[b], f[b], base[b], extra[b], op.u, op.v)
     tokens = (np.sign(f) * (base + extra)).astype(np.int64)
     return apply_edge_flows(l, topo, tokens)
+
+
+def cap_extra_tokens(loads, f, base, extra, u, v) -> None:
+    """Drop rounded-up tokens a node cannot pay for, in place.
+
+    A node sends every edge's ``base`` tokens plus one ``extra`` token on
+    the edges whose coin came up, all before anything arrives.  With
+    ``alpha <= 1/delta`` the base tokens alone never exceed its load, but
+    the extras can: on a sparse graph a node holding one token may owe
+    two.  Such a node keeps its first extras in edge order up to its
+    load and drops the rest.  One replica's ``(n,)`` loads and ``(m,)``
+    edge arrays (views into a batch are fine); a round where no node
+    overdraws is left untouched, so its bits are unchanged.
+    """
+    sender = np.where(f > 0, u, v)
+    owed = np.bincount(sender, weights=base + extra, minlength=loads.size)
+    for i in np.flatnonzero(owed > loads):
+        mine = np.flatnonzero(extra & (sender == i))
+        extra[mine[max(mine.size - int(owed[i] - loads[i]), 0) :]] = False
 
 
 class FirstOrderBalancer(Balancer):
@@ -194,6 +218,7 @@ class FirstOrderBalancer(Balancer):
             extra = np.empty(mag.shape, dtype=bool)
             for b, gen in enumerate(rngs):
                 extra[:, b] = gen.random(mag.shape[0]) < (mag[:, b] - base[:, b])
+                cap_extra_tokens(loads[:, b], f[:, b], base[:, b], extra[:, b], op.u, op.v)
             tokens = (np.sign(f) * (base + extra)).astype(np.int64)
         else:
             tokens = (np.sign(f) * base).astype(np.int64)

@@ -91,6 +91,8 @@ class OptimalPolynomialBalancer(Balancer):
     """
 
     supports_batch = True
+    #: the polynomial's overshoot can leave a node transiently negative
+    allows_negative = True
 
     #: Round-matrix data arrays are cached per eigenvalue only for
     #: schedules up to this length — one ``n x n`` CSR data array per
@@ -144,13 +146,6 @@ class OptimalPolynomialBalancer(Balancer):
     def step_batch(self, loads: np.ndarray, rngs, out: np.ndarray | None = None) -> np.ndarray:
         """One lockstep Richardson round for a node-major ``(n, B)`` batch."""
         return self._apply_round(loads, self.advance_round(), out)
-
-    def validate_loads(self, loads: np.ndarray) -> np.ndarray:
-        """Accept transiently negative loads (polynomial overshoot)."""
-        arr = np.asarray(loads, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"loads must be a non-empty 1-D vector, got shape {arr.shape}")
-        return arr
 
 
 @register_balancer("ops")

@@ -59,6 +59,8 @@ class SecondOrderBalancer(Balancer):
     """
 
     supports_batch = True
+    #: momentum overshoot can leave a node transiently negative
+    allows_negative = True
 
     def __init__(self, topology: Topology, beta: float | None = None, backend: str | None = None):
         super().__init__()
@@ -69,13 +71,6 @@ class SecondOrderBalancer(Balancer):
             raise ValueError(f"beta must be in (0, 2), got {self.beta}")
         self.mode = CONTINUOUS
         self.name = f"sos[beta={self.beta:.4f}]@{topology.name}"
-
-    def validate_loads(self, loads: np.ndarray) -> np.ndarray:
-        """Accept transiently negative loads (momentum overshoot)."""
-        arr = np.asarray(loads, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError(f"loads must be a non-empty 1-D vector, got shape {arr.shape}")
-        return arr
 
     def step(self, loads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         loads = self.validate_loads(loads)

@@ -33,6 +33,7 @@ __all__ = [
     "l2_error",
     "pairwise_square_sum",
     "pairwise_square_sum_naive",
+    "square_sum",
 ]
 
 
@@ -41,6 +42,25 @@ def _as_vector(loads: np.ndarray) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"loads must be a non-empty 1-D vector, got shape {arr.shape}")
     return arr
+
+
+#: OpenBLAS ``ddot`` splits a vector longer than this across its threads,
+#: so a longer dot product's bits depend on the thread count.
+DOT_CHUNK = 10_000
+
+
+def square_sum(v: np.ndarray) -> float:
+    """``v @ v`` for a float64 vector, with bits independent of the BLAS
+    thread count: one ``ddot`` per fixed chunk of :data:`DOT_CHUNK`,
+    summed in order (a vector of at most one chunk is exactly ``v @ v``).
+    """
+    if v.size <= DOT_CHUNK:
+        return float(v.dot(v))
+    total = 0.0
+    for i in range(0, v.size, DOT_CHUNK):
+        chunk = v[i : i + DOT_CHUNK]
+        total += float(chunk.dot(chunk))
+    return total
 
 
 def average_load(loads: np.ndarray) -> float:
@@ -55,8 +75,7 @@ def potential(loads: np.ndarray) -> float:
     vectors from the discrete algorithms don't overflow.
     """
     arr = _as_vector(loads).astype(np.float64, copy=False)
-    centered = arr - arr.mean()
-    return float(centered @ centered)
+    return square_sum(arr - arr.mean())
 
 
 def potential_drop(before: np.ndarray, after: np.ndarray) -> float:

@@ -12,10 +12,15 @@ Schemes differ in
 The engine contract is:
 
 1. ``reset()`` before a run (clears history/round counters);
-2. ``step(loads, rng)`` once per round — must **not** mutate its input and
-   must conserve total load exactly (integer-exact in discrete mode,
+2. ``step(loads, rng)`` once per round — validates its input
+   (:meth:`Balancer.validate_loads`), must **not** mutate it and must
+   conserve total load exactly (integer-exact in discrete mode,
    float-exact up to accumulation error in continuous mode);
 3. deterministic given the ``rng`` stream.
+
+Loads are non-negative unless a scheme sets ``allows_negative`` (the
+overshoot of SOS and OPS); :meth:`Balancer.validate_loads` and the
+engines' per-round guard both read that one attribute.
 
 Schemes that can run many replicas in lockstep additionally set
 ``supports_batch = True`` and implement ``step_batch(loads, rngs)`` over
@@ -28,8 +33,10 @@ property tests rely on that equivalence.  Every built-in scheme —
 diffusion, random partner, FOS/SOS, dimension exchange, OPS,
 asynchronous and heterogeneous diffusion — implements the batched
 contract, so the ensemble engine (and the sharded execution layer on top
-of it) covers the whole zoo; ``step`` remains the universal fallback and
-the ``B = 1`` fast path.
+of it) covers the whole zoo.  ``step_batch`` does not validate: the
+engines check the initial state once and then call it every round, one
+replica included (as an ``(n, 1)`` batch); ``step`` remains the public,
+validated round and the fallback for schemes without a batched kernel.
 
 A string registry maps scheme names to factories so the CLI and the
 experiment configs can construct balancers declaratively.
@@ -86,6 +93,10 @@ class Balancer(ABC):
     mode: str = CONTINUOUS
     #: True when :meth:`step_batch` is implemented (lockstep ensembles)
     supports_batch: bool = False
+    #: True when the scheme's loads may dip below zero in transit (the
+    #: momentum of SOS, the polynomial overshoot of OPS); read by
+    #: :meth:`validate_loads` and by the engines' per-round guard
+    allows_negative: bool = False
     #: True when :meth:`block_step` is implemented (node-axis partitioned
     #: execution with halo exchange; see :mod:`repro.simulation.partitioned`).
     #: May be set per instance — e.g. FOS supports it only in its linear
@@ -178,8 +189,9 @@ class Balancer(ABC):
         Discrete schemes require an integer-valued vector (float inputs
         holding integers are accepted and cast); continuous schemes cast
         to float64.  Negative loads are rejected — the model has tokens,
-        not debts — and so are unsigned loads past the int64 range, which
-        the discrete cast would wrap.
+        not debts — unless the scheme ``allows_negative``, and so are
+        unsigned loads past the int64 range, which the discrete cast would
+        wrap.
         """
         arr = np.asarray(loads)
         if arr.ndim != 1 or arr.size == 0:
@@ -188,7 +200,7 @@ class Balancer(ABC):
         lo, hi = arr.min(), arr.max()
         if arr.dtype.kind == "f" and not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("loads must be finite (no NaN/inf)")
-        if lo < 0:
+        if lo < 0 and not self.allows_negative:
             raise ValueError("loads must be non-negative")
         if self.mode == DISCRETE:
             if arr.dtype.kind == "u" and int(hi) > _INT64_MAX:

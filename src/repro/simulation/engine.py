@@ -18,8 +18,9 @@ statistic recorded:
 
 - :class:`Simulator` wires a :class:`~repro.core.protocols.Balancer` to
   a list of stopping rules and runs :func:`simulate`'s one-replica
-  branch — one ``step`` per round on the serial stepper of the shared
-  round driver, which works for every balancer, batched or not;
+  branch — one unvalidated ``step_batch`` round per item on the serial
+  stepper of the shared round driver, or one ``step`` for a scheme
+  without a batched kernel;
 - :func:`run_balancer` runs a fixed number of rounds.
 
 Determinism: a run is fully determined by ``(balancer, loads, seed)``.

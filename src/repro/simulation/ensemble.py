@@ -45,10 +45,21 @@ adds discrepancies and per-round net movement, matching everything a
 serial :class:`Trace` records.  Derived statistics of a batch may differ from the serial ones
 in the last float ulp (different summation order); recorded *loads*
 never do.
+
+Both steppers validate at the engine boundary only: :func:`initial_batch`
+checks the initial state once, and each round runs the scheme's
+unvalidated ``step_batch`` with two buffers ping-ponging through its
+``out=`` (the serial stepper on ``(n, 1)`` views, so a round allocates
+nothing).  The serial stepper keeps ``validate_loads``' per-round guard
+from what the trace records anyway: a non-finite sum raises ``loads
+must be finite``, and a negative minimum ``loads must be non-negative``
+unless the scheme ``allows_negative``.  A scheme without
+``supports_batch`` runs on ``step``, which checks its own input.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from time import perf_counter
 from typing import Callable, Iterator, Sequence
@@ -316,7 +327,7 @@ class EnsembleSimulator(RoundEngine):
         L, B = initial_batch(self.balancer, loads, len(rngs))
         trace = self._new_trace(B)
         if B == 1 and self.serial_singleton:
-            L = self._drive(trace, serial_rounds(self.balancer, trace, L[:, 0].copy(), rngs[0]))
+            L = self._drive(trace, serial_rounds(self.balancer, trace, L[:, 0], rngs[0]))
         else:
             if not getattr(self.balancer, "supports_batch", False):
                 raise TypeError(
@@ -339,11 +350,32 @@ class EnsembleSimulator(RoundEngine):
 # ----------------------------------------------------------------------
 def serial_rounds(balancer: Balancer, trace: EnsembleTrace, loads: np.ndarray,
                   rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The serial stepper: the initial vector, then one ``step`` per round."""
+    """The serial stepper: the initial ``(n,)`` vector, then one round per item.
+
+    A batched scheme runs ``step_batch`` on ``(n, 1)`` views of two
+    ping-pong buffers, guarded from its record's sum and minimum (see the
+    module docstring); any other scheme calls ``step``.
+    """
     yield loads
+    if not getattr(balancer, "supports_batch", False):
+        while True:
+            loads = balancer.step(loads, rng)
+            trace.record(loads)
+            yield loads
+    L, rngs = loads[:, None], [rng]
+    spare = np.empty_like(L)
+    signed = getattr(balancer, "allows_negative", False)
     while True:
-        loads = balancer.step(loads, rng)
-        trace.record(loads)
+        new = balancer.step_batch(L, rngs, out=spare)
+        if new is L:
+            raise AssertionError(f"{trace.balancer_name}'s round kernel returned its input")
+        vec = new[:, 0]
+        lo = trace.record(vec, prev=loads)
+        if not math.isfinite(trace._sums[-1]):
+            raise ValueError("loads must be finite (no NaN/inf)")
+        if lo < 0 and not signed:
+            raise ValueError("loads must be non-negative")
+        L, spare, loads = new, L, vec
         yield loads
 
 
@@ -387,9 +419,8 @@ def apply_stopping(stopping, trace, active: np.ndarray | None) -> bool:
         trace._reasons[0] = rule.reason
         return False
     remaining = active.copy()
+    running = True
     for rule in stopping:
-        if not remaining.any():
-            break
         verdict = rule.should_stop(trace)
         if np.ndim(verdict) == 0 and trace.replicas > 1:
             raise NotImplementedError(
@@ -401,8 +432,11 @@ def apply_stopping(stopping, trace, active: np.ndarray | None) -> bool:
             for b in np.flatnonzero(newly):
                 trace._reasons[b] = rule.reason
             remaining &= ~newly
+            running = bool(remaining.any())
+            if not running:
+                break
     active[:] = remaining
-    return bool(remaining.any())
+    return running
 
 
 def audit_replica_sums(name: str, sums, initial_sums, tol) -> None:

@@ -12,12 +12,18 @@ was the average per-round drop factor?").
 :meth:`EnsembleTrace.record` selects by the state's shape:
 
 - a load vector ``(n,)`` is one replica's state.  Its statistics are
-  float rows, computed with held buffers: the loads are read in place,
-  the float64 work (centering for ``Phi``, the per-round difference for
-  the movement) happens in one scratch vector kept on the trace, and the
-  loads are copied into a second held vector in their own dtype — a
-  round allocates nothing of size n.  A one-replica run never freezes,
-  so its rounds are its records;
+  float rows, computed with held buffers: the loads are read in place
+  and the float64 work (centering for ``Phi``, the per-round difference
+  for the movement) happens in one scratch vector kept on the trace.
+  The engine's stepper passes ``prev=``, the state this one replaced:
+  the movement is measured against it and the trace keeps a reference
+  to the new state, which the stepper's ping-pong leaves untouched until
+  the next record.  A direct ``record(vec)`` copies the loads into a
+  held vector in their own dtype instead.  Either way a round allocates
+  nothing of size n, and ``Phi`` sums fixed chunks
+  (:func:`~repro.core.potential.square_sum`), so its bits do not depend
+  on the BLAS thread count.  A one-replica run never freezes, so its
+  rounds are its records;
 - a node-major batch ``(n, B)`` holds ``B`` replicas.  Its statistics
   are ``(B,)`` array rows, computed across the whole batch at once, and
   each replica's rounds are credited by :meth:`EnsembleTrace.advance`.
@@ -37,7 +43,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.potential import _as_vector
+from repro.core.potential import _as_vector, square_sum
 
 __all__ = ["EnsembleTrace", "Trace"]
 
@@ -78,6 +84,8 @@ class EnsembleTrace:
         self._ones: np.ndarray | None = None
         self._totals: np.ndarray | None = None
         self._last_loads: np.ndarray | None = None
+        #: the vector a ``record`` without ``prev`` copies its state into
+        self._held: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -89,7 +97,7 @@ class EnsembleTrace:
         # cancellation can land a hair below; accuracy is ~eps * sum(l^2)
         # absolute, ample for stopping thresholds and reports (the float
         # rows' centered formula differs only at that level).
-        if np.issubdtype(loads.dtype, np.integer):
+        if loads.dtype.kind in "iu":
             sums = loads.sum(axis=0)  # exact integer totals
         else:
             ones = self._ones
@@ -100,15 +108,22 @@ class EnsembleTrace:
         phis = np.maximum(ss - sums * (sums / loads.shape[0]), 0.0)
         return phis, sums
 
-    def record(self, loads: np.ndarray, prev: np.ndarray | None = None) -> None:
+    def record(self, loads: np.ndarray, prev: np.ndarray | None = None) -> np.generic | None:
         """Append one state (the initial state first, then once per round).
 
         A node-major ``(n, B)`` batch appends one ``(B,)`` row per
-        statistic; ``prev`` is the batch it replaced (for the movement).
-        A load vector ``(n,)`` appends float rows that are bit-for-bit the
-        values of :func:`~repro.core.potential.potential`,
+        statistic.  A load vector ``(n,)`` appends float rows that are
+        bit-for-bit the values of :func:`~repro.core.potential.potential`,
         :func:`~repro.core.potential.discrepancy` and a float64 sum, from
-        one float64 sum and the held buffers.
+        one float64 sum and the held scratch vector, and returns the
+        vector's minimum load (the engine's sign guard reads it).
+
+        ``prev`` is the state this one replaced, for the movement.  With
+        ``prev`` the trace keeps a reference to ``loads`` as its last
+        state: the caller must leave it untouched until the next record
+        (the engines' ping-pong recycles ``prev``, never ``loads``).
+        Without ``prev`` a vector is copied and the movement is measured
+        against the last recorded state.
         """
         if np.ndim(loads) == 2:
             if loads.shape[1] != self.replicas:
@@ -124,7 +139,7 @@ class EnsembleTrace:
             # record_stats copies the snapshot: for B=1 the transpose would
             # alias the engine's recycled ping-pong buffer.
             self.record_stats(phis, sums, disc, mov, loads.T if self.keep_snapshots else None)
-            return
+            return None
         arr = _as_vector(loads)
         buf = self._scratch
         if buf is None:
@@ -140,11 +155,12 @@ class EnsembleTrace:
         # ``sum / n`` is exactly how ``mean()`` divides the same sum.
         s = float(flt.sum())
         np.subtract(flt, s / arr.size, out=buf)
-        self._potentials.append(float(buf @ buf))
+        self._potentials.append(square_sum(buf))
+        lo = arr.min()
         if self.record_discrepancies:
-            self._discrepancies.append(float(arr.max() - arr.min()))
+            self._discrepancies.append(float(arr.max() - lo))
         self._sums.append(s)
-        last = self._last_loads
+        last = self._last_loads if prev is None else prev
         if last is not None and self.record_movements:
             # Net per-round movement: half the total |change| — the exact
             # shipped volume when no load passes *through* a node within a
@@ -153,12 +169,17 @@ class EnsembleTrace:
             np.subtract(arr, last, out=buf, dtype=np.float64)
             np.abs(buf, out=buf)
             self._movements.append(0.5 * float(buf.sum()))
-        if last is None or last.dtype != arr.dtype:
-            self._last_loads = arr.copy()
-        else:
-            np.copyto(last, arr)
+        if prev is None:
+            held = self._held
+            if held is None or held.dtype != arr.dtype:
+                held = self._held = arr.copy()
+            else:
+                np.copyto(held, arr)
+            arr = held
+        self._last_loads = arr
         if self.keep_snapshots:
             self._snapshots.append(np.array(loads, copy=True))
+        return lo
 
     def record_stats(
         self,
@@ -197,7 +218,7 @@ class EnsembleTrace:
         rounds are its records.
         """
         if active is not None:
-            self._rounds[active] += 1
+            np.add(self._rounds, active, out=self._rounds)
 
     # ------------------------------------------------------------------
     # Rows: the last recorded value of each statistic, as the stopping

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.baselines import first_order
 from repro.baselines.first_order import (
     FirstOrderBalancer,
+    cap_extra_tokens,
     fos_alpha,
     fos_flows,
     fos_round_continuous,
@@ -98,6 +100,78 @@ class TestDiscreteRandomized:
         for _ in range(200):
             loads = fos_round_discrete_randomized(loads, t, rng)
         assert potential(loads) <= potential(np.asarray([2, 1, 1, 0]))
+
+
+class TestRandomizedOverdraw:
+    """A node never ships more tokens than it holds.
+
+    On cycle:64 from a point load, a node holding one token whose two
+    rounded-up flows both come up owes two; uncapped, that run dies with
+    ``loads must be non-negative`` (serial) or goes negative silently
+    (batched).
+    """
+
+    CMD = ["run", "--balancer", "fos-randomized", "--topology", "cycle:64",
+           "--rounds", "4000", "--seed", "0"]
+
+    @staticmethod
+    def cli_loads():
+        from repro.simulation.initial import make_loads
+
+        return make_loads("point", 64, rng=np.random.default_rng(0), discrete=True)
+
+    def test_holder_of_one_token_ships_one(self):
+        # path 0 - 1 - 2 with the token on node 1: both flows leave node 1
+        f = np.asarray([-1 / 3, 1 / 3])
+        extra = np.asarray([True, True])
+        cap_extra_tokens(np.asarray([0, 1, 0]), f, np.zeros(2), extra,
+                         np.asarray([0, 1]), np.asarray([1, 2]))
+        assert extra.tolist() == [True, False]
+
+    def test_rng_consumption_unchanged(self):
+        t = g.cycle(64)
+        loads = self.cli_loads()
+        drawn, fresh = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(50):
+            loads = fos_round_discrete_randomized(loads, t, drawn)
+            fresh.random(t.m)
+        assert drawn.random() == fresh.random()
+
+    @pytest.mark.parametrize("extra", [[], ["--replicas", "2"]], ids=["serial", "batched"])
+    def test_cli_run_completes(self, extra, capsys):
+        from repro.cli import main
+
+        assert main(self.CMD + extra) == 0
+        assert "max-rounds(4000)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_serial_run_stays_non_negative(self, capped, monkeypatch):
+        from repro.simulation.engine import Simulator
+        from repro.simulation.stopping import MaxRounds
+
+        if not capped:
+            monkeypatch.setattr(first_order, "cap_extra_tokens", lambda *args: None)
+        sim = Simulator(FirstOrderBalancer(g.cycle(64), "randomized"), [MaxRounds(4000)])
+        if not capped:
+            with pytest.raises(ValueError, match="non-negative"):
+                sim.run(self.cli_loads(), 0)
+            return
+        trace = sim.run(self.cli_loads(), 0)
+        assert trace.rounds == 4000 and trace.final_loads.min() >= 0
+
+    @pytest.mark.parametrize("capped", [True, False])
+    def test_batched_run_stays_non_negative(self, capped, monkeypatch):
+        from repro.simulation.ensemble import EnsembleSimulator
+        from repro.simulation.stopping import MaxRounds
+
+        if not capped:
+            monkeypatch.setattr(first_order, "cap_extra_tokens", lambda *args: None)
+        trace = EnsembleSimulator(
+            FirstOrderBalancer(g.cycle(64), "randomized"), [MaxRounds(4000)],
+            keep_snapshots=True,
+        ).run(self.cli_loads(), seed=0, replicas=2)
+        lowest = min(int(snap.min()) for snap in trace.snapshots)
+        assert (lowest >= 0) == capped
 
 
 class TestBalancer:

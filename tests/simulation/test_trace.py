@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.potential import discrepancy, potential
+from repro.core.potential import DOT_CHUNK, discrepancy, potential, square_sum
 from repro.simulation.trace import Trace
 
 
@@ -149,3 +149,48 @@ class TestExtraction:
         assert s["balancer"] == "geo"
         assert s["rounds"] == 10
         assert s["stopped_by"] == "max-rounds(10)"
+
+
+_PHI_RUN = """
+from repro.core.diffusion import DiffusionBalancer
+from repro.graphs.generators import torus_2d
+from repro.simulation.engine import run_balancer
+from repro.simulation.initial import point_load
+
+topo = torus_2d(256, 256)
+trace = run_balancer(DiffusionBalancer(topo), point_load(topo.n, discrete=False), rounds=20)
+print([x.hex() for x in trace.potentials + trace._sums + trace.discrepancies + trace._movements])
+"""
+
+
+class TestThreadIndependentPotential:
+    """Phi of a long vector must not depend on how many threads BLAS has."""
+
+    @pytest.mark.parametrize("n", [1, 5, 9999, 10_000])
+    def test_one_chunk_is_one_dot(self, n):
+        v = np.random.default_rng(n).random(n)
+        assert square_sum(v) == float(v @ v)
+
+    def test_longer_vector_sums_fixed_chunks_in_order(self):
+        v = np.random.default_rng(0).random(2 * DOT_CHUNK + 7)
+        want = 0.0
+        for chunk in (v[:DOT_CHUNK], v[DOT_CHUNK : 2 * DOT_CHUNK], v[2 * DOT_CHUNK :]):
+            want += float(chunk @ chunk)
+        assert square_sum(v) == want
+        assert potential(v) == square_sum(v - v.mean())
+
+    def test_n65536_series_same_on_one_and_two_threads(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", _PHI_RUN], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]

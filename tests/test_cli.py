@@ -31,6 +31,40 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rounds" in out and "phi_final" in out
 
+    @pytest.mark.parametrize("eps", [[], ["--eps", "0.001"]], ids=["rounds", "eps"])
+    def test_one_replica_run_records_auto_and_reports_final_discrepancy(
+        self, capsys, monkeypatch, eps
+    ):
+        """``run`` leaves ``record`` at the engines' ``"auto"``; the summary's
+        discrepancy comes from the final loads and equals a full record's."""
+        import numpy as np
+
+        from repro.core.protocols import get_balancer
+        from repro.graphs.generators import by_name
+        from repro.simulation import engine
+        from repro.simulation.initial import make_loads
+        from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
+
+        asked = []
+        real = engine.simulate
+
+        def spy(*args, **kwargs):
+            asked.append(kwargs.get("record", "auto"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate", spy)
+        assert main(["run", "--balancer", "diffusion-discrete", "--topology", "torus:8x8",
+                     "--rounds", "300", "--seed", "2"] + eps) == 0
+        assert asked == ["auto"]
+        printed = {key.strip(): value.strip() for key, value in
+                   (line.split(":", 1) for line in capsys.readouterr().out.splitlines())}
+        topo = by_name("torus:8x8")
+        loads = make_loads("point", topo.n, rng=np.random.default_rng(2), discrete=True)
+        rules = [MaxRounds(300)] if not eps else [PotentialFractionBelow(1e-3), MaxRounds(300)]
+        full = engine.Simulator(get_balancer("diffusion-discrete", topo), rules).run(loads, 2)
+        assert printed["discrepancy_final"] == str(full.last_discrepancy)
+        assert printed["rounds"] == str(full.rounds)
+
     def test_run_discrete_with_zipf(self, capsys):
         rc = main([
             "run", "--balancer", "diffusion-discrete", "--topology", "hypercube:4",
