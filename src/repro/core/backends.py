@@ -422,39 +422,41 @@ class _TimedBackend:
     those calls are not recorded, so metric counts match executed work.
     """
 
-    __slots__ = ("_inner", "_rec", "name", "priority")
+    __slots__ = ("_inner", "_rec", "name", "priority", "_metric")
 
     def __init__(self, inner: KernelBackend, rec) -> None:
         self._inner = inner
         self._rec = rec
         self.name = inner.name
         self.priority = inner.priority
+        #: entry point -> its metric name, formatted once
+        self._metric = {kernel: f"kernel.{self.name}.{kernel}_s" for kernel in
+                        ("matvec", "add_matvec", "fused_discrete", "fused_fos")}
 
     def matvec(self, csr, x, out):
         t0 = perf_counter()
         result = self._inner.matvec(csr, x, out)
-        self._rec.observe(f"kernel.{self.name}.matvec_s", perf_counter() - t0)
+        self._rec.observe(self._metric["matvec"], perf_counter() - t0)
         return result
 
     def add_matvec(self, csr, base, x, out):
         t0 = perf_counter()
         result = self._inner.add_matvec(csr, base, x, out)
-        self._rec.observe(f"kernel.{self.name}.add_matvec_s", perf_counter() - t0)
+        self._rec.observe(self._metric["add_matvec"], perf_counter() - t0)
         return result
 
     def fused_discrete_round(self, op, loads, out, use_recip):
         t0 = perf_counter()
         result = self._inner.fused_discrete_round(op, loads, out, use_recip)
         if result is not None:
-            self._rec.observe(
-                f"kernel.{self.name}.fused_discrete_s", perf_counter() - t0)
+            self._rec.observe(self._metric["fused_discrete"], perf_counter() - t0)
         return result
 
     def fused_fos_round(self, op, alpha, loads, out):
         t0 = perf_counter()
         result = self._inner.fused_fos_round(op, alpha, loads, out)
         if result is not None:
-            self._rec.observe(f"kernel.{self.name}.fused_fos_s", perf_counter() - t0)
+            self._rec.observe(self._metric["fused_fos"], perf_counter() - t0)
         return result
 
 

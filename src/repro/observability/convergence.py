@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 
 import numpy as np
@@ -107,6 +108,8 @@ class ConvergenceMonitor:
         self._round = 0
         self._prev: np.ndarray | float | None = None
         self._floor = 0.0
+        #: drops are checked only while the previous potential exceeds this
+        self._check_floor = self.threshold
         self._phi0 = math.nan
         self._phi_last = math.nan
         self._violations = 0
@@ -115,6 +118,9 @@ class ConvergenceMonitor:
         self._rounds_checked = 0
         self._log_ratio_sum = 0.0
         self._log_ratio_obs = 0
+        #: the scalar path's checked drops, not yet in the log-ratio fit
+        self._drops: list[float] = []
+        self._fit_lock = threading.Lock()
         self._stall_run: np.ndarray | int | None = None
         self._stall_latched: np.ndarray | bool | None = None
         self._recent: deque = deque(maxlen=180)
@@ -152,8 +158,7 @@ class ConvergenceMonitor:
         r = self._round
         prev = self._prev
         mask = np.ones(cur.size, dtype=bool) if active is None else np.asarray(active, dtype=bool).copy()
-        check_floor = max(self._floor, self.threshold)
-        eligible = mask & (prev > check_floor)
+        eligible = mask & (prev > self._check_floor)
         emp = math.nan
         if eligible.any():
             drops = 1.0 - cur[eligible] / prev[eligible]
@@ -187,7 +192,11 @@ class ConvergenceMonitor:
         self._prev = cur
 
     def _observe_scalar(self, phi: float) -> None:
-        """:meth:`observe` for one unmasked replica, in float arithmetic."""
+        """:meth:`observe` for one unmasked replica, in float arithmetic.
+
+        A checked drop joins the log-ratio fit later, in one vectorised
+        pass (see :meth:`_fit_drops`).
+        """
         prev = self._prev
         if prev is None:
             self._begin(phi)
@@ -196,13 +205,10 @@ class ConvergenceMonitor:
         self._round += 1
         r = self._round
         emp = math.nan
-        if prev > max(self._floor, self.threshold):
+        if prev > self._check_floor:
             emp = drop = 1.0 - phi / prev
             self._rounds_checked += 1
-            if math.isfinite(drop) and drop < 1.0:
-                # np.log1p, not math.log1p: the row path's ufunc, bit for bit.
-                self._log_ratio_sum += float(np.log1p(-drop))
-                self._log_ratio_obs += 1
+            self._drops.append(drop)
             if drop < self._limit:
                 self._violation(r, drop, 0, prev, 1)
             self._stall_run = self._stall_run + 1 if drop <= 1e-12 else 0
@@ -221,6 +227,7 @@ class ConvergenceMonitor:
         # Below this, float cancellation noise dominates the drop
         # estimate — stop checking rather than emit fp ghosts.
         self._floor = max(phi0 * 1e-13, 1e-300)
+        self._check_floor = max(self._floor, self.threshold)
         self._recent.append((0, phi0))
         self.rec.event("phi", round=0, value=phi0, bound=self.drop_bound)
 
@@ -228,10 +235,10 @@ class ConvergenceMonitor:
         """Emit round ``r``'s ``phi`` event (``drop`` when it was checked)."""
         self._phi_last = phi_now
         self._recent.append((r, phi_now))
-        ev = {"round": r, "value": phi_now, "bound": self.drop_bound}
-        if not math.isnan(emp):
-            ev["drop"] = emp
-        self.rec.event("phi", **ev)
+        if math.isnan(emp):
+            self.rec.event("phi", round=r, value=phi_now, bound=self.drop_bound)
+        else:
+            self.rec.event("phi", round=r, value=phi_now, bound=self.drop_bound, drop=emp)
 
     def _violation(self, r: int, observed: float, replica: int, phi: float, count: int) -> None:
         self._violations += count
@@ -253,9 +260,32 @@ class ConvergenceMonitor:
             )
 
     # ------------------------------------------------------------------
+    def _fit_drops(self) -> None:
+        """Fold the scalar path's pending drops into the log-ratio fit.
+
+        One vectorised ``np.log1p`` (the row path's ufunc), then a
+        strictly left-to-right sum: the additions one ``log1p`` per round
+        would make, in the same order, so the fit keeps its bits.  Safe
+        against a concurrent :meth:`observe`: only the counted prefix of
+        the pending list is taken.
+        """
+        with self._fit_lock:
+            k = len(self._drops)
+            if k == 0:
+                return
+            drops = np.array(self._drops[:k], dtype=np.float64)
+            del self._drops[:k]
+            drops = drops[np.isfinite(drops) & (drops < 1.0)]
+            total = self._log_ratio_sum
+            for term in np.log1p(-drops).tolist():
+                total += term
+            self._log_ratio_sum = total
+            self._log_ratio_obs += drops.size
+
     @property
     def empirical_drop_factor(self) -> float:
         """Geometric-mean relative drop over all checked observations."""
+        self._fit_drops()
         if self._log_ratio_obs == 0:
             return math.nan
         return 1.0 - math.exp(self._log_ratio_sum / self._log_ratio_obs)

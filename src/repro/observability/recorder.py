@@ -14,10 +14,19 @@ Design constraints, in order:
    local ``traced = rec.enabled`` bool before the loop, so the per-round
    cost of tracing-off is one branch on a local — no allocation, no
    attribute chase, no clock read.
-2. **Zero dependencies.**  Stdlib only (``json``, ``time``,
+2. **Near-zero overhead when enabled.**  Every recording call appends
+   one tuple to a single ordered buffer: it builds no dict, takes no
+   lock and folds no metric.  :meth:`Recorder.drain_events`,
+   :meth:`Recorder.flush` and :meth:`Recorder.metrics_snapshot` build
+   the event dicts, write the JSON lines and fold the metrics from that
+   buffer, in recording order; the schema and every line's contents are
+   exactly what building each dict at record time gave.  A drain or a
+   concurrent ``/metrics`` scrape removes or folds only the prefix it
+   counted, so a recording thread never waits and no event is lost.
+3. **Zero dependencies.**  Stdlib only (``json``, ``time``,
    ``threading``); events are plain dicts, metrics are scalar folds plus
    a bounded reservoir for percentiles.
-3. **Shippable events.**  A worker process records into a private
+4. **Shippable events.**  A worker process records into a private
    buffering recorder and drains the event list into its chunk reply;
    the dispatcher :meth:`Recorder.ingest`\\ s them under a ``worker``
    label, merging per-block phase timings into one cluster-wide trace.
@@ -49,6 +58,7 @@ import os
 import socket as _socket
 import threading
 import time
+from functools import lru_cache
 from time import perf_counter
 
 __all__ = [
@@ -127,6 +137,28 @@ class _Metric:
         self.vmax = -math.inf
         self._ring: list[float] = []
 
+    def observe_many(self, values: list[float]) -> None:
+        """:meth:`observe` each of ``values`` in turn, in one pass."""
+        lo, hi, total = self.vmin, self.vmax, self.total
+        for value in values:
+            if value < lo:
+                lo = value
+            if value > hi:
+                hi = value
+            total += value
+        self.vmin, self.vmax, self.total = lo, hi, total
+        ring, size = self._ring, self.RESERVOIR
+        room = max(size - len(ring), 0)
+        ring.extend(values[:room])
+        rest = values[room:]
+        # Once full, the value observed at count c lands in ring[c % size];
+        # only the last `size` of a long batch survive.
+        pos = self.count + room + max(len(rest) - size, 0)
+        for value in rest[-size:]:
+            ring[pos % size] = value
+            pos += 1
+        self.count += len(values)
+
     def observe(self, value: float) -> None:
         if value < self.vmin:
             self.vmin = value
@@ -159,6 +191,65 @@ class _Metric:
         }
 
 
+#: Buffered record kinds.  A record of this process is ``(kind, name, a,
+#: b, fields)``: ``a``/``b`` are a span's start and end stamps, ``a`` an
+#: event's stamp or a count's, sample's or counter increment's value.  A
+#: foreign event is ``(_INGESTED, event dict, extra labels)``.  Samples
+#: (``_OBSERVE``) and counter increments (``_ADD``) are folded, never
+#: written.
+_SPAN, _EVENT, _COUNT, _INGESTED = "span", "event", "count", "ingested"
+_OBSERVE, _ADD = "observe", "add"
+_FOLD_ONLY = (_OBSERVE, _ADD)
+
+#: The keys each kind writes before its labels.
+_CORE_KEYS = {
+    _SPAN: frozenset(("ev", "name", "t", "dur")),
+    _EVENT: frozenset(("ev", "name", "t")),
+    _COUNT: frozenset(("ev", "name", "value")),
+}
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_FLOAT_REPR = float.__repr__
+_INT_REPR = int.__repr__
+
+
+#: The start of each kind's JSON line, up to its ``name`` value.
+_HEAD = {kind: '{"ev":"%s","name":' % kind for kind in (_SPAN, _EVENT, _COUNT)}
+
+
+@lru_cache(maxsize=4096)
+def _json_str(s: str) -> str:
+    return json.dumps(s)
+
+
+@lru_cache(maxsize=4096)
+def _json_key(key: str) -> str:
+    """A label's ``,"key":`` separator and key."""
+    return "," + json.dumps(key) + ":"
+
+
+def _json_scalar(value) -> str | None:
+    """What ``json.dumps`` writes for a str, int, finite float, bool or
+    None; None for any other value (the caller falls back to json)."""
+    kind = type(value)
+    if kind is float:  # NaN and infinities (value - value is NaN) fall back
+        return _FLOAT_REPR(value) if value - value == 0.0 else None
+    if kind is int:
+        return _INT_REPR(value)
+    if kind is str:
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return None
+
+
+def _merged(ev: dict, extra: dict) -> dict:
+    """A foreign event with the ingesting recorder's labels applied."""
+    return {**ev, **extra} if extra else ev
+
+
 class Recorder:
     """Spans, counters and aggregated metrics for one process (or role).
 
@@ -168,9 +259,15 @@ class Recorder:
 
     ``path`` streams events to a JSONL file on :meth:`flush` /
     :meth:`close`; without it events buffer in memory until
-    :meth:`drain_events` ships them (worker → dispatcher) or
-    :meth:`write` dumps them.  ``base`` labels (e.g. ``block=3``) are
-    merged into every event this recorder emits.
+    :meth:`drain_events` ships them (worker → dispatcher).  ``base``
+    labels (e.g. ``block=3``) are merged into every event this recorder
+    emits.
+
+    Every recording method appends one tuple per record to an ordered
+    buffer: no dict, no lock, no metric fold on the recording thread.
+    :meth:`drain_events`, :meth:`flush` and :meth:`metrics_snapshot`
+    turn the buffer into the event dicts, JSON lines and metric folds,
+    in recording order.
     """
 
     def __init__(self, enabled: bool = False, path: str | None = None,
@@ -180,13 +277,23 @@ class Recorder:
         self.role = role
         self.base = dict(base) if base else {}
         self._lock = threading.Lock()
-        self._events: list[dict] = []
+        #: records not yet drained or flushed, oldest first
+        self._buf: list[tuple] = []
+        #: how many leading ``_buf`` records the metrics already hold
+        self._folded = 0
+        #: events drained or flushed so far
+        self._taken = 0
         self._metrics: dict[str, _Metric] = {}
         self._counters: dict[str, float] = {}
         self._t0 = perf_counter()
         self._t0_unix = time.time()
         self._wrote_meta = False
-        self.n_events = 0
+
+    @property
+    def n_events(self) -> int:
+        """Events recorded so far, drained and flushed ones included."""
+        with self._lock:
+            return self._taken + sum(rec[0] not in _FOLD_ONLY for rec in self._buf)
 
     # -- clocks --------------------------------------------------------
     def rel(self, t_abs: float) -> float:
@@ -211,99 +318,160 @@ class Recorder:
             return
         if t1 is None:
             t1 = perf_counter()
-        ev = {"ev": "span", "name": name,
-              "t": round(t0 - self._t0, 9), "dur": round(t1 - t0, 9)}
-        if self.base:
-            ev.update(self.base)
-        if fields:
-            ev.update(fields)
-        with self._lock:
-            self._events.append(ev)
-            self.n_events += 1
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = _Metric()
-            metric.observe(t1 - t0)
+        self._buf.append((_SPAN, name, t0, t1, fields))
 
     def event(self, name: str, **fields) -> None:
         """Record a point event (checkpoint, requeue, job accepted...)."""
         if not self.enabled:
             return
-        ev = {"ev": "event", "name": name, "t": round(perf_counter() - self._t0, 9)}
-        if self.base:
-            ev.update(self.base)
-        if fields:
-            ev.update(fields)
-        with self._lock:
-            self._events.append(ev)
-            self.n_events += 1
+        self._buf.append((_EVENT, name, perf_counter(), None, fields))
 
     def count(self, name: str, value: float, **fields) -> None:
         """Record a counted quantity as an event *and* fold it into the
         counter registry (halo bytes per link per round, ...)."""
         if not self.enabled:
             return
-        ev = {"ev": "count", "name": name, "value": value}
-        if self.base:
-            ev.update(self.base)
-        if fields:
-            ev.update(fields)
-        with self._lock:
-            self._events.append(ev)
-            self.n_events += 1
-            self._counters[name] = self._counters.get(name, 0) + value
+        self._buf.append((_COUNT, name, value, None, fields))
 
     def add(self, name: str, value: float = 1) -> None:
         """Fold into a monotonic counter without emitting an event
         (per-message transport byte counters would bloat the trace)."""
         if not self.enabled:
             return
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
+        self._buf.append((_ADD, name, value, None, None))
 
     def observe(self, name: str, value: float) -> None:
         """Fold a sample into an aggregated metric without an event
         (per-call kernel and per-frame transport latencies)."""
         if not self.enabled:
             return
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = _Metric()
-            metric.observe(value)
+        self._buf.append((_OBSERVE, name, value, None, None))
 
     # -- shipping / merging -------------------------------------------
     def drain_events(self) -> list[dict]:
         """Take (and clear) the buffered events — the worker → dispatcher
         shipping hook.  Aggregated metrics/counters stay put."""
         with self._lock:
-            events, self._events = self._events, []
-        return events
+            records = self._take()
+        return [self._event_dict(rec) for rec in records]
 
     def ingest(self, events: list[dict], **extra) -> None:
         """Merge foreign events (a worker's drained buffer) into this
         recorder, tagging each with ``extra`` labels (``worker=...``)
         and folding span durations into the metric registry so
-        ``--metrics`` covers the whole cluster."""
+        ``--metrics`` covers the whole cluster.  The dicts are kept, not
+        copied, until drained or flushed: the caller must not change them."""
         if not self.enabled or not events:
             return
-        with self._lock:
-            for ev in events:
-                if extra:
-                    ev = {**ev, **extra}
-                self._events.append(ev)
-                self.n_events += 1
-                if ev.get("ev") == "span":
-                    name = ev.get("name")
-                    metric = self._metrics.get(name)
-                    if metric is None:
-                        metric = self._metrics[name] = _Metric()
-                    metric.observe(float(ev.get("dur", 0.0)))
-                elif ev.get("ev") == "count":
-                    name = ev.get("name")
-                    self._counters[name] = (
-                        self._counters.get(name, 0) + ev.get("value", 0)
-                    )
+        self._buf.extend([(_INGESTED, ev, extra) for ev in events])
+
+    # -- buffer --------------------------------------------------------
+    def _metric(self, name: str) -> _Metric:
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = self._metrics[name] = _Metric()
+        return metric
+
+    def _fold_buffered(self) -> None:
+        """Fold the buffered records the metrics do not hold yet, in
+        order (caller holds the lock)."""
+        buf, start = self._buf, self._folded
+        end = len(buf)
+        if start == end:
+            return
+        counters = self._counters
+        samples: dict[str, list] = {}  # per metric, in recording order
+        for rec in buf[start:end]:
+            kind = rec[0]
+            if kind is _SPAN:
+                name, value = rec[1], rec[3] - rec[2]
+            elif kind is _OBSERVE:
+                name, value = rec[1], rec[2]
+            elif kind is _COUNT or kind is _ADD:
+                counters[rec[1]] = counters.get(rec[1], 0) + rec[2]
+                continue
+            elif kind is _INGESTED:
+                ev = _merged(rec[1], rec[2])
+                name = ev.get("name")
+                if ev.get("ev") == "count":
+                    counters[name] = counters.get(name, 0) + ev.get("value", 0)
+                if ev.get("ev") != "span":
+                    continue
+                value = float(ev.get("dur", 0.0))
+            else:
+                continue
+            values = samples.get(name)
+            if values is None:
+                values = samples[name] = []
+            values.append(value)
+        for name, values in samples.items():
+            self._metric(name).observe_many(values)
+        self._folded = end
+
+    def _take(self) -> list[tuple]:
+        """Fold the buffered records, remove them and return their events
+        (caller holds the lock).  Only the counted prefix is removed, in
+        place: a recording thread may append to the same list meanwhile."""
+        self._fold_buffered()
+        end = self._folded
+        records = [rec for rec in self._buf[:end] if rec[0] not in _FOLD_ONLY]
+        del self._buf[:end]
+        self._folded = 0
+        self._taken += len(records)
+        return records
+
+    def _event_dict(self, rec: tuple) -> dict:
+        """The event dict of one buffered record."""
+        kind = rec[0]
+        if kind is _INGESTED:
+            return _merged(rec[1], rec[2])
+        _, name, a, b, fields = rec
+        if kind is _SPAN:
+            ev = {"ev": kind, "name": name, "t": round(a - self._t0, 9), "dur": round(b - a, 9)}
+        elif kind is _EVENT:
+            ev = {"ev": kind, "name": name, "t": round(a - self._t0, 9)}
+        else:
+            ev = {"ev": kind, "name": name, "value": a}
+        if self.base:
+            ev.update(self.base)
+        if fields:
+            ev.update(fields)
+        return ev
+
+    def _json_lines(self, records: list[tuple]) -> list[str]:
+        """The buffered records as the JSON lines ``json.dumps`` writes for
+        their event dicts, built from the records' scalars where it can.
+
+        ``json.dumps`` writes a finite float as its ``repr``, an int as
+        its ``repr`` and a str as ``json.dumps(str)``; any other value, a
+        label that shadows a core key, ``base`` labels and foreign events
+        take the dict and ``json`` itself.
+        """
+        lines = []
+        t0 = self._t0
+        for rec in records:
+            kind = rec[0]
+            fields = rec[4] if kind is not _INGESTED else None
+            if (kind is not _INGESTED and not self.base
+                    and (not fields or fields.keys().isdisjoint(_CORE_KEYS[kind]))):
+                _, name, a, b, _ = rec
+                if kind is _COUNT:
+                    parts = [_HEAD[kind], _json_scalar(name), ',"value":', _json_scalar(a)]
+                else:
+                    parts = [_HEAD[kind], _json_scalar(name),
+                             ',"t":', _json_scalar(round(a - t0, 9))]
+                    if kind is _SPAN:
+                        parts += (',"dur":', _json_scalar(round(b - a, 9)))
+                for key, value in (fields or {}).items():
+                    parts += (_json_key(key), _json_scalar(value))
+                parts.append("}\n")
+                try:
+                    lines.append("".join(parts))
+                    continue
+                except TypeError:  # a None part: a value only json can write
+                    pass
+            lines.append(_encode(self._event_dict(rec)) + "\n")
+        return lines
 
     # -- output --------------------------------------------------------
     def _meta_event(self) -> dict:
@@ -323,16 +491,15 @@ class Recorder:
         if self.path is None:
             return 0
         with self._lock:
-            events, self._events = self._events, []
+            records = self._take()
             write_meta = not self._wrote_meta
             self._wrote_meta = True
         mode = "w" if write_meta else "a"
         with open(self.path, mode, encoding="utf-8") as fh:
             if write_meta:
-                fh.write(json.dumps(self._meta_event(), separators=(",", ":")) + "\n")
-            for ev in events:
-                fh.write(json.dumps(ev, separators=(",", ":")) + "\n")
-        return len(events) + (1 if write_meta else 0)
+                fh.write(_encode(self._meta_event()) + "\n")
+            fh.writelines(self._json_lines(records))
+        return len(records) + (1 if write_meta else 0)
 
     def close(self) -> None:
         self.flush()
@@ -342,6 +509,7 @@ class Recorder:
         min, max, p50, p99}}}`` — the aggregation the bench rows and the
         Prometheus export render."""
         with self._lock:
+            self._fold_buffered()
             return {
                 "counters": dict(self._counters),
                 "metrics": {k: m.snapshot() for k, m in sorted(self._metrics.items())},

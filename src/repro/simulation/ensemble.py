@@ -50,10 +50,11 @@ Both steppers validate at the engine boundary only: :func:`initial_batch`
 checks the initial state once, and each round runs the scheme's
 unvalidated ``step_batch`` with two buffers ping-ponging through its
 ``out=`` (the serial stepper on ``(n, 1)`` views, so a round allocates
-nothing).  The serial stepper keeps ``validate_loads``' per-round guard
-from what the trace records anyway: a non-finite sum raises ``loads
-must be finite``, and a negative minimum ``loads must be non-negative``
-unless the scheme ``allows_negative``.  A scheme without
+nothing).  Both keep ``validate_loads``' per-round guard from what the
+trace records anyway: a non-finite sum raises ``loads must be
+finite``, and a negative minimum ``loads must be non-negative`` unless
+the scheme ``allows_negative`` (the batched stepper adds one
+whole-batch ``min`` per round for it).  A scheme without
 ``supports_batch`` runs on ``step``, which checks its own input.
 """
 
@@ -244,12 +245,12 @@ class RoundEngine:
             exact = integer and bool(np.any(np.abs(trace._sums[0]) >= EXACT_FLOAT_TOTAL))
             initial = trace.last_totals if exact else trace._sums[0]
             tol = None if integer else self.cons_tol * np.maximum(np.abs(initial), 1.0)
-        span = {"engine": engine}
         running = apply_stopping(self.stopping, trace, active)
         r = 0
+        if traced:
+            # One clock read per round: a round's end stamp starts the next.
+            t0 = perf_counter()
         while running:
-            if traced:
-                t0 = perf_counter()
             state = next(rounds)
             trace.advance(active)
             if monitor is not None:
@@ -259,9 +260,13 @@ class RoundEngine:
                 audit(trace.last_totals if exact else trace._sums[-1], initial, tol)
             running = apply_stopping(self.stopping, trace, active)
             if traced:
-                if not serial:
-                    span["active"] = int(active.sum())
-                rec.record_span("round", t0, round=r, **span)
+                t1 = perf_counter()
+                if serial:
+                    rec.record_span("round", t0, t1, round=r, engine=engine)
+                else:
+                    rec.record_span("round", t0, t1, round=r, engine=engine,
+                                    active=int(active.sum()))
+                t0 = t1
             r += 1
         if monitor is not None:
             monitor.finish()
@@ -339,7 +344,8 @@ class EnsembleSimulator(RoundEngine):
             def step(L, out):
                 return self.balancer.step_batch(L, rngs, out=out)
 
-            L = self._drive(trace, batch_rounds(trace, L, active, step), active, "ensemble")
+            signed = getattr(self.balancer, "allows_negative", False)
+            L = self._drive(trace, batch_rounds(trace, L, active, step, signed), active, "ensemble")
         # (B, n) rows of the last state, detached from the recycled buffers.
         trace._final_loads = np.atleast_2d(L.T).copy()
         return trace
@@ -380,7 +386,8 @@ def serial_rounds(balancer: Balancer, trace: EnsembleTrace, loads: np.ndarray,
 
 
 def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
-                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Iterator[np.ndarray]:
+                 kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 signed: bool = False) -> Iterator[np.ndarray]:
     """The stepper over a node-major ``(n, B)`` batch: ``L``, then one
     ``kernel`` round per item.
 
@@ -389,9 +396,18 @@ def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
     nothing: once a round is recorded, the previous batch is recycled as
     the next round's output (kernels that ignore ``out`` simply leave it
     to be reused).  Replicas no longer ``active`` keep their loads.
+
+    Each round is guarded like the serial stepper's: a non-finite entry
+    of the recorded sums row raises ``loads must be finite``, and a
+    negative minimum of the whole batch ``loads must be non-negative``
+    unless the scheme is ``signed`` (its ``allows_negative``); a trace
+    that records discrepancies hands back the minimum row it computed
+    for them instead.  Only a failing round looks for the replica to
+    name.
     """
     yield L
     spare = np.empty_like(L)
+    floating = L.dtype.kind == "f"
     while True:
         new = kernel(L, spare)
         if new is L:
@@ -399,7 +415,16 @@ def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
         if not active.all():
             frozen = ~active
             new[:, frozen] = L[:, frozen]
-        trace.record(new, prev=L)
+        lows = trace.record(new, prev=L)
+        if floating:
+            finite = np.isfinite(trace._sums[-1])
+            if not finite.all():
+                b = int(np.flatnonzero(~finite)[0])
+                raise ValueError(f"loads must be finite (no NaN/inf): replica {b}")
+        if not signed and (new if lows is None else lows).min() < 0:
+            lows = new.min(axis=0) if lows is None else lows
+            b = int(np.flatnonzero(lows < 0)[0])
+            raise ValueError(f"loads must be non-negative: replica {b}")
         L, spare = new, L
         yield L
 

@@ -872,7 +872,8 @@ class PartitionedSimulator(RoundEngine):
         self._init_halo_stats(assignment, "inprocess")
         trace = self._new_trace(B)
         active = np.ones(B, dtype=bool)
-        stepper = batch_rounds(trace, L, active, self._block_kernel(assignment, B))
+        stepper = batch_rounds(trace, L, active, self._block_kernel(assignment, B),
+                               getattr(self.balancer, "allows_negative", False))
         L = self._drive(trace, stepper, active, "partitioned")
         self.halo_stats["rounds"] = trace.rounds
         trace._final_loads = L.T.copy()

@@ -108,11 +108,14 @@ class EnsembleTrace:
         phis = np.maximum(ss - sums * (sums / loads.shape[0]), 0.0)
         return phis, sums
 
-    def record(self, loads: np.ndarray, prev: np.ndarray | None = None) -> np.generic | None:
+    def record(self, loads: np.ndarray,
+               prev: np.ndarray | None = None) -> np.ndarray | np.generic | None:
         """Append one state (the initial state first, then once per round).
 
         A node-major ``(n, B)`` batch appends one ``(B,)`` row per
-        statistic.  A load vector ``(n,)`` appends float rows that are
+        statistic and returns the per-replica minimum row when it
+        computed one for the discrepancies (else None).  A load vector
+        ``(n,)`` appends float rows that are
         bit-for-bit the values of :func:`~repro.core.potential.potential`,
         :func:`~repro.core.potential.discrepancy` and a float64 sum, from
         one float64 sum and the held scratch vector, and returns the
@@ -132,14 +135,17 @@ class EnsembleTrace:
                     f"got shape {loads.shape}"
                 )
             phis, sums = self._stats_row(loads)
-            disc = loads.max(axis=0) - loads.min(axis=0) if self.record_discrepancies else None
+            lo = disc = None
+            if self.record_discrepancies:
+                lo = loads.min(axis=0)
+                disc = loads.max(axis=0) - lo
             mov = None
             if self.record_movements and prev is not None:
                 mov = 0.5 * np.abs(loads - prev).sum(axis=0)
             # record_stats copies the snapshot: for B=1 the transpose would
             # alias the engine's recycled ping-pong buffer.
             self.record_stats(phis, sums, disc, mov, loads.T if self.keep_snapshots else None)
-            return None
+            return lo
         arr = _as_vector(loads)
         buf = self._scratch
         if buf is None:

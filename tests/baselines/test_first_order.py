@@ -107,8 +107,7 @@ class TestRandomizedOverdraw:
 
     On cycle:64 from a point load, a node holding one token whose two
     rounded-up flows both come up owes two; uncapped, that run dies with
-    ``loads must be non-negative`` (serial) or goes negative silently
-    (batched).
+    ``loads must be non-negative``, serial and batched.
     """
 
     CMD = ["run", "--balancer", "fos-randomized", "--topology", "cycle:64",
@@ -166,12 +165,16 @@ class TestRandomizedOverdraw:
 
         if not capped:
             monkeypatch.setattr(first_order, "cap_extra_tokens", lambda *args: None)
-        trace = EnsembleSimulator(
+        sim = EnsembleSimulator(
             FirstOrderBalancer(g.cycle(64), "randomized"), [MaxRounds(4000)],
             keep_snapshots=True,
-        ).run(self.cli_loads(), seed=0, replicas=2)
-        lowest = min(int(snap.min()) for snap in trace.snapshots)
-        assert (lowest >= 0) == capped
+        )
+        if not capped:
+            with pytest.raises(ValueError, match="non-negative"):
+                sim.run(self.cli_loads(), seed=0, replicas=2)
+            return
+        trace = sim.run(self.cli_loads(), seed=0, replicas=2)
+        assert min(int(snap.min()) for snap in trace.snapshots) >= 0
 
 
 class TestBalancer:

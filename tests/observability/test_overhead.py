@@ -1,7 +1,7 @@
 """The telemetry bargain: tracing-off costs (almost) nothing, and
 tracing-on never changes a trajectory.
 
-Two guards:
+Three guards:
 
 1. **Structural no-op guard** — with the recorder disabled the round
    loops never call into the recorder at all (a poisoned ``record_span``
@@ -9,7 +9,12 @@ Two guards:
    path returns a shared singleton (no allocation).
 2. **Bit-for-bit invariance** — serial, ensemble and partitioned runs
    produce byte-identical trajectories with tracing on and off.
+3. **Structural append guard** — with the recorder enabled a round
+   takes no recorder lock (a counting lock proves a run of 200 rounds
+   takes it as often as one of 20).
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -125,3 +130,38 @@ class TestBitForBitInvariance:
         assert np.array_equal(plain.final_loads, traced.final_loads)
         assert np.array_equal(
             plain.potentials_matrix, traced.potentials_matrix)
+
+
+class _CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class TestEnabledPathTakesNoLockPerRound:
+    """Tracing on, a round only appends to the recorder's buffer: a run's
+    lock acquisitions do not grow with its length."""
+
+    @staticmethod
+    def _acquisitions(rounds):
+        rec = Recorder(enabled=True)
+        rec._lock = lock = _CountingLock()
+        set_recorder(rec)
+        topo = torus_2d(6, 6)
+        Simulator(DiffusionBalancer(topo), stopping=[MaxRounds(rounds)]).run(_loads(topo), 0)
+        set_recorder(None)
+        names = [ev["name"] for ev in rec.drain_events()]
+        assert names.count("round") == names.count("phi") - 1 == rounds
+        return lock.acquired
+
+    def test_serial_loop(self):
+        assert self._acquisitions(200) == self._acquisitions(20)
