@@ -23,6 +23,9 @@ Design constraints, in order:
    exactly what building each dict at record time gave.  A drain or a
    concurrent ``/metrics`` scrape removes or folds only the prefix it
    counted, so a recording thread never waits and no event is lost.
+   Metric samples and counter increments leave the buffer when folded;
+   ``observe``/``add`` fold every ``_FOLD_EVERY`` records, so a
+   recorder nobody drains or scrapes holds a bounded number of them.
 3. **Zero dependencies.**  Stdlib only (``json``, ``time``,
    ``threading``); events are plain dicts, metrics are scalar folds plus
    a bounded reservoir for percentiles.
@@ -137,28 +140,6 @@ class _Metric:
         self.vmax = -math.inf
         self._ring: list[float] = []
 
-    def observe_many(self, values: list[float]) -> None:
-        """:meth:`observe` each of ``values`` in turn, in one pass."""
-        lo, hi, total = self.vmin, self.vmax, self.total
-        for value in values:
-            if value < lo:
-                lo = value
-            if value > hi:
-                hi = value
-            total += value
-        self.vmin, self.vmax, self.total = lo, hi, total
-        ring, size = self._ring, self.RESERVOIR
-        room = max(size - len(ring), 0)
-        ring.extend(values[:room])
-        rest = values[room:]
-        # Once full, the value observed at count c lands in ring[c % size];
-        # only the last `size` of a long batch survive.
-        pos = self.count + room + max(len(rest) - size, 0)
-        for value in rest[-size:]:
-            ring[pos % size] = value
-            pos += 1
-        self.count += len(values)
-
     def observe(self, value: float) -> None:
         if value < self.vmin:
             self.vmin = value
@@ -196,10 +177,15 @@ class _Metric:
 #: event's stamp or a count's, sample's or counter increment's value.  A
 #: foreign event is ``(_INGESTED, event dict, extra labels)``.  Samples
 #: (``_OBSERVE``) and counter increments (``_ADD``) are folded, never
-#: written.
+#: written, and leave the buffer when they are folded.
 _SPAN, _EVENT, _COUNT, _INGESTED = "span", "event", "count", "ingested"
 _OBSERVE, _ADD = "observe", "add"
 _FOLD_ONLY = (_OBSERVE, _ADD)
+
+#: ``add``/``observe`` fold the buffer once this many records await a
+#: fold, so a recorder nobody drains or scrapes (a metrics-only daemon
+#: counting transport frames) holds a bounded number of samples.
+_FOLD_EVERY = 4096
 
 #: The keys each kind writes before its labels.
 _CORE_KEYS = {
@@ -338,14 +324,20 @@ class Recorder:
         (per-message transport byte counters would bloat the trace)."""
         if not self.enabled:
             return
-        self._buf.append((_ADD, name, value, None, None))
+        buf = self._buf
+        buf.append((_ADD, name, value, None, None))
+        if len(buf) - self._folded >= _FOLD_EVERY:
+            self._fold()
 
     def observe(self, name: str, value: float) -> None:
         """Fold a sample into an aggregated metric without an event
         (per-call kernel and per-frame transport latencies)."""
         if not self.enabled:
             return
-        self._buf.append((_OBSERVE, name, value, None, None))
+        buf = self._buf
+        buf.append((_OBSERVE, name, value, None, None))
+        if len(buf) - self._folded >= _FOLD_EVERY:
+            self._fold()
 
     # -- shipping / merging -------------------------------------------
     def drain_events(self) -> list[dict]:
@@ -372,52 +364,55 @@ class Recorder:
             metric = self._metrics[name] = _Metric()
         return metric
 
+    def _fold(self) -> None:
+        with self._lock:
+            self._fold_buffered()
+
     def _fold_buffered(self) -> None:
         """Fold the buffered records the metrics do not hold yet, in
-        order (caller holds the lock)."""
+        order, and drop the fold-only ones (caller holds the lock).
+
+        The folded slice is replaced in place: a recording thread may
+        append to the same list meanwhile."""
         buf, start = self._buf, self._folded
         end = len(buf)
         if start == end:
             return
         counters = self._counters
-        samples: dict[str, list] = {}  # per metric, in recording order
+        kept = []
         for rec in buf[start:end]:
-            kind = rec[0]
+            kind, name = rec[0], rec[1]
+            if kind is _OBSERVE:
+                self._metric(name).observe(rec[2])
+                continue
+            if kind is _ADD:
+                counters[name] = counters.get(name, 0) + rec[2]
+                continue
+            kept.append(rec)
             if kind is _SPAN:
-                name, value = rec[1], rec[3] - rec[2]
-            elif kind is _OBSERVE:
-                name, value = rec[1], rec[2]
-            elif kind is _COUNT or kind is _ADD:
-                counters[rec[1]] = counters.get(rec[1], 0) + rec[2]
-                continue
+                self._metric(name).observe(rec[3] - rec[2])
+            elif kind is _COUNT:
+                counters[name] = counters.get(name, 0) + rec[2]
             elif kind is _INGESTED:
-                ev = _merged(rec[1], rec[2])
-                name = ev.get("name")
-                if ev.get("ev") == "count":
+                ev = _merged(name, rec[2])
+                if ev.get("ev") == "span":
+                    self._metric(ev.get("name")).observe(float(ev.get("dur", 0.0)))
+                elif ev.get("ev") == "count":
+                    name = ev.get("name")
                     counters[name] = counters.get(name, 0) + ev.get("value", 0)
-                if ev.get("ev") != "span":
-                    continue
-                value = float(ev.get("dur", 0.0))
-            else:
-                continue
-            values = samples.get(name)
-            if values is None:
-                values = samples[name] = []
-            values.append(value)
-        for name, values in samples.items():
-            self._metric(name).observe_many(values)
-        self._folded = end
+        buf[start:end] = kept
+        self._folded = start + len(kept)
 
     def _take(self) -> list[tuple]:
-        """Fold the buffered records, remove them and return their events
-        (caller holds the lock).  Only the counted prefix is removed, in
-        place: a recording thread may append to the same list meanwhile."""
+        """Fold the buffered records, remove them and return them (caller
+        holds the lock).  Only the counted prefix is removed, in place: a
+        recording thread may append to the same list meanwhile."""
         self._fold_buffered()
         end = self._folded
-        records = [rec for rec in self._buf[:end] if rec[0] not in _FOLD_ONLY]
+        records = self._buf[:end]
         del self._buf[:end]
         self._folded = 0
-        self._taken += len(records)
+        self._taken += end
         return records
 
     def _event_dict(self, rec: tuple) -> dict:

@@ -6,7 +6,8 @@ exactly as eager recording would have built them.
   for the scalars the fast line writer handles and for every fallback;
 - a ``/metrics`` scrape in another thread neither loses nor reorders
   events, and drains remove only the counted prefix;
-- folds happen in recording order;
+- folds happen in recording order, and folded samples and counter
+  increments leave the buffer;
 - the convergence monitor's deferred log-ratio fit adds the per-round
   ``np.log1p`` terms in the original order.
 """
@@ -124,6 +125,23 @@ def test_folds_follow_recording_order():
     assert rec.n_events == total // 3
 
 
+def test_fold_only_records_do_not_pile_up():
+    # A metrics-only recorder is never drained or flushed: its samples
+    # and counter increments must fold away on their own.
+    rec = Recorder(enabled=True)
+    rec.event("start")
+    for i in range(100_000):
+        rec.add("frames")
+        rec.observe("send_s", 1e-6 * (i % 7))
+        assert len(rec._buf) <= recorder_mod._FOLD_EVERY + 1
+    snap = rec.metrics_snapshot()
+    assert [r[0] for r in rec._buf] == ["event"]
+    assert snap["counters"]["frames"] == 100_000
+    assert snap["metrics"]["send_s"]["count"] == 100_000
+    assert rec.n_events == 1
+    assert [ev["name"] for ev in rec.drain_events()] == ["start"]
+
+
 def _stripped(events: list[dict]) -> list[dict]:
     return [{k: v for k, v in ev.items() if k not in ("t", "dur")} for ev in events]
 
@@ -174,6 +192,7 @@ def test_drain_takes_only_the_counted_prefix():
     def writer():
         for i in range(total):
             rec.event("e", i=i)
+            rec.observe("x", float(i))  # folded away while the writer appends
 
     thread = threading.Thread(target=writer)
     thread.start()
@@ -184,6 +203,8 @@ def test_drain_takes_only_the_counted_prefix():
     drained += rec.drain_events()
     assert [ev["i"] for ev in drained] == list(range(total))
     assert rec.n_events == total
+    x = rec.metrics_snapshot()["metrics"]["x"]
+    assert (x["count"], x["sum"]) == (total, float(sum(range(total))))
 
 
 def test_monitor_fit_adds_per_round_terms_in_order():
