@@ -24,8 +24,11 @@ engines' per-round guard both read that one attribute.
 
 Schemes that can run many replicas in lockstep additionally set
 ``supports_batch = True`` and implement ``step_batch(loads, rngs)`` over
-a **node-major** ``(n, B)`` load matrix (column ``b`` is replica ``b``)
-with one independent generator per replica.  The contract mirrors
+an ``(n, B)`` load matrix (column ``b`` is replica ``b``) with one
+independent generator per replica.  The matrix is usually C-ordered
+(node-major), but it may be the transposed view of C-contiguous
+``(B, n)`` replica rows (see ``replica_major_batch``), so a kernel must
+not assume either memory order.  The contract mirrors
 ``step``: no input mutation, per-replica conservation, and column ``b``
 of the result must be **bit-for-bit** what ``step`` would produce for
 replica ``b``'s loads and generator — :class:`EnsembleSimulator` and the
@@ -97,6 +100,11 @@ class Balancer(ABC):
     #: momentum of SOS, the polynomial overshoot of OPS); read by
     #: :meth:`validate_loads` and by the engines' per-round guard
     allows_negative: bool = False
+    #: True when :meth:`step_batch` works on replica rows, so an ensemble
+    #: may hold its batch as C-contiguous ``(B, n)`` rows and pass their
+    #: ``(n, B)`` transposed view (see
+    #: :func:`~repro.simulation.ensemble.initial_batch`)
+    replica_major_batch: bool = False
     #: True when :meth:`block_step` is implemented (node-axis partitioned
     #: execution with halo exchange; see :mod:`repro.simulation.partitioned`).
     #: May be set per instance — e.g. FOS supports it only in its linear
@@ -123,11 +131,13 @@ class Balancer(ABC):
         """Return the next round's loads; must not mutate the input."""
 
     def step_batch(self, loads: np.ndarray, rngs, out: np.ndarray | None = None) -> np.ndarray:
-        """One lockstep round over a node-major ``(n, B)`` replica batch.
+        """One lockstep round over an ``(n, B)`` replica batch.
 
         ``rngs`` is a sequence of ``B`` independent generators (one per
         replica); column ``b`` of the result must equal what ``step``
         would return for column ``b`` and ``rngs[b]``, bit for bit.
+        ``loads`` and ``out`` may be C-ordered or the transposed views of
+        C-contiguous ``(B, n)`` rows; a kernel must handle either order.
         ``out`` optionally supplies a preallocated result buffer (never
         aliasing ``loads``) that implementations *may* fill and return —
         the ensemble engine ping-pongs two buffers through it to keep

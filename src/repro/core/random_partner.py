@@ -18,13 +18,19 @@ drop of Lemma 11 / Theorem 12 (and Lemma 13 / Theorem 14 discretely).
 The link set follows the paper's ``E <- E u (i, j)`` *set* semantics:
 mutual picks (i chooses j and j chooses i) collapse into a single link.
 
-One round, any batch: every replica draws its picks with its own
-generator into one replica-major ``(B, n)`` matrix (``B = 1`` for the
-serial ``step``), held as flat *slots* ``b * n + p`` so that all
-replicas share one index space.  Node ``i``'s pick already is its link,
-so the round builds no link list: one gather ``ps[ps]`` finds the mutual
-picks, degrees are ``1 + bincount(ps) - mutual``, and each kept pick
-carries one flow from its node to its partner.
+One round, any batch: the round reads and writes replica-major
+``(B, n)`` load rows (``B = 1`` for the serial ``step``).
+``step_batch``'s ``(n, B)`` batch is the transposed view of such rows
+when an ensemble holds it replica-major (the class sets
+``replica_major_batch``) or when it has one column; any other batch,
+such as a C-ordered matrix from a direct caller, is copied into held
+rows and back.  Every replica draws its picks with its own generator
+into one replica-major ``(B, n)`` matrix, held as flat *slots*
+``b * n + p`` so that all replicas share one index space.  Node ``i``'s
+pick already is its link, so the round builds no link list: one gather
+``ps[ps]`` finds the mutual picks, degrees are ``1 + bincount(ps) -
+mutual``, and each kept pick carries one flow from its node to its
+partner.
 
 - Discrete rounds truncate that flow with the biased reciprocal of
   ``4k`` from a small per-``n`` table (exact below
@@ -327,6 +333,7 @@ class RandomPartnerBalancer(Balancer):
     """
 
     supports_batch = True
+    replica_major_batch = True
 
     def __init__(self, mode: str = CONTINUOUS):
         super().__init__()
@@ -374,23 +381,35 @@ class RandomPartnerBalancer(Balancer):
         return new[0]
 
     def step_batch(self, loads: np.ndarray, rngs, out: np.ndarray | None = None) -> np.ndarray:
-        """One lockstep round for a node-major ``(n, B)`` replica batch.
+        """One lockstep round for an ``(n, B)`` replica batch.
 
         ``last_links``/``last_degrees`` become per-replica lists (see the
         class docstring).  The new loads are written into ``out`` when
-        it is given.
+        it is given, else into a fresh array in the memory order of
+        ``loads``.  The round reads ``loads.T`` and writes ``out.T`` in
+        place when they are C-contiguous ``(B, n)`` rows of this mode's
+        dtype (a replica-major ensemble's batch, or any ``(n, 1)``
+        column); otherwise it goes through held row buffers.
         """
         self.advance_round()
-        n, B = loads.shape
-        replica_major = _work_buffer(self._work, "loads", (B, n), self.dtype)
-        np.copyto(replica_major, loads.T)
-        new = _work_buffer(self._work, "new", (B, n), self.dtype)
-        _, ps = _round(replica_major, rngs, self.mode == DISCRETE, self._work, new)
-        self._hold(ps, n, batched=True)
         if out is None:
-            out = np.empty_like(loads)
-        np.copyto(out, new.T)
+            out = np.empty_like(loads, dtype=self.dtype)
+        src, dst = loads.T, out.T
+        rows, new = self._rows(src, "loads"), self._rows(dst, "new")
+        if rows is not src:
+            np.copyto(rows, src)
+        _, ps = _round(rows, rngs, self.mode == DISCRETE, self._work, new)
+        self._hold(ps, loads.shape[0], batched=True)
+        if new is not dst:
+            np.copyto(dst, new)
         return out
+
+    def _rows(self, view: np.ndarray, name: str) -> np.ndarray:
+        """``view`` itself when the round can use it as its ``(B, n)``
+        rows, else the held buffer ``name``."""
+        if view.flags.c_contiguous and view.dtype == self.dtype:
+            return view
+        return _work_buffer(self._work, name, view.shape, self.dtype)
 
 
 @register_balancer("random-partner")

@@ -132,6 +132,8 @@ class ShardJob:
     #: the shard is the whole batch, so it keeps the engine's default
     #: one-replica dispatch
     whole_batch: bool
+    #: global index of the shard's first replica, so errors name global replicas
+    first_replica: int = 0
 
 
 class _SlabRunner:

@@ -11,11 +11,15 @@ and ``step_batch`` here, or the block loop and block executors of
 
 :class:`EnsembleSimulator` verifies the paper's probabilistic results
 (Theorems 12/14, Lemmas 9/11/13) by advancing ``B`` Monte-Carlo
-replicas *in lockstep* through the balancer's ``step_batch`` kernel — a
-node-major ``(n, B)`` matrix where column ``b`` is replica ``b`` — so a
-round of the whole ensemble is a handful of large vectorized operations
-(for the linear schemes, literally one cached sparse matmat).  Its
-semantics are exactly ``B`` independent serial runs:
+replicas *in lockstep* through the balancer's ``step_batch`` kernel — an
+``(n, B)`` matrix where column ``b`` is replica ``b`` — so a round of the
+whole ensemble is a handful of large vectorized operations (for the
+linear schemes, literally one cached sparse matmat).  The matrix is
+node-major (C-ordered) unless the scheme's round works on replica rows
+and the batch's recorded statistics are exact in any summation order
+(:func:`initial_batch`); it is then the transposed view of C-contiguous
+``(B, n)`` rows, which the stepper, record, freeze and audit read
+without a copy.  Its semantics are exactly ``B`` independent serial runs:
 
 - replica ``b`` consumes its own RNG stream, spawned from the root seed
   with the same ``SeedSequence(entropy=seed, spawn_key=(b,))`` derivation
@@ -92,26 +96,53 @@ spawn_rngs = trial_rngs
 def initial_batch(
     balancer: Balancer, loads: np.ndarray, replicas: int | None
 ) -> tuple[np.ndarray, int]:
-    """Validate initial loads into a node-major ``(n, B)`` batch.
+    """Validate initial loads into an ``(n, B)`` batch; column ``b`` is replica ``b``.
 
     Accepts a shared ``(n,)`` vector (repeated across ``replicas``
     columns) or per-replica ``(B, n)`` states; every replica's vector
     goes through ``balancer.validate_loads``.  Shared by the ensemble
     and partitioned engines so their input contracts cannot drift.
+
+    The batch is C-ordered (node-major) unless :func:`replica_major`
+    allows the transposed view of C-contiguous ``(B, n)`` rows; the
+    order is decided here, once per run, and ``batch_rounds``' buffers
+    keep it.
     """
     arr = np.asarray(loads)
     if arr.ndim == 1:
         B = 1 if replicas is None else int(replicas)
         vec = balancer.validate_loads(arr)
-        batch = np.ascontiguousarray(np.repeat(vec[:, None], B, axis=1))
-        return batch, B
+        if replica_major(balancer, [vec]):
+            return np.repeat(vec[None, :], B, axis=0).T, B
+        return np.repeat(vec[:, None], B, axis=1), B
     if arr.ndim != 2:
         raise ValueError(f"loads must be (n,) or (B, n), got shape {arr.shape}")
     B = arr.shape[0]
     if replicas is not None and int(replicas) != B:
         raise ValueError(f"replicas={replicas} but loads has {B} rows")
     cols = [balancer.validate_loads(arr[b]) for b in range(B)]
+    if replica_major(balancer, cols):
+        return np.stack(cols, axis=0).T, B
     return np.ascontiguousarray(np.stack(cols, axis=1)), B
+
+
+def replica_major(balancer: Balancer, cols: Sequence[np.ndarray]) -> bool:
+    """Whether an ensemble holds these validated replica vectors replica-major.
+
+    The scheme must ask for it (``replica_major_batch``), and every row
+    the trace records must be exact in any summation order, because a
+    batch's statistics sum along the node axis in memory order.  Integer
+    sums, extrema and movements always are; the float64 sum of squares
+    behind ``Phi`` is when the loads are non-negative integers whose
+    per-replica total ``S`` has ``S**2 < 2**53``, since every square and
+    every partial sum of squares is then an integer at most ``S**2``.
+    """
+    if not getattr(balancer, "replica_major_batch", False):
+        return False
+    if cols[0].dtype.kind not in "iu" or getattr(balancer, "allows_negative", False):
+        return False
+    totals = np.array([c.sum(dtype=np.float64) for c in cols])
+    return bool(np.all(totals * totals < EXACT_FLOAT_TOTAL))
 
 
 def replica_rngs(seed, replicas: int | None, loads) -> list[np.random.Generator]:
@@ -166,6 +197,9 @@ class RoundEngine:
     """
 
     DEFAULT_MAX_ROUNDS = 1_000_000
+    #: global index of the batch's first replica, which errors add to the
+    #: batch index they name (a shard of a larger batch sets it)
+    first_replica = 0
 
     def __init__(
         self,
@@ -238,7 +272,7 @@ class RoundEngine:
                 monitor.observe(trace._potentials[-1], active)
         audit = None
         if self.check_conservation:
-            audit = partial(audit_replica_sums, self.balancer.name)
+            audit = partial(audit_replica_sums, self.balancer.name, first=self.first_replica)
             integer = np.issubdtype(state.dtype, np.integer)
             # Float64 totals round past 2**53; such a run compares the
             # integer totals the trace keeps.  Decided once per run.
@@ -301,6 +335,10 @@ class EnsembleSimulator(RoundEngine):
         formulas even for one replica: a one-replica slice of a sharded
         batch does, so its stopping decisions match the other shards'
         (and so do the bit-for-bit property tests).
+    first_replica:
+        Global index of the first replica, for a batch that is one shard
+        of a larger one: the guard and the conservation audit then name
+        the global replica.
     """
 
     def __init__(
@@ -313,12 +351,14 @@ class EnsembleSimulator(RoundEngine):
         cons_tol: float = 1e-6,
         serial_singleton: bool = True,
         backend: str | None = None,
+        first_replica: int = 0,
     ) -> None:
         super().__init__(
             balancer, stopping, record=record, keep_snapshots=keep_snapshots,
             check_conservation=check_conservation, cons_tol=cons_tol, backend=backend,
         )
         self.serial_singleton = serial_singleton
+        self.first_replica = first_replica
 
     def run(self, loads: np.ndarray, seed=0, replicas: int | None = None) -> EnsembleTrace:
         """Run all replicas until each one's stopping rule fires.
@@ -345,7 +385,10 @@ class EnsembleSimulator(RoundEngine):
                 return self.balancer.step_batch(L, rngs, out=out)
 
             signed = getattr(self.balancer, "allows_negative", False)
-            L = self._drive(trace, batch_rounds(trace, L, active, step, signed), active, "ensemble")
+            # The stepper is not held: its spare buffer is freed before the
+            # final copy below.
+            L = self._drive(trace, batch_rounds(trace, L, active, step, signed,
+                                                self.first_replica), active, "ensemble")
         # (B, n) rows of the last state, detached from the recycled buffers.
         trace._final_loads = np.atleast_2d(L.T).copy()
         return trace
@@ -387,23 +430,24 @@ def serial_rounds(balancer: Balancer, trace: EnsembleTrace, loads: np.ndarray,
 
 def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
                  kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                 signed: bool = False) -> Iterator[np.ndarray]:
-    """The stepper over a node-major ``(n, B)`` batch: ``L``, then one
-    ``kernel`` round per item.
+                 signed: bool = False, first: int = 0) -> Iterator[np.ndarray]:
+    """The stepper over an ``(n, B)`` batch: ``L``, then one ``kernel``
+    round per item.
 
     ``kernel(L, out)`` returns the next batch, written into ``out`` when
     it can.  Two buffers ping-pong through it so the loop allocates
     nothing: once a round is recorded, the previous batch is recycled as
     the next round's output (kernels that ignore ``out`` simply leave it
-    to be reused).  Replicas no longer ``active`` keep their loads.
+    to be reused).  The spare buffer takes ``L``'s memory order, so a
+    replica-major batch stays replica-major.  Replicas no longer
+    ``active`` keep their loads.
 
     Each round is guarded like the serial stepper's: a non-finite entry
     of the recorded sums row raises ``loads must be finite``, and a
     negative minimum of the whole batch ``loads must be non-negative``
     unless the scheme is ``signed`` (its ``allows_negative``); a trace
     that records discrepancies hands back the minimum row it computed
-    for them instead.  Only a failing round looks for the replica to
-    name.
+    for them instead.  Errors name replicas from ``first`` on.
     """
     yield L
     spare = np.empty_like(L)
@@ -416,17 +460,32 @@ def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
             frozen = ~active
             new[:, frozen] = L[:, frozen]
         lows = trace.record(new, prev=L)
-        if floating:
-            finite = np.isfinite(trace._sums[-1])
-            if not finite.all():
-                b = int(np.flatnonzero(~finite)[0])
-                raise ValueError(f"loads must be finite (no NaN/inf): replica {b}")
-        if not signed and (new if lows is None else lows).min() < 0:
-            lows = new.min(axis=0) if lows is None else lows
-            b = int(np.flatnonzero(lows < 0)[0])
-            raise ValueError(f"loads must be non-negative: replica {b}")
+        guard_row(trace._sums[-1], new if lows is None else lows, floating, signed, first)
         L, spare = new, L
         yield L
+
+
+def guard_row(sums: np.ndarray, lows: np.ndarray, floating: bool, signed: bool,
+              first: int = 0) -> None:
+    """The per-round guard on one recorded row of a batch.
+
+    Raises ``validate_loads``' error for the first replica whose total
+    in ``sums`` is not finite (``floating`` loads only) or, unless the
+    scheme is ``signed``, whose minimum is negative.  ``lows`` is the
+    ``(B,)`` row of minima, or the ``(n, B)`` batch itself, whose column
+    minima are then taken only when the batch's minimum fails.  Replica
+    ``b`` is named ``first + b``.
+    """
+    if floating:
+        finite = np.isfinite(sums)
+        if not finite.all():
+            b = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"loads must be finite (no NaN/inf): replica {first + b}")
+    if not signed and lows.min() < 0:
+        if lows.ndim == 2:
+            lows = lows.min(axis=0)
+        b = int(np.flatnonzero(lows < 0)[0])
+        raise ValueError(f"loads must be non-negative: replica {first + b}")
 
 
 def apply_stopping(stopping, trace, active: np.ndarray | None) -> bool:
@@ -464,7 +523,7 @@ def apply_stopping(stopping, trace, active: np.ndarray | None) -> bool:
     return running
 
 
-def audit_replica_sums(name: str, sums, initial_sums, tol) -> None:
+def audit_replica_sums(name: str, sums, initial_sums, tol, first: int = 0) -> None:
     """Conservation check on a just-recorded total row.
 
     ``sums`` is one replica's scalar total or a ``(B,)`` row of them.
@@ -472,7 +531,7 @@ def audit_replica_sums(name: str, sums, initial_sums, tol) -> None:
     ``2**53``, the integer totals from there on); otherwise each total
     must stay within its absolute tolerance in ``tol``, and a NaN total
     never passes.  Raises ``AssertionError`` naming the first leaking
-    replica of a row.
+    replica of a row, as ``first`` plus its index in the row.
     """
     ok = sums == initial_sums if tol is None else abs(sums - initial_sums) <= tol
     if not isinstance(ok, np.ndarray):  # a scalar total: no mask to build
@@ -480,7 +539,9 @@ def audit_replica_sums(name: str, sums, initial_sums, tol) -> None:
             raise AssertionError(f"{name} leaked load: {_leak(sums, initial_sums)}")
     elif not ok.all():
         b = int(np.flatnonzero(~ok)[0])
-        raise AssertionError(f"{name} leaked load in replica {b}: {_leak(sums[b], initial_sums[b])}")
+        raise AssertionError(
+            f"{name} leaked load in replica {first + b}: {_leak(sums[b], initial_sums[b])}"
+        )
 
 
 def _leak(total, initial) -> str:

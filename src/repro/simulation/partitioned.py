@@ -89,7 +89,13 @@ from repro.core.protocols import Balancer
 from repro.distributed.transport import TransportError, make_pair
 from repro.distributed.worker import BlockJob, run_block_loop
 from repro.graphs.partition import HaloLink, Partition, make_partition, parse_partitions
-from repro.simulation.ensemble import EnsembleTrace, RoundEngine, batch_rounds, initial_batch
+from repro.simulation.ensemble import (
+    EnsembleTrace,
+    RoundEngine,
+    batch_rounds,
+    guard_row,
+    initial_batch,
+)
 from repro.simulation.stopping import StoppingRule
 
 __all__ = ["BlockLocal", "PartitionedSimulator", "block_local"]
@@ -483,46 +489,44 @@ class _PartitionMemo:
 def _partial_stats(
     new: np.ndarray, prev: np.ndarray, want_disc: bool, want_mov: bool
 ) -> tuple:
-    """One block's per-replica contributions to the round's statistics."""
+    """One block's per-replica contributions to the round's statistics:
+    sums, squared sums, minima (for the coordinator's sign guard, and the
+    discrepancies), maxima when ``want_disc``, movements when ``want_mov``."""
     if np.issubdtype(new.dtype, np.integer):
         sums = new.sum(axis=0)
     else:
         sums = np.ones(new.shape[0]) @ new
     ss = np.einsum("ij,ij->j", new, new, dtype=np.float64)
-    disc = (new.max(axis=0), new.min(axis=0)) if want_disc else None
+    hi = new.max(axis=0) if want_disc else None
     mov = 0.5 * np.abs(new - prev).sum(axis=0).astype(np.float64) if want_mov else None
-    return sums, ss, disc, mov
+    return sums, ss, new.min(axis=0), hi, mov
 
 
 def _stack_partials(rows: list[tuple]) -> tuple:
     """One chunk's per-round partials as arrays with a leading round axis,
     so a chunk ships a handful of arrays instead of a tuple per round."""
-    sums, ss, disc, mov = zip(*rows)
-    if disc[0] is not None:
-        disc = (np.stack([d[0] for d in disc]), np.stack([d[1] for d in disc]))
-    else:
-        disc = None
-    return np.stack(sums), np.stack(ss), disc, None if mov[0] is None else np.stack(mov)
+    return tuple(None if col[0] is None else np.stack(col) for col in zip(*rows))
 
 
 def _combine_stats(partials: list[tuple], n: int) -> tuple:
     """Combine per-block partials into global statistics rows.
 
     Works row-wise on stacked ``(rounds, B)`` partials; sums keep the
-    loads' dtype, so integer totals stay exact.
+    loads' dtype, so integer totals stay exact.  Returns ``Phi``, sums,
+    minima, discrepancies (None unless recorded) and movements (None
+    unless recorded) rows.
     """
     sums = np.sum([p[0] for p in partials], axis=0)
     ss = np.sum([p[1] for p in partials], axis=0)
     phis = np.maximum(ss - sums * (sums / n), 0.0)
+    lows = np.min([p[2] for p in partials], axis=0)
     disc = None
-    if partials[0][2] is not None:
-        hi = np.max([p[2][0] for p in partials], axis=0)
-        lo = np.min([p[2][1] for p in partials], axis=0)
-        disc = (hi - lo).astype(np.float64)
-    mov = None
     if partials[0][3] is not None:
-        mov = np.sum([p[3] for p in partials], axis=0)
-    return phis, sums, disc, mov
+        disc = (np.max([p[3] for p in partials], axis=0) - lows).astype(np.float64)
+    mov = None
+    if partials[0][4] is not None:
+        mov = np.sum([p[4] for p in partials], axis=0)
+    return phis, sums, lows, disc, mov
 
 
 # ----------------------------------------------------------------------
@@ -982,18 +986,26 @@ class _SpeculativeChunks:
         self._committed = 0
 
     def rounds(self, L: np.ndarray) -> Iterator[np.ndarray | None]:
-        """The executor stepper: ``L``, then one statistics row per round."""
+        """The executor stepper: ``L``, then one statistics row per round.
+
+        Each row is guarded like a lockstep round
+        (:func:`~repro.simulation.ensemble.guard_row`) as it is recorded:
+        rows past a stop are never recorded, so their speculation cannot
+        fire the guard.
+        """
         yield L
         sim, trace, active = self.sim, self.trace, self.active
         n = L.shape[0]
         traced = get_recorder().enabled
+        floating = L.dtype.kind == "f"
+        signed = getattr(sim.balancer, "allows_negative", False)
         while True:
             start = active.copy()
             frozen = None if start.all() else ~start
             t0 = perf_counter() if traced else 0.0
             replies = self.executor.run_chunk(sim._chunk_rounds(trace, active), frozen)
             t1 = perf_counter() if traced else 0.0
-            (phis, sums, disc, mov), values, links = _combine_chunk(replies, n)
+            (phis, sums, lows, disc, mov), values, links = _combine_chunk(replies, n)
             self._open = (len(values), frozen, values, links, t0, t1)
             self._committed = 0
             snapshot = self.executor.gather() if sim.keep_snapshots else None
@@ -1002,6 +1014,7 @@ class _SpeculativeChunks:
                     phis[i], sums[i], None if disc is None else disc[i],
                     None if mov is None else mov[i], snapshot=snapshot,
                 )
+                guard_row(sums[i], lows[i], floating, signed)
                 self._committed = i + 1
                 yield None
                 if not np.array_equal(active, start):

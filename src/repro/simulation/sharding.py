@@ -234,6 +234,7 @@ def run_shard_payload(job: ShardJob) -> EnsembleTrace:
         check_conservation=job.check_conservation,
         cons_tol=job.cons_tol,
         serial_singleton=job.whole_batch,
+        first_replica=job.first_replica,
     )
     rec = get_recorder()
     if not rec.enabled:
@@ -292,6 +293,7 @@ def shard_payloads(
             check_conservation=check_conservation,
             cons_tol=cons_tol,
             whole_batch=len(shards) == 1,
+            first_replica=start,
         )
         for start, stop in shards
     ]

@@ -24,7 +24,9 @@ was the average per-round drop factor?").
   (:func:`~repro.core.potential.square_sum`), so its bits do not depend
   on the BLAS thread count.  A one-replica run never freezes, so its
   rounds are its records;
-- a node-major batch ``(n, B)`` holds ``B`` replicas.  Its statistics
+- a batch ``(n, B)`` holds ``B`` replicas, one per column, in either
+  memory order (an ensemble may hold it replica-major; see
+  :func:`~repro.simulation.ensemble.initial_batch`).  Its statistics
   are ``(B,)`` array rows, computed across the whole batch at once, and
   each replica's rounds are credited by :meth:`EnsembleTrace.advance`.
 
@@ -112,7 +114,7 @@ class EnsembleTrace:
                prev: np.ndarray | None = None) -> np.ndarray | np.generic | None:
         """Append one state (the initial state first, then once per round).
 
-        A node-major ``(n, B)`` batch appends one ``(B,)`` row per
+        An ``(n, B)`` batch appends one ``(B,)`` row per
         statistic and returns the per-replica minimum row when it
         computed one for the discrepancies (else None).  A load vector
         ``(n,)`` appends float rows that are
