@@ -164,9 +164,15 @@ class PlainCSR:
 class KernelBackend:
     """Interface the operator's round kernels dispatch through.
 
-    ``matvec``/``add_matvec`` are mandatory; the ``fused_*`` hooks may
-    return None, in which case the operator runs its staged reference
-    formulation (difference product → divide → scatter) on this
+    ``matvec``/``add_matvec`` are mandatory.  ``accumulate_matvec``
+    (``out += csr @ x``) has a default built on ``matvec``; backends
+    whose kernels can fold straight into ``out`` override it.  It is the
+    staged discrete round's scatter and is only called on exact-integer
+    data, where every fold order gives the same bits — float callers
+    keep ``add_matvec``'s ``base + (csr @ x)``.  The ``fused_*`` hooks
+    may return None, in which case the operator runs its staged
+    formulation (difference product → divide → scatter, see
+    :meth:`~repro.core.operators.EdgeOperator.discrete_step`) on this
     backend's products.
     """
 
@@ -191,6 +197,11 @@ class KernelBackend:
     ) -> np.ndarray:
         """``out = base + csr @ x`` (the signed-scatter application)."""
         raise NotImplementedError
+
+    def accumulate_matvec(self, csr: PlainCSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out += csr @ x`` (exact-integer data only; see the class notes)."""
+        np.add(out, self.matvec(csr, x, np.empty_like(out)), out=out)
+        return out
 
     def fused_discrete_round(self, op, loads, out, use_recip: bool):
         """Whole discrete round, or None to use the staged formulation."""
@@ -217,6 +228,9 @@ class NumpyBackend(KernelBackend):
 
     def matvec(self, csr: PlainCSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         out.fill(0)
+        return self.accumulate_matvec(csr, x, out)
+
+    def accumulate_matvec(self, csr: PlainCSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         data, idx = csr.data, csr.indices
         if x.ndim == 1:
             for rows, pos in csr.ell:
@@ -253,32 +267,47 @@ class ScipyBackend(KernelBackend):
         fast = "reusable-output C kernels" if _matvec_fns else "public csr product"
         return f"scipy {scipy.__version__} ({fast})"
 
+    @staticmethod
+    def _fold_into(csr: PlainCSR, x: np.ndarray, out: np.ndarray) -> bool:
+        """``out += csr @ x`` through the reusable-output C kernels.
+
+        SciPy's ``csr_matvec(s)`` accumulate into ``y`` (``y += A x``);
+        returns False when they cannot run on these arrays.
+        """
+        if _matvec_fns is None or not (out.flags.c_contiguous and x.flags.c_contiguous):
+            return False
+        n_row, n_col = csr.shape
+        try:
+            # A one-column matmat is a matvec: same per-row stored-order
+            # fold, without csr_matvecs' per-entry inner loop.
+            if x.ndim == 1 or x.shape[1] == 1:
+                _matvec_fns[0](
+                    n_row, n_col, csr.indptr, csr.indices, csr.data, x.ravel(), out.ravel()
+                )
+            else:
+                _matvec_fns[1](
+                    n_row,
+                    n_col,
+                    x.shape[1],
+                    csr.indptr,
+                    csr.indices,
+                    csr.data,
+                    x.ravel(),
+                    out.ravel(),
+                )
+        except (TypeError, ValueError):  # pragma: no cover - dtype edge cases
+            return False
+        return True
+
     def matvec(self, csr: PlainCSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        if _matvec_fns is not None and out.flags.c_contiguous and x.flags.c_contiguous:
-            n_row, n_col = csr.shape
-            try:
-                out.fill(0)
-                # A one-column matmat is a matvec: same per-row stored-order
-                # fold, without csr_matvecs' per-entry inner loop.
-                if x.ndim == 1 or x.shape[1] == 1:
-                    _matvec_fns[0](
-                        n_row, n_col, csr.indptr, csr.indices, csr.data, x.ravel(), out.ravel()
-                    )
-                else:
-                    _matvec_fns[1](
-                        n_row,
-                        n_col,
-                        x.shape[1],
-                        csr.indptr,
-                        csr.indices,
-                        csr.data,
-                        x.ravel(),
-                        out.ravel(),
-                    )
-                return out
-            except (TypeError, ValueError):  # pragma: no cover - dtype edge cases
-                pass
-        out[...] = csr.as_scipy() @ x
+        out.fill(0)
+        if not self._fold_into(csr, x, out):
+            out[...] = csr.as_scipy() @ x
+        return out
+
+    def accumulate_matvec(self, csr: PlainCSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        if not self._fold_into(csr, x, out):
+            out += csr.as_scipy() @ x
         return out
 
     def add_matvec(
@@ -431,7 +460,8 @@ class _TimedBackend:
         self.priority = inner.priority
         #: entry point -> its metric name, formatted once
         self._metric = {kernel: f"kernel.{self.name}.{kernel}_s" for kernel in
-                        ("matvec", "add_matvec", "fused_discrete", "fused_fos")}
+                        ("matvec", "add_matvec", "accumulate_matvec", "fused_discrete",
+                         "fused_fos")}
 
     def matvec(self, csr, x, out):
         t0 = perf_counter()
@@ -443,6 +473,12 @@ class _TimedBackend:
         t0 = perf_counter()
         result = self._inner.add_matvec(csr, base, x, out)
         self._rec.observe(self._metric["add_matvec"], perf_counter() - t0)
+        return result
+
+    def accumulate_matvec(self, csr, x, out):
+        t0 = perf_counter()
+        result = self._inner.accumulate_matvec(csr, x, out)
+        self._rec.observe(self._metric["accumulate_matvec"], perf_counter() - t0)
         return result
 
     def fused_discrete_round(self, op, loads, out, use_recip):

@@ -19,13 +19,13 @@ An :class:`EdgeOperator` precomputes, once per
   :attr:`EdgeOperator.denominators_recip`);
 - a **signed incidence matrix** ``A`` of shape ``(n, m)`` with
   ``A[u_e, e] = -1`` and ``A[v_e, e] = +1``, so applying flows becomes
-  the sparse product ``loads + A @ flows`` (an int64 twin keeps the
-  discrete algorithms integer-exact);
+  the sparse product ``loads + A @ flows``;
 - its negated transpose, the **difference operator** ``D = -A^T``
   of shape ``(m, n)`` (``+1`` at ``(e, u_e)``, ``-1`` at ``(e, v_e)``),
-  so the staged discrete round's edge differences are ``D @ loads`` —
-  built lazily on the first discrete round, float64 for the
-  reciprocal fast path and int64 beyond it;
+  so the staged discrete round's edge differences are ``D @ loads``.
+  Both are built lazily, float64 for the discrete round's exact float
+  pipeline and int64 beyond its range (:meth:`EdgeOperator.discrete_step`);
+  each pattern is sorted once and its other dtype shares it;
 - for the *linear* continuous schemes (Algorithm 1 and FOS), the full
   **round matrix** ``M`` with ``M @ loads`` equal to one concurrent
   round, so a round is a single cached sparse matvec — and a whole
@@ -221,16 +221,15 @@ class EdgeOperator:
 
     def incidence_csr(self, dtype=np.float64) -> PlainCSR:
         """Signed incidence ``(n, m)``: ``-1`` at ``(u, e)``, ``+1`` at ``(v, e)``."""
-        key = np.dtype(dtype).char
-        A = self._incidence_plain.get(key)
-        if A is None:
-            ones = np.ones(self.m, dtype=dtype)
-            heads = np.concatenate([self.u, self.v])
-            cols = np.concatenate([np.arange(self.m)] * 2)
-            vals = np.concatenate([-ones, ones])
-            A = self._sorted_csr(heads, cols, vals, (self.n, self.m))
-            self._incidence_plain[key] = A
-        return A
+        cache, key = self._incidence_plain, np.dtype(dtype).char
+        if key not in cache:
+            cache[key] = _dtype_twin(cache, dtype) or self._sorted_csr(
+                np.concatenate([self.u, self.v]),
+                np.concatenate([np.arange(self.m)] * 2),
+                np.repeat(np.array([-1, 1], dtype=dtype), self.m),
+                (self.n, self.m),
+            )
+        return cache[key]
 
     def difference_csr(self, dtype=np.float64) -> PlainCSR:
         """Edge difference operator ``(m, n)``: ``+1`` at ``(e, u_e)``, ``-1``
@@ -240,16 +239,15 @@ class EdgeOperator:
         subtraction per edge on every backend (float64 while the loads
         stay below ``2**53``, int64 always).
         """
-        key = np.dtype(dtype).char
-        D = self._difference_plain.get(key)
-        if D is None:
-            ones = np.ones(self.m, dtype=dtype)
-            heads = np.concatenate([np.arange(self.m)] * 2)
-            cols = np.concatenate([self.u, self.v])
-            vals = np.concatenate([ones, -ones])
-            D = self._sorted_csr(heads, cols, vals, (self.m, self.n))
-            self._difference_plain[key] = D
-        return D
+        cache, key = self._difference_plain, np.dtype(dtype).char
+        if key not in cache:
+            cache[key] = _dtype_twin(cache, dtype) or self._sorted_csr(
+                np.concatenate([np.arange(self.m)] * 2),
+                np.concatenate([self.u, self.v]),
+                np.repeat(np.array([1, -1], dtype=dtype), self.m),
+                (self.m, self.n),
+            )
+        return cache[key]
 
     def round_csr(self) -> PlainCSR:
         """Algorithm 1's continuous round matrix as a backend-neutral CSR.
@@ -464,58 +462,83 @@ class EdgeOperator:
         mag = self.scratch("disc-mag", diff.shape, np.int64)
         return _signed_floor_divide(diff, self.denominators_int, mag, out)
 
-    def discrete_flows(
+    def discrete_step(
         self,
         loads: np.ndarray,
         bound: int,
+        out: np.ndarray,
+        rows=slice(None),
         difference=None,
+        incidence=None,
         recip: np.ndarray | None = None,
         denom_int: np.ndarray | None = None,
         scratch=None,
         tag: str = "disc",
     ) -> np.ndarray:
-        """Discrete Algorithm-1 flows ``sign(diff) * (|diff| // d_e)`` per edge.
+        """The staged discrete Algorithm-1 round: ``out[rows]`` becomes
+        ``loads[rows]`` plus the signed scatter of the edge flows
+        ``sign(diff) * (|diff| // d_e)``, ``diff = l_u - l_v``.
 
-        ``diff`` is the edge difference ``l_u - l_v``; ``bound`` must
-        bound every ``|l|`` and every ``|diff|`` (``max - min(min, 0)``
-        does).  The remaining arguments default to this operator's whole
-        edge set: ``difference(dtype)`` returns the edge rows' difference
-        operator (:meth:`difference_csr`), ``recip``/``denom_int`` their
-        biased reciprocals and int64 denominators, and
-        ``scratch(name, shape, dtype)`` the work buffers.  A partition block passes its row slices instead, so
-        both discrete rounds run this one flow step.  The returned int64
-        ``(m,)`` / ``(m, B)`` flows live in scratch (``tag + "-flows"``).
+        ``bound`` must bound every ``|l|`` and every ``|diff|``
+        (``max - min(min, 0)`` does).  ``rows`` (a slice or an index
+        array into ``loads``) selects the output rows.  The remaining
+        arguments default to this operator's whole edge set:
+        ``difference(dtype)`` / ``incidence(dtype)`` return the edge rows'
+        difference operator (:meth:`difference_csr`) and the incidence
+        rows of ``rows`` over those edges (:meth:`incidence_csr`),
+        ``recip``/``denom_int`` the edges' biased reciprocals and int64
+        denominators, and ``scratch(name, shape, dtype)`` the work
+        buffers.  A partition block passes its slices instead, so the
+        whole-graph and the block rounds run this one step.
 
-        Fast branch (``bound < RECIP_DIV_LIMIT = 2**46``): the loads are
-        copied to float64 and the differences come from the float64
-        product ``D @ loads``, multiplied in place by the reciprocals and
-        truncated.  This is bit-exact: every load and every difference
-        is below ``2**46`` and so exactly representable in float64, each
-        row of ``D`` folds ``0 + l_u - l_v`` (or ``0 - l_v + l_u``)
-        without rounding, and the product therefore equals
-        ``float(l_u - l_v)`` — after which the reciprocal multiply is the
-        same single rounding the int64-times-float64 formulation made
-        (exactness of that step: :attr:`denominators_recip`).
-        Exact branch (larger loads): the int64 product ``D @ loads`` and
-        an int64 floor division.
+        One pipeline in one working dtype: copy the loads into a
+        working buffer, take the edge differences ``D @ work``, turn
+        them into flows in place, fold the flows into the working copy
+        through the incidence (``work[rows] += A @ flows``, no separate
+        base add), and cast ``work[rows]`` into ``out[rows]``.
+
+        Fast branch (``bound < RECIP_DIV_LIMIT = 2**46``): the working
+        dtype is float64 and the flows are the differences times the
+        reciprocals, truncated in place.  Every value is an exact
+        integer, so this is bit-for-bit the int64 round:
+
+        - each load is below ``2**46`` and converts exactly;
+        - each row of ``D`` folds ``0 + l_u - l_v`` (or ``0 - l_v +
+          l_u``) without rounding, giving ``float(l_u - l_v)``;
+        - the reciprocal multiply and truncation give the exact floor
+          quotient (:func:`biased_reciprocal`), an integer;
+        - a node of degree ``d`` receives at most ``d`` flows of at most
+          ``bound / (4 d)`` each, so its running sum stays below
+          ``2 * 2**46 < 2**53`` and every addition is exact, in any order.
+
+        Exact branch (larger loads): the working dtype is int64 and the
+        flows come from an int64 floor division.
         """
         difference = difference or self.difference_csr
+        incidence = incidence or self.incidence_csr
         recip = self.denominators_recip if recip is None else recip
         denom_int = self.denominators_int if denom_int is None else denom_int
         scratch = scratch or self.scratch
+        fast = bound < RECIP_DIV_LIMIT
+        dtype, kind = (np.float64, "f") if fast else (np.int64, "i")
         shape = recip.shape + loads.shape[1:]
-        flows = scratch(tag + "-flows", shape, np.int64)
-        if bound < RECIP_DIV_LIMIT:
-            lf = scratch(tag + "-lf", loads.shape, np.float64)
-            np.copyto(lf, loads)
-            qf = scratch(tag + "-qf", shape, np.float64)
-            self.kernels.matvec(difference(np.float64), lf, qf)
-            np.multiply(qf, recip if qf.ndim == 1 else recip[:, None], out=qf)
-            np.copyto(flows, qf, casting="unsafe")  # trunc toward zero
-            return flows
-        self.kernels.matvec(difference(np.int64), loads, flows)
-        mag = scratch(tag + "-mag", shape, np.int64)
-        return _signed_floor_divide(flows, denom_int, mag, flows)
+        work = scratch(f"{tag}-l{kind}", loads.shape, dtype)
+        np.copyto(work, loads)
+        flows = scratch(f"{tag}-q{kind}", shape, dtype)
+        self.kernels.matvec(difference(dtype), work, flows)
+        if fast:
+            np.multiply(flows, recip if flows.ndim == 1 else recip[:, None], out=flows)
+            np.trunc(flows, out=flows)
+        else:
+            _signed_floor_divide(flows, denom_int, scratch(tag + "-mag", shape, np.int64), flows)
+        if isinstance(rows, slice):
+            acc = work[rows]
+        else:
+            acc = scratch(f"{tag}-a{kind}", rows.shape + loads.shape[1:], dtype)
+            np.take(work, rows, axis=0, out=acc)
+        self.kernels.accumulate_matvec(incidence(dtype), flows, acc)
+        out[rows] = acc  # exact integers: the cast back to int64 is exact
+        return out
 
     def round_discrete(self, loads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """One discrete Algorithm-1 round; int64 in, int64 out, exact.
@@ -523,17 +546,16 @@ class EdgeOperator:
         Backends with a fused kernel (numba) run the whole round —
         adjacency gather, reciprocal floor-divide, signed scatter — as a
         single node-parallel traversal with no ``(m, B)`` intermediates.
-        The staged path is two cached sparse products: the difference
-        operator gives the edge differences, :meth:`discrete_flows`
-        turns them into flows, and the signed incidence scatters the
-        flows back — in reusable scratch buffers, allocation-free in
-        steady state.  Either way the values are identical to the serial
-        expressions (integer arithmetic; the float64 fast path is
-        bit-exact, see :meth:`discrete_flows`).
+        The others run :meth:`discrete_step`: the difference product,
+        the flows truncated in place and their scatter folded into the
+        float copy of the loads, in reusable scratch buffers
+        (allocation-free in steady state).  Either way the values are
+        identical to the serial integer expressions (the float pipeline's
+        exactness argument is in :meth:`discrete_step`).
         """
         # The fused kernels read neighbour values while writing out, so an
         # aliased buffer would corrupt silently — reject it loudly here,
-        # matching the staged path's apply_flows guard.
+        # matching apply_flows' guard.
         if out is loads and out is not None:
             raise ValueError("out must not alias the input vector")
         # max - min bounds every |l_u - l_v| (the engines only pass
@@ -548,7 +570,14 @@ class EdgeOperator:
         )
         if fused is not None:
             return fused
-        return self.apply_flows(loads, self.discrete_flows(loads, bound), out)
+        return self.discrete_step(loads, bound, out)
+
+
+def _dtype_twin(cache: dict, dtype) -> PlainCSR | None:
+    """A cached ``±1`` matrix of ``cache`` re-typed to ``dtype`` on its own
+    sorted pattern (no second lexsort), or None while ``cache`` is empty."""
+    twin = next(iter(cache.values()), None)
+    return None if twin is None else twin.with_data(twin.data.astype(dtype))
 
 
 def _scratch_buffer(cache: dict, key: str, shape: tuple, dtype) -> np.ndarray:

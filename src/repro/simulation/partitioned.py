@@ -302,10 +302,12 @@ class BlockLocal:
         The subset's incident edges as ascending global edge ids (the
         full fold order), their biased reciprocals and int64
         denominators, the matching incidence row slice with columns
-        renumbered to subset-edge positions, and the owned-row
-        positions.  ``rows=None`` is the whole block.  ``owned_only`` records whether every endpoint is
-        an owned node — true for the interior subset by construction,
-        which is what lets the interior phase run on stale ghost values.
+        renumbered to subset-edge positions (keyed by dtype: the int64
+        slice and its float64 twin on the same pattern), and the owned-row
+        positions.  ``rows=None`` is the whole block.  ``owned_only``
+        records whether every endpoint is an owned node — true for the
+        interior subset by construction, which is what lets the interior
+        phase run on stale ghost values.
         """
         cached = self._sub_discrete.get(rows)
         if cached is None:
@@ -333,7 +335,7 @@ class BlockLocal:
                 eids,
                 np.ascontiguousarray(self.op.denominators_recip[eids]),
                 np.ascontiguousarray(self.op.denominators_int[eids]),
-                inc,
+                {np.int64: inc, np.float64: inc.with_data(inc.data.astype(np.float64))},
                 pos,
                 owned_only,
             )
@@ -396,42 +398,38 @@ class BlockLocal:
     ) -> np.ndarray:
         """One discrete Algorithm-1 round on this block (int64, exact).
 
-        The block's rows of the global difference operator give the
-        per-edge differences over its incident edges, the operator's own
-        :meth:`~repro.core.operators.EdgeOperator.discrete_flows` step
-        turns them into flows, and the incidence row slice folds those
-        onto owned nodes.  Integer-exact end to end, so the owned results
-        equal the global round's rows.  With ``rows``, only the subset's
-        incident edges and incidence rows participate; the interior
-        subset's edges have owned-only endpoints, so its difference
-        slice, float copy and magnitude bound (which merely *selects*
-        between two exact division paths) cover the owned region alone
-        and never read a ghost value.
+        Runs the operator's own
+        :meth:`~repro.core.operators.EdgeOperator.discrete_step` on the
+        block's slices: its rows of the global difference operator give
+        the differences over its incident edges, the flows are truncated
+        in place, and the incidence row slice folds them into the float
+        copy of the loads (the exact float pipeline below ``2**46``, int64
+        beyond).  Exact end to end, so the owned results equal the global
+        round's rows.  With ``rows``, only the subset's incident edges and
+        incidence rows participate; the interior subset's edges have
+        owned-only endpoints, so its difference slice, float copy and
+        magnitude bound (which merely *selects* between the two exact
+        branches) cover the owned region alone and never read a ghost
+        value.  Output rows that form a contiguous range accumulate in
+        place in the float copy; others are gathered into a scratch
+        buffer first.
         """
         _, recip, den_int, inc, pos, owned_only = self._discrete_subset(rows)
         region = ext[: self.n_owned] if owned_only else ext
         bound = int(region.max(initial=0)) - min(int(region.min(initial=0)), 0)
-        flows = self.op.discrete_flows(
+        rng = self._contiguous_range(pos)
+        return self.op.discrete_step(
             region,
             bound,
+            self._out(ext, out, dtype=np.int64),
+            rows=pos if rng is None else slice(*rng),
             difference=lambda dtype: self._difference_rows(rows, dtype),
+            incidence=inc.__getitem__,
             recip=recip,
             denom_int=den_int,
             scratch=self._get_scratch,
             tag=f"disc-{rows}",
         )
-        out = self._out(ext, out, dtype=np.int64)
-        rng = self._contiguous_range(pos)
-        if rng is not None:
-            a, b = rng
-            self.op.kernels.add_matvec(inc, ext[a:b], flows, out[a:b])
-        else:
-            base = self._get_scratch("base_" + rows, (pos.size,) + ext.shape[1:], np.int64)
-            np.take(ext, pos, axis=0, out=base)
-            buf = self._get_scratch("dsc_" + rows, (pos.size,) + ext.shape[1:], np.int64)
-            self.op.kernels.add_matvec(inc, base, flows, buf)
-            out[pos] = buf
-        return out
 
 
 def block_local(part: Partition, block_id: int, backend: str | None = None) -> BlockLocal:

@@ -216,6 +216,27 @@ class TestPrimitiveParity:
             assert np.array_equal(op.round_discrete(tokens), tokens)
 
 
+class TestAccumulateMatvec:
+    """``accumulate_matvec`` folds ``csr @ x`` into ``out`` in place, on
+    every backend (numba through the base-class default)."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("name,make_op", BACKEND_OPS)
+    def test_adds_product_into_out(self, name, make_op, dtype):
+        topo = g.by_name("star:32")
+        op = make_op(topo)
+        ref = edge_operator(topo, "numpy")
+        A = op.incidence_csr(dtype)
+        rng = np.random.default_rng(5)
+        for tail in ((), (1,), (5,)):
+            x = rng.integers(-1000, 1000, (topo.m,) + tail).astype(dtype)
+            base = rng.integers(-(10**6), 10**6, (topo.n,) + tail).astype(dtype)
+            want = base + ref.kernels.matvec(A, x, np.empty_like(base))
+            out = base.copy()
+            assert op.kernels.accumulate_matvec(A, x, out) is out
+            assert np.array_equal(out, want), tail
+
+
 class TestFosCSR:
     def test_data_matches_from_scratch_build(self, any_topology):
         """The pattern-shared per-alpha data fill must be bitwise the

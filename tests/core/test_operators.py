@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.diffusion import DiffusionBalancer, diffusion_flows
+from repro.core.diffusion import DiffusionBalancer, diffusion_flows, diffusion_round_discrete
 from repro.core.operators import (
     HAVE_SCIPY,
     RECIP_DIV_LIMIT,
@@ -145,7 +145,7 @@ class TestScratch:
         for cache in (op._scratch, loc._scratch):
             names = [key[0] for key in cache]
             assert names and len(names) == len(set(names))
-        assert op._scratch[("disc-flows", np.dtype(np.int64).char)].shape == (topo.m, 16)
+        assert op._scratch[("disc-qf", np.dtype(np.float64).char)].shape == (topo.m, 16)
 
 
 def _digest(*arrays):
@@ -256,6 +256,60 @@ class TestDiscreteRoundOracle:
         lf = loc._scratch[("disc-interior-lf", np.dtype(np.float64).char)]
         assert lf.shape == (loc.n_owned, 3)
         assert ("disc-interior-mag", np.dtype(np.int64).char) not in loc._scratch
+
+
+class TestFloatPipeline:
+    """The staged round's float pipeline (flows truncated in place and
+    folded into the float copy of the loads) is the literal int64 round."""
+
+    # ``1 << 62`` is far past float64's exact range: only the int64
+    # branch gets it right.
+    @pytest.mark.parametrize("top", ORACLE_TOPS + [1 << 62], ids=["fast", "exact", "far"])
+    @pytest.mark.parametrize("B", [1, 3, 64], ids=lambda b: f"B{b}")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+    def test_memory_orders(self, backend, order, B, top):
+        topo = g.by_name("star:50")
+        op = edge_operator(topo, backend)
+        loads = np.asarray(_planted_loads(topo, top, B, seed=4), order=order)
+        before = loads.copy()
+        want = _literal_round(topo, loads)
+        for out_order in ("C", "F"):
+            out = np.full(loads.shape, -1, dtype=np.int64, order=out_order)
+            assert op.round_discrete(loads, out) is out
+            assert np.array_equal(out, want), out_order
+        got = op.round_discrete(loads)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert np.array_equal(loads, before)
+
+    @pytest.mark.parametrize("top", ORACLE_TOPS, ids=["fast", "exact"])
+    @pytest.mark.parametrize("B", [None, 3], ids=lambda b: f"B{b}")
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+    def test_negative_loads_through_public_kernel(self, backend, B, top):
+        """Negated planted loads: the bound is ``-min``, so ``top`` picks
+        the branch, and every flow has the sign of a negative surplus."""
+        topo = g.by_name("hypercube:4")
+        loads = -_planted_loads(topo, top, B, seed=6)
+        want = _literal_round(topo, loads)
+        got = diffusion_round_discrete(loads.T, topo, backend=backend)
+        assert np.array_equal(got, want.T)
+
+    @pytest.mark.parametrize("backend", ORACLE_BACKENDS)
+    def test_out_aliasing_loads_rejected(self, backend):
+        op = edge_operator(g.torus_2d(4, 4), backend)
+        loads = np.arange(16 * 3, dtype=np.int64).reshape(16, 3)
+        with pytest.raises(ValueError):
+            op.round_discrete(loads, out=loads)
+
+    def test_float_twins_share_the_int_pattern(self):
+        op = EdgeOperator(g.torus_2d(4, 4))
+        for build in (op.incidence_csr, op.difference_csr):
+            first = build(np.int64)
+            twin = build(np.float64)
+            assert twin.indptr is first.indptr and twin.indices is first.indices
+            assert twin.data.dtype == np.float64
+            assert np.array_equal(twin.data, first.data)
+            assert build(np.float64) is twin
 
 
 # Final loads captured from the gather-based discrete round; the

@@ -12,13 +12,14 @@ import pytest
 
 from repro.baselines.first_order import FirstOrderBalancer
 from repro.baselines.ops import OptimalPolynomialBalancer
-from repro.core.diffusion import DiffusionBalancer
+from repro.core.diffusion import DiffusionBalancer, diffusion_flows
+from repro.core.operators import HAVE_SCIPY, RECIP_DIV_LIMIT
 from repro.graphs.dynamic import AlternatingDynamics, EdgeSamplingDynamics
 from repro.graphs.generators import hypercube, torus_2d
 from repro.graphs.partition import PARTITION_STRATEGIES, make_partition
 from repro.simulation.engine import Simulator
 from repro.simulation.ensemble import EnsembleSimulator
-from repro.simulation.partitioned import PartitionedSimulator, block_local
+from repro.simulation.partitioned import BlockLocal, PartitionedSimulator, block_local
 from repro.simulation.stopping import (
     DiscrepancyBelow,
     MaxRounds,
@@ -400,6 +401,56 @@ class TestBlockLocal:
         part = make_partition(torus_2d(4, 4), 2)
         with pytest.raises(ValueError):
             block_local(part, 5)
+
+
+def _literal_discrete_round(topo, loads):
+    """``diffusion_flows(..., discrete=True)`` plus ``np.add.at`` on
+    node-major ``(n, B)`` loads."""
+    flows = diffusion_flows(loads.T, topo, discrete=True).T
+    new = loads.copy()
+    np.add.at(new, topo.edges[:, 0], -flows)
+    np.add.at(new, topo.edges[:, 1], flows)
+    return new
+
+
+class TestBlockDiscreteRound:
+    """Every row subset of the block round equals the literal int64 round,
+    on both sides of the float pipeline's range and both row paths
+    (contiguous rows fold in place, scattered rows through a gather)."""
+
+    @pytest.mark.parametrize("top", [RECIP_DIV_LIMIT - 1, RECIP_DIV_LIMIT, 1 << 62],
+                             ids=["fast", "exact", "far"])
+    @pytest.mark.parametrize("B", [1, 3, 64])
+    @pytest.mark.parametrize("backend", [
+        "numpy",
+        pytest.param("scipy", marks=pytest.mark.skipif(not HAVE_SCIPY, reason="SciPy unavailable")),
+    ])
+    def test_rows_match_literal_round(self, backend, B, top):
+        topo = torus_2d(8, 8)
+        part = make_partition(topo, 3, "bfs")
+        rng = np.random.default_rng(B)
+        shape = (topo.n, B)
+        drop = np.where(rng.random(shape) < 0.5, rng.integers(0, 8, shape),
+                        rng.integers(0, top, shape))
+        loads = (top - drop).astype(np.int64)
+        # Every block owns a node at ``top``, so each region's bound is top.
+        loads[[int(owned[0]) for owned in part.owned]] = top
+        want = _literal_discrete_round(topo, loads)
+        scattered = set()
+        for p in range(part.blocks):
+            loc = BlockLocal(part, p, backend=backend)
+            ext = np.ascontiguousarray(loads[loc.ext_ids])
+            for rows in (None, "interior", "boundary"):
+                pos = np.arange(loc.n_owned) if rows is None else loc._rows_positions(rows)
+                scattered.add(loc._contiguous_range(pos) is None)
+                rest = np.ones(loc.n_owned, dtype=bool)
+                rest[pos] = False
+                for order in ("C", "F"):
+                    out = np.full((loc.n_owned, B), -1, dtype=np.int64, order=order)
+                    assert loc.round_discrete(ext, out=out, rows=rows) is out
+                    assert np.array_equal(out[pos], want[loc.owned[pos]]), (p, rows, order)
+                    assert (out[rest] == -1).all()
+        assert scattered == {True, False}
 
 
 class TestPartitionedValidation:
