@@ -226,13 +226,12 @@ def measure_sharded(side, replicas, mode, rounds, workers, repeats: int = 3,
 
 def _time_partitioned(topo, mode, loads, rounds: int, partitions: int, strategy: str,
                       pmode: str, backend=None, transport: str = "mp-pipe",
-                      overlap: bool = False, delta: bool = False) -> tuple[float, dict]:
+                      delta: bool = False) -> tuple[float, dict]:
     """Seconds for one PartitionedSimulator run; returns (time, halo stats)."""
     bal = DiffusionBalancer(topo, mode=mode, backend=backend)
     psim = PartitionedSimulator(
         bal, partitions=partitions, strategy=strategy, mode=pmode,
-        stopping=[MaxRounds(rounds)], transport=transport,
-        overlap=overlap, delta_frames=delta,
+        stopping=[MaxRounds(rounds)], transport=transport, delta_frames=delta,
     )
     start = time.perf_counter()
     psim.run(loads)
@@ -251,8 +250,8 @@ def _near_balanced_loads(n: int) -> np.ndarray:
 
 def measure_partitioned(side, mode, rounds, partitions=PARTITION_BLOCKS, strategy="bfs",
                         pmode="process", repeats: int = 3, backend: str | None = None,
-                        transport: str = "mp-pipe", overlap: bool = False,
-                        delta: bool = False, near_balanced: bool = False) -> dict:
+                        transport: str = "mp-pipe", delta: bool = False,
+                        near_balanced: bool = False) -> dict:
     """One single-block-vs-partitioned comparison row (B = 1, one graph).
 
     The single-block side is the serial :class:`Simulator` on the whole
@@ -275,7 +274,7 @@ def measure_partitioned(side, mode, rounds, partitions=PARTITION_BLOCKS, strateg
     # startup path for process mode) so construction is not attributed.
     _time_serial(topo, mode, "diffusion", loads, 1, 2, backend)
     _time_partitioned(topo, mode, loads, 2, partitions, strategy, pmode, backend,
-                      transport, overlap, delta)
+                      transport, delta)
     single_s = min(
         _time_serial(topo, mode, "diffusion", loads, 1, rounds, backend)
         for _ in range(repeats)
@@ -285,7 +284,7 @@ def measure_partitioned(side, mode, rounds, partitions=PARTITION_BLOCKS, strateg
     for _ in range(repeats):
         t, h = _time_partitioned(
             topo, mode, loads, rounds, partitions, strategy, pmode, backend,
-            transport, overlap, delta
+            transport, delta
         )
         if t < part_s:
             part_s, halo = t, h
@@ -298,7 +297,6 @@ def measure_partitioned(side, mode, rounds, partitions=PARTITION_BLOCKS, strateg
         "strategy": strategy,
         "partition_mode": pmode,
         "transport": halo.get("transport"),
-        "overlap": overlap,
         "delta_frames": delta,
         "loads": "near-balanced" if near_balanced else "default",
         "single_seconds": round(single_s, 6),
@@ -1020,12 +1018,6 @@ def run_suite(smoke: bool = False, backend: str | None = None,
         # deployment pays, yardsticked against pipes on the same host.
         measure_partitioned(part_side, "discrete", part_rounds, pmode="process",
                             backend=backend, transport="tcp"),
-        # Split-phase rows: the same discrete process run with
-        # communication/computation overlap on, over pipes and TCP.
-        measure_partitioned(part_side, "discrete", part_rounds, pmode="process",
-                            backend=backend, overlap=True),
-        measure_partitioned(part_side, "discrete", part_rounds, pmode="process",
-                            backend=backend, transport="tcp", overlap=True),
         # Delta-frame pair: a near-convergence discrete run where most
         # halo rows are unchanged round-to-round, dense vs delta framing.
         # The byte counters are deterministic; the delta-frames gate
@@ -1033,13 +1025,11 @@ def run_suite(smoke: bool = False, backend: str | None = None,
         measure_partitioned(part_side, "discrete", part_rounds, pmode="process",
                             backend=backend, near_balanced=True),
         measure_partitioned(part_side, "discrete", part_rounds, pmode="process",
-                            backend=backend, overlap=True, delta=True,
-                            near_balanced=True),
+                            backend=backend, delta=True, near_balanced=True),
     ]
     for row in partitioned_rows:
         wire = f", {row['transport']}" if row.get("transport") else ""
-        flags = ("+overlap" if row.get("overlap") else "") + (
-            "+delta" if row.get("delta_frames") else "")
+        flags = "+delta" if row.get("delta_frames") else ""
         print(
             f"{'partitioned':12s} n={row['n']:5d} P={row['partitions']} "
             f"{row['mode']:10s} [{row['partition_mode']}{wire}{flags}, {row['backend']}]: "
@@ -1101,13 +1091,8 @@ def run_suite(smoke: bool = False, backend: str | None = None,
     part_gate = next(
         r for r in partitioned_rows
         if r["partition_mode"] == "process" and r["mode"] == "discrete"
-        and not r["overlap"] and r["transport"] == "mp-pipe"
+        and r["transport"] == "mp-pipe"
         and r["loads"] == "default" and r["partitions"] == PARTITION_BLOCKS
-    )
-    overlap_gate = next(
-        r for r in partitioned_rows
-        if r["overlap"] and not r["delta_frames"]
-        and r["transport"] == "mp-pipe" and r["loads"] == "default"
     )
     delta_off = next(
         r for r in partitioned_rows
@@ -1210,27 +1195,6 @@ def run_suite(smoke: bool = False, backend: str | None = None,
                 "cpus": cpus,
                 "passed": (
                     part_gate["partitioned_speedup"] >= 1.0
-                    if (parallel_host and not smoke)
-                    else None
-                ),
-            },
-            "overlap": {
-                "criterion": "split-phase process execution (post sends, compute "
-                "interior rows, drain halos, compute boundary rows) keeps >= 1.0x "
-                "the single-block serial run on full-size hosts with >= 4 usable "
-                "cores; trajectories stay bit-for-bit identical, so the row is pure "
-                "schedule overhead vs overlap win.  Smoke sizes and smaller hosts "
-                "record the ratios with passed: null (CI enforces via the "
-                "full-size check-time overlap row)",
-                "speedup": overlap_gate["partitioned_speedup"],
-                "vs_no_overlap": round(
-                    overlap_gate["partitioned_rounds_per_sec"]
-                    / part_gate["partitioned_rounds_per_sec"], 3),
-                "transport": overlap_gate["transport"],
-                "n": overlap_gate["n"],
-                "cpus": cpus,
-                "passed": (
-                    overlap_gate["partitioned_speedup"] >= 1.0
                     if (parallel_host and not smoke)
                     else None
                 ),
@@ -1459,16 +1423,14 @@ def test_partitioned_row_reports_link_bytes():
     assert inproc["halo_bytes_per_round"] == 0  # no serialization in-process
 
 
-def test_partitioned_overlap_delta_rows_well_formed():
-    """Overlap/delta rows carry their flags and the near-convergence
+def test_partitioned_delta_rows_well_formed():
+    """The dense/delta rows carry their flag and the near-convergence
     delta pair moves strictly fewer bytes (pytest-sized delta gate)."""
     dense = measure_partitioned(16, "discrete", 12, partitions=2, pmode="process",
                                 repeats=1, near_balanced=True)
     delta = measure_partitioned(16, "discrete", 12, partitions=2, pmode="process",
-                                repeats=1, overlap=True, delta=True,
-                                near_balanced=True)
-    assert not dense["overlap"] and not dense["delta_frames"]
-    assert delta["overlap"] and delta["delta_frames"]
+                                repeats=1, delta=True, near_balanced=True)
+    assert not dense["delta_frames"] and delta["delta_frames"]
     assert dense["loads"] == delta["loads"] == "near-balanced"
     assert 0 < delta["halo_bytes_per_round"] < dense["halo_bytes_per_round"], (
         dense["halo_bytes_per_round"], delta["halo_bytes_per_round"])
@@ -1636,35 +1598,6 @@ def main(argv=None) -> int:
                 f"partitioned gate: {pgate['partitioned_speedup']:.3f}x < 1.0x on a "
                 f"{cpus}-core host"
             )
-        # Split-phase gate pair: the same full-size row with overlap on
-        # must (a) still beat the single-block serial run and (b) not
-        # regress the synchronous row it replaces — the >= 1.0x
-        # no-regression half of the overlap acceptance.
-        ogate = measure_partitioned(
-            PARTITION_GATE_SIDE, "discrete", 300, pmode="process", repeats=2,
-            backend=args.backend, overlap=True,
-        )
-        ogate["vs_no_overlap"] = round(
-            ogate["partitioned_rounds_per_sec"] / pgate["partitioned_rounds_per_sec"], 3
-        )
-        report["overlap_gate"] = ogate
-        print(
-            f"{'overlap-gate':12s} n={ogate['n']:5d} P={ogate['partitions']} "
-            f"[{ogate['partition_mode']}+overlap]: speedup "
-            f"{ogate['partitioned_speedup']:.2f}x vs serial, "
-            f"{ogate['vs_no_overlap']:.2f}x vs sync rounds "
-            f"(both >= 1.0 required on this {cpus}-core host)"
-        )
-        if ogate["partitioned_speedup"] < 1.0:
-            failures.append(
-                f"overlap gate: {ogate['partitioned_speedup']:.3f}x < 1.0x vs serial "
-                f"on a {cpus}-core host"
-            )
-        if ogate["vs_no_overlap"] < 1.0:
-            failures.append(
-                f"overlap gate: {ogate['vs_no_overlap']:.3f}x < 1.0x vs the "
-                f"synchronous partitioned row on a {cpus}-core host"
-            )
     if args.check is not None and args.smoke:
         # The transport acceptance is full-slab-only (small slabs are
         # latency-dominated), so a smoke --check measures its own
@@ -1697,14 +1630,12 @@ def main(argv=None) -> int:
             "units": "rounds per second (higher is better)",
             "machine": report["machine"],
             "acceptance": report["acceptance"]["partitioned"],
-            "acceptance_overlap": report["acceptance"]["overlap"],
             "acceptance_delta_frames": report["acceptance"]["delta-frames"],
             "partitioned": report["partitioned"],
             "smoke": report["smoke"],
         }
-        for key in ("partitioned_gate", "overlap_gate"):
-            if key in report:
-                section[key] = report[key]
+        if "partitioned_gate" in report:
+            section["partitioned_gate"] = report["partitioned_gate"]
         args.partitioned_out.write_text(json.dumps(section, indent=2) + "\n")
         print(f"wrote {args.partitioned_out}")
     if args.check is not None:

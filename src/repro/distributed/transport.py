@@ -9,16 +9,16 @@ all of them one :class:`Channel` contract:
 ``send(obj)`` / ``recv(timeout)``
     One message per call, reliable and ordered, with FIFO semantics per
     direction.  Messages are self-delimiting, so a reader can never
-    split or merge frames — the property the deadlock-free pairwise halo
-    protocol (lower block id sends first, links walked in ascending peer
-    order) relies on.
+    split or merge frames.
 ``send_nowait(obj)`` / ``poll(timeout)`` / ``flush(timeout)``
-    The split-phase primitives.  ``send_nowait`` books and enqueues a
-    frame, writes as much as the OS accepts *without blocking*, and
-    returns — residue sits in a per-channel FIFO backlog.  Every
-    ``recv`` on the same endpoint pumps the backlog while it waits, so
-    two peers that both posted large sends first still drain each other
-    (no head-to-head write deadlock); ``flush`` blocks until the backlog
+    The split-phase primitives the halo round is built on: every block
+    posts all its halo sends, computes its interior rows, then receives.
+    ``send_nowait`` books and enqueues a frame, writes as much as the OS
+    accepts *without blocking*, and returns — residue sits in a
+    per-channel FIFO backlog.  Every ``recv`` on the same endpoint pumps
+    the backlog while it waits, so two peers that both posted large
+    sends first still drain each other — no head-to-head write deadlock,
+    on any link order; ``flush`` blocks until the backlog
     is fully written and MUST be called before abandoning the channel to
     a quiet period (e.g. before a worker stops receiving to report
     stats), and ``poll`` answers "is a frame ready?" without consuming
@@ -714,13 +714,12 @@ _CLOSED = object()
 class LoopbackChannel(Channel):
     """In-memory endpoint: frames travel through a thread-safe queue.
 
-    Deterministic and OS-free — the unit-test harness for the pairwise
+    Deterministic and OS-free — the unit-test harness for the halo
     protocol — and the intra-worker link between two partition blocks
     hosted by the same dispatch worker (block threads block on
     ``Queue.get`` with the GIL released, exactly like a socket read).
-    Sends never block (the queue is unbounded), which is what makes the
-    single-threaded test usage of the lower-id-sends-first protocol
-    well-defined.
+    Sends never block (the queue is unbounded), so a single-threaded
+    test can post both directions' sends before either receive.
 
     Out-of-band buffers pass **by reference**: the decoded arrays alias
     the sender's memory, which is the whole point of a zero-copy local
@@ -815,7 +814,7 @@ class StreamChannel(Channel):
     ``socket.sendmsg`` batch, so slabs go from array memory to the
     kernel without an intermediate join.  ``nodelay`` (default on)
     disables Nagle on TCP sockets — halo frames are small and
-    latency-bound, and the pairwise protocol serializes round trips.
+    latency-bound, and a block waits on them before its boundary rows.
     ``buffer_size`` sets ``SO_SNDBUF``/``SO_RCVBUF`` when given (large
     ``(n_block, B)`` slabs benefit from roomy kernel buffers);
     ``send_timeout`` bounds each send (see :data:`DEFAULT_SEND_TIMEOUT`).

@@ -9,8 +9,8 @@ Three layers share this module:
   (socketpairs on one host, TCP across hosts, loopback between two
   blocks in one process, MPI between ranks), and streams per-round
   statistic partials back to its coordinator.  One round body
-  (:meth:`_SlabRunner.round`) serves both halo schedules, traced or
-  not: tracing only swaps an enabled recorder in for the disabled one.
+  (:meth:`_SlabRunner.round`) serves traced and untraced runs alike:
+  tracing only swaps an enabled recorder in for the disabled one.
 - :func:`shard_process_main` — the replica-shard worker behind
   :func:`~repro.simulation.sharding.run_sharded_ensemble`: receive one
   typed :class:`ShardJob`, run it through a process-local ensemble, send
@@ -100,8 +100,6 @@ class BlockJob:
     backend: str | None
     want_disc: bool
     want_mov: bool
-    #: split-phase rounds with nonblocking sends
-    overlap: bool
     #: changed-rows halo frames
     delta: bool
     #: round counter to resume from (checkpoint replay)
@@ -145,26 +143,22 @@ class _SlabRunner:
     frames land directly in ``cur``'s per-peer ghost slices via
     :meth:`Channel.recv_into`.  The slabs ping-pong each round.
 
-    Two round schedules, bit-for-bit identical results:
-
-    - *sync* (default): the classic pairwise ordered exchange (lower
-      block id sends first), then one full ``block_step``.  The
-      protocol only needs ordered, message-framed channels, so it is
-      deadlock-free on every transport: the lowest-id block can always
-      complete its first exchange, and by induction every pair drains.
-    - *overlap*: post every link's send with :meth:`Channel.send_nowait`,
-      compute the interior rows (owned-only operator support — ghost
-      staleness cannot reach them), drain the receives into the ghost
-      slices, then compute the boundary rows.  Row updates are
-      independent given the extended vector, so the split phases equal
-      the full round exactly.
+    One round schedule, split-phase: post every link's send with
+    :meth:`Channel.send_nowait`, compute the interior rows (owned-only
+    operator support — ghost staleness cannot reach them), drain the
+    receives into the ghost slices, then compute the boundary rows.  Row
+    updates are independent given the extended vector, so the two phases
+    equal one full round exactly.  The schedule is deadlock-free on every
+    transport: no send blocks (whatever the OS does not take at once
+    waits in the channel's backlog), and every ``recv`` on an endpoint
+    pumps that endpoint's backlog while it waits, so two peers that both
+    posted large frames first still drain each other.
 
     ``recorder`` gets one span per step: ``halo_send``/``halo_wait``
     per link (with the link's frame-byte delta) and
-    ``interior``/``boundary`` compute spans — sync's single full
-    ``block_step`` is recorded as ``interior``.  The default, the
-    disabled ``NULL_RECORDER``, drops them; the message order and
-    arithmetic do not depend on it.
+    ``interior``/``boundary`` compute spans.  The default, the disabled
+    ``NULL_RECORDER``, drops them; the message order and arithmetic do
+    not depend on it.
 
     Delta frames (opt-in): each link remembers the rows it sent in the
     last *two* rounds — the receiver's double-buffered ghost slice holds
@@ -180,11 +174,9 @@ class _SlabRunner:
     of the replay are those of the first pass.
     """
 
-    def __init__(self, peers: dict[int, Channel], *, overlap: bool = False,
-                 delta: bool = False, timeout: float | None = None,
-                 recorder: Recorder = NULL_RECORDER):
+    def __init__(self, peers: dict[int, Channel], *, delta: bool = False,
+                 timeout: float | None = None, recorder: Recorder = NULL_RECORDER):
         self.peers = peers
-        self.overlap = bool(overlap)
         self.delta = bool(delta)
         self.timeout = timeout
         self.recorder = recorder
@@ -234,7 +226,7 @@ class _SlabRunner:
         """Reinstate a :meth:`save` (which it consumes)."""
         self._local, self._cur, self._nxt, self._snap = state
 
-    def _post_send(self, link, owned: np.ndarray, r: int, blocking: bool) -> None:
+    def _post_send(self, link, owned: np.ndarray, r: int) -> None:
         t0 = perf_counter()
         ch = self.peers[link.peer]
         b0 = ch.bytes_sent
@@ -255,10 +247,7 @@ class _SlabRunner:
                 if vals.nbytes + changed.nbytes < rows.nbytes:
                     payload = ("delta", vals, changed)
             self._snap[link.peer][r % 2] = rows
-        if blocking:
-            ch.send(payload)
-        else:
-            ch.send_nowait(payload)
+        ch.send_nowait(payload)
         if self.recorder.enabled:
             self.recorder.record_span("halo_send", t0, round=r,
                                       link=f"{self._local.p}->{link.peer}",
@@ -285,48 +274,31 @@ class _SlabRunner:
                                       link=f"{link.peer}->{self._local.p}",
                                       bytes=ch.bytes_received - b0)
 
-    def round(self, local, balancer, frozen, r: int,
-              want_disc: bool, want_mov: bool):
-        """Advance one round; returns the round's statistics partial."""
+    def round(self, local, balancer, frozen, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Advance one round; returns the owned ``(new, previous)`` loads."""
         self.bind(local)
         rec = self.recorder
         cur, nxt = self._cur, self._nxt
         owned = cur[: local.n_owned]
         out = nxt[: local.n_owned]
-        if self.overlap:
-            for link in local.links:
-                self._post_send(link, owned, r, blocking=False)
-            t0 = perf_counter()
-            if local.interior.size:
-                balancer.block_step(local, cur, out=out, rows="interior")
-            if rec.enabled:
-                rec.record_span("interior", t0, round=r, rows=int(local.interior.size))
-            for link in local.links:
-                self._drain_recv(link, r)
-            t0 = perf_counter()
-            if local.boundary.size:
-                balancer.block_step(local, cur, out=out, rows="boundary")
-            if rec.enabled:
-                rec.record_span("boundary", t0, round=r, rows=int(local.boundary.size))
-        else:
-            for link in local.links:
-                if local.p < link.peer:
-                    self._post_send(link, owned, r, blocking=True)
-                    self._drain_recv(link, r)
-                else:
-                    self._drain_recv(link, r)
-                    self._post_send(link, owned, r, blocking=True)
-            t0 = perf_counter()
-            balancer.block_step(local, cur, out=out)
-            if rec.enabled:
-                rec.record_span("interior", t0, round=r, rows=int(local.n_owned))
+        for link in local.links:
+            self._post_send(link, owned, r)
+        t0 = perf_counter()
+        if local.interior.size:
+            balancer.block_step(local, cur, out=out, rows="interior")
+        if rec.enabled:
+            rec.record_span("interior", t0, round=r, rows=int(local.interior.size))
+        for link in local.links:
+            self._drain_recv(link, r)
+        t0 = perf_counter()
+        if local.boundary.size:
+            balancer.block_step(local, cur, out=out, rows="boundary")
+        if rec.enabled:
+            rec.record_span("boundary", t0, round=r, rows=int(local.boundary.size))
         if frozen is not None and frozen.any():
             out[:, frozen] = owned[:, frozen]
-        from repro.simulation.partitioned import _partial_stats
-
-        stats = _partial_stats(out, owned, want_disc, want_mov)
         self._cur, self._nxt = nxt, cur
-        return stats
+        return out, owned
 
     def flush(self) -> None:
         """Drain every peer backlog (end of chunk, before the quiet wait)."""
@@ -361,7 +333,12 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
     of the chunk reply.  ``progress``, when given, is this worker's live
     :class:`WorkerProgress` aggregate for the periodic stats frames.
     """
-    from repro.simulation.partitioned import _PartitionMemo, _stack_partials, block_local
+    from repro.simulation.partitioned import (
+        _PartitionMemo,
+        _partial_stats,
+        _stack_partials,
+        block_local,
+    )
 
     # Under the fork start method this process inherited a copy of every
     # endpoint the coordinator had created — including other blocks'.
@@ -382,8 +359,8 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
         if job.telemetry:
             rec = Recorder(enabled=True, role=f"block:{job.block_id}",
                            base={"block": job.block_id})
-        runner = _SlabRunner(peers, overlap=job.overlap, delta=job.delta,
-                             timeout=peer_timeout, recorder=rec)
+        runner = _SlabRunner(peers, delta=job.delta, timeout=peer_timeout,
+                             recorder=rec)
         r = job.start_round
 
         def local_at(r: int):
@@ -392,10 +369,9 @@ def run_block_loop(ctrl: Channel, peers: dict[int, Channel], job: BlockJob,
 
         def advance(frozen):
             nonlocal r
-            stats = runner.round(local_at(r), balancer, frozen, r,
-                                 job.want_disc, job.want_mov)
+            new, prev = runner.round(local_at(r), balancer, frozen, r)
             r += 1
-            return stats
+            return _partial_stats(new, prev, job.want_disc, job.want_mov)
 
         runner.bind(local_at(r), np.ascontiguousarray(job.owned))
         saved = None

@@ -42,8 +42,10 @@ Execution modes
     ``P`` persistent worker processes, one block each, exchanging halos
     **peer-to-peer** through :mod:`repro.distributed.transport` channels
     (``transport="mp-pipe"`` socketpairs by default, or ``"tcp"`` sockets
-    — the same wire the multi-host dispatcher uses; deadlock-free pairwise
-    protocol: the lower-id block of each pair sends first).  Workers
+    — the same wire the multi-host dispatcher uses).  Each round posts
+    the halo sends without blocking, computes the interior rows, drains
+    the receives and then computes the boundary rows
+    (:class:`~repro.distributed.worker._SlabRunner`).  Workers
     hold an ``(n_block, B)`` slab — the node axis composes with the
     replica axis — and return per-round statistic *partials* (sums,
     squared sums, extrema, movement) that the coordinator combines, so
@@ -75,7 +77,6 @@ one statistics combine, one stopping policy, any transport.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 from itertools import count
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -105,13 +106,6 @@ _LOCALS_ATTR = "_block_locals"
 #: transports a local process-mode run can put under its halo links
 #: (loopback queues cannot cross a process boundary).
 PROCESS_TRANSPORTS = ("mp-pipe", "tcp")
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
 
 def _slice_csr_rows(
     csr: PlainCSR, rows: np.ndarray, col_map: np.ndarray, ncols: int, idx_dtype
@@ -729,6 +723,10 @@ class PartitionedSimulator(RoundEngine):
         same block loop runs rank-per-block over MPI channels — see
         :mod:`repro.distributed.mpi`.  Trajectories are bit-for-bit
         identical across transports.
+    delta_frames:
+        Process mode only: each halo link ships only the rows that
+        changed since its last send when that frame is smaller than the
+        dense one.  Off by default; trajectories do not depend on it.
     stopping / record / keep_snapshots / check_conservation / cons_tol /
     backend:
         As :class:`~repro.simulation.ensemble.EnsembleSimulator`.  With no
@@ -762,8 +760,7 @@ class PartitionedSimulator(RoundEngine):
         mode: str = "inprocess",
         backend: str | None = None,
         transport: str = "mp-pipe",
-        overlap: bool | None = None,
-        delta_frames: bool | None = None,
+        delta_frames: bool = False,
     ) -> None:
         if not getattr(balancer, "supports_partition", False):
             raise TypeError(
@@ -790,17 +787,9 @@ class PartitionedSimulator(RoundEngine):
         self._assignment = None if assignment is None else np.asarray(assignment, dtype=np.int64)
         self.mode = mode
         self.transport = transport
-        #: split-phase rounds: post sends -> compute interior -> drain
-        #: recvs -> compute boundary (process mode only; bit-for-bit
-        #: identical to the synchronous exchange).  ``None`` reads the
-        #: ``REPRO_OVERLAP`` env toggle.
-        self.overlap = _env_flag("REPRO_OVERLAP") if overlap is None else bool(overlap)
         #: delta-compressed halo frames: send only changed ghost rows
-        #: (dense fallback when not smaller).  ``None`` reads
-        #: ``REPRO_DELTA``.
-        self.delta_frames = (
-            _env_flag("REPRO_DELTA") if delta_frames is None else bool(delta_frames)
-        )
+        #: (dense fallback when not smaller; process mode only)
+        self.delta_frames = bool(delta_frames)
         #: communication accounting of the most recent run
         self.halo_stats: dict = {}
 
@@ -824,7 +813,6 @@ class PartitionedSimulator(RoundEngine):
             backend=self.backend,
             want_disc=self._record_disc(),
             want_mov=self.record == "full",
-            overlap=self.overlap,
             delta=self.delta_frames,
             start_round=start_round,
             telemetry=telemetry,
@@ -851,7 +839,6 @@ class PartitionedSimulator(RoundEngine):
             "transport": self.transport if mode == "process" else None,
             "blocks": int(assignment.max()) + 1,
             "strategy": self.strategy,
-            "overlap": self.overlap if mode == "process" else False,
             "delta_frames": self.delta_frames if mode == "process" else False,
             "rounds": 0,
             "halo_values": 0,

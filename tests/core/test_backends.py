@@ -177,6 +177,17 @@ class TestPrimitiveParity:
             assert np.array_equal(op.fos_round(alpha, X), ref.fos_round(alpha, X))
         flows = ref.differences(x) / ref.denominators
         assert np.array_equal(op.apply_flows(x, flows), ref.apply_flows(x, flows))
+        # Integer flows on loads near 2**60 (past float64's exact range):
+        # the bits of the old ``base + A @ flows`` scatter, (n,) and (n, B).
+        A = ref.incidence_csr(np.int64)
+        for big in (xi + 2**60, Xi + 2**60):
+            diff = ref.differences(big)
+            den = ref.denominators_int.reshape((-1,) + (1,) * (big.ndim - 1))
+            iflows = np.sign(diff) * (np.abs(diff) // den)
+            old = ref.kernels.add_matvec(A, big, iflows, np.empty_like(big))
+            buf = np.empty_like(big)
+            assert op.apply_flows(big, iflows, out=buf) is buf
+            assert np.array_equal(buf, old)
 
     @pytest.mark.parametrize("name,make_op", BACKEND_OPS)
     def test_discrete_beyond_reciprocal_range(self, topo, name, make_op):

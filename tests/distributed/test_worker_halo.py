@@ -4,7 +4,7 @@ Real partitions of undirected graphs never produce an empty ``send_idx``
 (a cut edge puts boundary nodes on both sides), so the zero-row frame
 path is exercised here with stub locals: one direction of a link ships a
 ``(0, B)`` slab while the other ships real rows.  Each block runs one
-:meth:`_SlabRunner.round` on its own thread, under both halo schedules.
+:meth:`_SlabRunner.round` on its own thread.
 The round must stay deadlock-free, deliver exact values, and account
 bytes identically over loopback, mp-pipe and TCP.
 """
@@ -20,7 +20,6 @@ from repro.graphs.partition import HaloLink
 from repro.observability.recorder import Recorder
 
 TRANSPORTS = ["loopback", "mp-pipe", "tcp"]
-SCHEDULES = {"sync": False, "overlap": True}
 
 
 class _StubLocal:
@@ -100,7 +99,7 @@ def _asymmetric_pair(send_rows=(1, 3)):
     return local0, local1
 
 
-def _run_round(chans, overlap, owned, steps, timeout=10.0, send_rows=(1, 3),
+def _run_round(chans, owned, steps, timeout=10.0, send_rows=(1, 3),
                recorders=None):
     """One round of both blocks, each on its own thread; returns the runners."""
     locals_ = _asymmetric_pair(send_rows)
@@ -108,14 +107,13 @@ def _run_round(chans, overlap, owned, steps, timeout=10.0, send_rows=(1, 3),
     errors = []
     for p in (0, 1):
         extra = {} if recorders is None else {"recorder": recorders[p]}
-        runner = _SlabRunner({1 - p: chans[p]}, overlap=overlap, timeout=timeout,
-                             **extra)
+        runner = _SlabRunner({1 - p: chans[p]}, timeout=timeout, **extra)
         runner.bind(locals_[p], owned[p])
         runners.append(runner)
 
     def side(p):
         try:
-            runners[p].round(locals_[p], steps[p], None, 0, False, False)
+            runners[p].round(locals_[p], steps[p], None, 0)
             runners[p].flush()
         except Exception as exc:  # surfaced below, not swallowed by the thread
             errors.append(exc)
@@ -130,14 +128,13 @@ def _run_round(chans, overlap, owned, steps, timeout=10.0, send_rows=(1, 3),
     return runners
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_empty_send_idx_exchanges_cleanly(transport, schedule):
+def test_empty_send_idx_exchanges_cleanly(transport):
     ch0, ch1 = make_pair(transport)
     owned0 = np.arange(6, dtype=np.float64).reshape(3, 2)
     owned1 = np.arange(100, 108, dtype=np.float64).reshape(4, 2)
     steps = (_CopyStep(), _CopyStep())
-    runners = _run_round((ch0, ch1), SCHEDULES[schedule], (owned0, owned1), steps)
+    runners = _run_round((ch0, ch1), (owned0, owned1), steps)
     assert runners[0].halo_values == 0
     assert runners[1].halo_values == 4  # 2 rows x batch width 2
     assert np.array_equal(steps[0].seen[:3], owned0)
@@ -147,22 +144,20 @@ def test_empty_send_idx_exchanges_cleanly(transport, schedule):
 
 
 def test_byte_totals_identical_across_transports_for_zero_row_frames():
-    """Both schedules ship the same dense frames, so every transport and
-    schedule must book the same logical bytes on both directions."""
+    """The frames are encoded transport-independently, so every transport
+    must book the same logical bytes on both directions."""
     totals = {}
     for transport in TRANSPORTS:
-        for schedule, overlap in SCHEDULES.items():
-            ch0, ch1 = make_pair(transport)
-            _run_round((ch0, ch1), overlap, (np.zeros((3, 2)), np.ones((4, 2))),
-                       (_CopyStep(), _CopyStep()))
-            totals[transport, schedule] = (ch0.bytes_sent, ch1.bytes_sent)
-            ch0.close(), ch1.close()
+        ch0, ch1 = make_pair(transport)
+        _run_round((ch0, ch1), (np.zeros((3, 2)), np.ones((4, 2))),
+                   (_CopyStep(), _CopyStep()))
+        totals[transport] = (ch0.bytes_sent, ch1.bytes_sent)
+        ch0.close(), ch1.close()
     assert len(set(totals.values())) == 1, totals
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_round_sends_fresh_row_copies(transport, schedule):
+def test_round_sends_fresh_row_copies(transport):
     """The send rows are a snapshot: block 1 overwrites its owned rows
     before block 0 reads the halo frame, and block 0 still receives the
     pre-overwrite values — even over loopback, which delivers buffers by
@@ -176,30 +171,23 @@ def test_round_sends_fresh_row_copies(transport, schedule):
     owned1 = np.arange(4 * width, dtype=np.float64).reshape(4, width)
     expected = owned1[[1, 2]].copy()
     steps = (_CopyStep(), _CopyStep(scribble=scribbled))
-    _run_round((_HeldReceiver(ch0, scribbled), ch1), SCHEDULES[schedule],
-               (owned0, owned1), steps, send_rows=(1, 2))
+    _run_round((_HeldReceiver(ch0, scribbled), ch1), (owned0, owned1), steps,
+               send_rows=(1, 2))
     assert np.array_equal(steps[0].seen[3:], expected)
     ch0.close(), ch1.close()
 
 
 #: per-block span sequence of one round: (name, attributes) in order
-EXPECTED_SPANS = {
-    "sync": (
-        [("halo_send", "0->1"), ("halo_wait", "1->0"), ("interior", 3)],
-        [("halo_wait", "0->1"), ("halo_send", "1->0"), ("interior", 4)],
-    ),
-    "overlap": (
-        [("halo_send", "0->1"), ("interior", 0), ("halo_wait", "1->0"),
-         ("boundary", 3)],
-        [("halo_send", "1->0"), ("interior", 4), ("halo_wait", "0->1"),
-         ("boundary", 0)],
-    ),
-}
+EXPECTED_SPANS = (
+    [("halo_send", "0->1"), ("interior", 0), ("halo_wait", "1->0"),
+     ("boundary", 3)],
+    [("halo_send", "1->0"), ("interior", 4), ("halo_wait", "0->1"),
+     ("boundary", 0)],
+)
 
 
-@pytest.mark.parametrize("schedule", SCHEDULES)
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_traced_round_records_phase_spans_and_matches_untraced(transport, schedule):
+def test_traced_round_records_phase_spans_and_matches_untraced(transport):
     """One round body serves both: with an enabled recorder it emits one
     span per halo send/wait (carrying that link's frame-byte delta) and
     per compute step, and the slab it computes from is the untraced one."""
@@ -207,19 +195,18 @@ def test_traced_round_records_phase_spans_and_matches_untraced(transport, schedu
              np.arange(100, 108, dtype=np.float64).reshape(4, 2))
     plain = (_CopyStep(), _CopyStep())
     ch0, ch1 = make_pair(transport)
-    _run_round((ch0, ch1), SCHEDULES[schedule], owned, plain)
+    _run_round((ch0, ch1), owned, plain)
     ch0.close(), ch1.close()
 
     recs = [Recorder(enabled=True, role=f"block:{p}") for p in (0, 1)]
     traced = (_CopyStep(), _CopyStep())
     chans = make_pair(transport)
-    _run_round(chans, SCHEDULES[schedule], owned, traced,
-               recorders=recs)
+    _run_round(chans, owned, traced, recorders=recs)
     for p in (0, 1):
         assert np.array_equal(traced[p].seen, plain[p].seen)
         spans = [ev for ev in recs[p].drain_events() if ev["ev"] == "span"]
         got = [(ev["name"], ev.get("link", ev.get("rows"))) for ev in spans]
-        assert got == EXPECTED_SPANS[schedule][p]
+        assert got == EXPECTED_SPANS[p]
         assert all(ev["round"] == 0 and ev["dur"] >= 0 for ev in spans)
         by_name = {ev["name"]: ev for ev in spans}
         assert by_name["halo_send"]["bytes"] == chans[p].bytes_sent

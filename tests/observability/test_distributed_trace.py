@@ -84,7 +84,7 @@ class TestTracedDispatchParity:
         assert validate_trace(events) == []
         spans = [ev for ev in events if ev.get("ev") == "span"]
         names = {ev["name"] for ev in spans}
-        assert {"interior", "halo_send", "halo_wait", "chunk"} <= names
+        assert {"interior", "boundary", "halo_send", "halo_wait", "chunk"} <= names
 
         # Every worker-phase span carries the worker label the
         # dispatcher stamped at ingest; each maps to a roster address.

@@ -116,12 +116,13 @@ class _BlockDrain(_Drain):
     """The drain as a partition block round: nodes 0 and 1 are global ids."""
 
     def block_step(self, local, ext_loads, out=None, rows=None):
-        assert rows is None  # no split-phase rounds here
         owned = ext_loads[: local.n_owned]
         out = np.empty_like(owned) if out is None else out
-        out[...] = owned
-        out[local.owned == 0] -= 5
-        out[local.owned == 1] += 5
+        # Process-mode rounds update the interior rows, then the boundary rows.
+        pos = np.arange(local.n_owned) if rows is None else local._rows_positions(rows)
+        out[pos] = owned[pos]
+        out[pos[local.owned[pos] == 0]] -= 5
+        out[pos[local.owned[pos] == 1]] += 5
         return out
 
 
@@ -132,10 +133,12 @@ class _BlockPoison(_BlockDrain):
 
     def block_step(self, local, ext_loads, out=None, rows=None):
         out = super().block_step(local, ext_loads, out, rows)
-        if np.any(local.owned == 0):
+        pos = np.arange(local.n_owned) if rows is None else local._rows_positions(rows)
+        node0 = pos[local.owned[pos] == 0]
+        if node0.size:
             self.rounds += 1
             if self.rounds == 2:
-                out[local.owned == 0, -1] = np.nan
+                out[node0, -1] = np.nan
         return out
 
 

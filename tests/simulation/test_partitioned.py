@@ -583,15 +583,13 @@ class TestOverlapAndDeltaFrames:
         psim = PartitionedSimulator(
             factory(topo), partitions=3, strategy="bfs",
             stopping=[MaxRounds(ROUNDS)], keep_snapshots=True, mode="process",
-            transport=transport, overlap=True,
+            transport=transport,
         )
         trace = psim.run(loads.copy())
         for t, snap in enumerate(expected):
             assert np.array_equal(snap, trace.snapshots[t][0]), f"round {t}"
-        assert psim.halo_stats["overlap"] is True
 
-    @pytest.mark.parametrize("overlap", [False, True])
-    def test_delta_frames_match_serial_and_count_fewer_bytes(self, overlap):
+    def test_delta_frames_match_serial_and_count_fewer_bytes(self):
         """Near convergence most discrete rows stop changing: delta frames
         ship fewer bytes while trajectories stay identical."""
         topo = torus_2d(8, 8)
@@ -604,7 +602,7 @@ class TestOverlapAndDeltaFrames:
             psim = PartitionedSimulator(
                 DiffusionBalancer(topo, mode="discrete"), partitions=3,
                 strategy="bfs", stopping=[MaxRounds(30)], keep_snapshots=True,
-                mode="process", overlap=overlap, delta_frames=delta,
+                mode="process", delta_frames=delta,
             )
             trace = psim.run(loads.copy())
             for t, snap in enumerate(expected):
@@ -642,7 +640,7 @@ class TestOverlapAndDeltaFrames:
         psim = PartitionedSimulator(
             make(), partitions=4, strategy="bfs",
             stopping=[MaxRounds(ROUNDS)], keep_snapshots=True, mode="process",
-            transport=transport, overlap=True, delta_frames=True,
+            transport=transport, delta_frames=True,
         )
         trace = psim.run(loads.copy())
         for t, snap in enumerate(expected):
@@ -664,8 +662,7 @@ class TestOverlapAndDeltaFrames:
             psim = PartitionedSimulator(
                 DiffusionBalancer(topo, mode="discrete"), partitions=3,
                 strategy="bfs", stopping=[MaxRounds(15)], keep_snapshots=True,
-                mode="process", transport=transport, overlap=True,
-                delta_frames=True,
+                mode="process", transport=transport, delta_frames=True,
             )
             trace = psim.run(loads.copy())
             for t, snap in enumerate(expected):
@@ -673,22 +670,6 @@ class TestOverlapAndDeltaFrames:
             totals[transport] = (
                 psim.halo_stats["halo_bytes"], dict(psim.halo_stats["links"]))
         assert totals["mp-pipe"] == totals["tcp"]
-
-    def test_env_toggles_default_the_flags(self, monkeypatch):
-        topo = torus_2d(4, 4)
-        bal = DiffusionBalancer(topo)
-        monkeypatch.setenv("REPRO_OVERLAP", "1")
-        monkeypatch.setenv("REPRO_DELTA", "true")
-        sim = PartitionedSimulator(bal, partitions=2, mode="process")
-        assert sim.overlap is True and sim.delta_frames is True
-        # Explicit kwargs win over the environment.
-        sim = PartitionedSimulator(bal, partitions=2, mode="process",
-                                   overlap=False, delta_frames=False)
-        assert sim.overlap is False and sim.delta_frames is False
-        monkeypatch.delenv("REPRO_OVERLAP")
-        monkeypatch.delenv("REPRO_DELTA")
-        sim = PartitionedSimulator(bal, partitions=2, mode="process")
-        assert sim.overlap is False and sim.delta_frames is False
 
 
 def _staggered_batch(topo, B=4, seed=3):

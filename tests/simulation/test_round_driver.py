@@ -36,7 +36,8 @@ class _MintingDiscrete(DiffusionBalancer):
         return new
 
     def block_step(self, local, ext, out=None, rows=None):
-        # Whole-block rounds only (no split-phase overlap in these runs).
+        # Process-mode rounds call this once per row set (interior, then
+        # boundary), so the block owning node 0 may mint twice a round.
         new = super().block_step(local, ext, out, rows=rows)
         if local.owned[0] == 0:
             new[0] += 1
