@@ -4,9 +4,10 @@ Real partitions of undirected graphs never produce an empty ``send_idx``
 (a cut edge puts boundary nodes on both sides), so the zero-row frame
 path is exercised here with stub locals: one direction of a link ships a
 ``(0, B)`` slab while the other ships real rows.  Each block runs one
-:meth:`_SlabRunner.round` on its own thread.
-The round must stay deadlock-free, deliver exact values, and account
-bytes identically over loopback, mp-pipe and TCP.
+:meth:`_SlabRunner.round` on its own thread, with dense frames and with
+delta frames (three rounds, so the last one ships a true delta against
+the round-0 snapshot).  The round must stay deadlock-free, deliver exact
+values, and account bytes identically over loopback, mp-pipe and TCP.
 """
 
 import threading
@@ -20,6 +21,8 @@ from repro.graphs.partition import HaloLink
 from repro.observability.recorder import Recorder
 
 TRANSPORTS = ["loopback", "mp-pipe", "tcp"]
+#: halo frame encoding -> (``_SlabRunner(delta=)``, rounds to run)
+FRAMES = {"dense": (False, 1), "delta": (True, 3)}
 
 
 class _StubLocal:
@@ -100,20 +103,23 @@ def _asymmetric_pair(send_rows=(1, 3)):
 
 
 def _run_round(chans, owned, steps, timeout=10.0, send_rows=(1, 3),
-               recorders=None):
-    """One round of both blocks, each on its own thread; returns the runners."""
+               recorders=None, delta=False, rounds=1):
+    """``rounds`` rounds of both blocks, each on its own thread; returns
+    the runners."""
     locals_ = _asymmetric_pair(send_rows)
     runners = []
     errors = []
     for p in (0, 1):
         extra = {} if recorders is None else {"recorder": recorders[p]}
-        runner = _SlabRunner({1 - p: chans[p]}, timeout=timeout, **extra)
+        runner = _SlabRunner({1 - p: chans[p]}, delta=delta, timeout=timeout,
+                             **extra)
         runner.bind(locals_[p], owned[p])
         runners.append(runner)
 
     def side(p):
         try:
-            runners[p].round(locals_[p], steps[p], None, 0)
+            for r in range(rounds):
+                runners[p].round(locals_[p], steps[p], None, r)
             runners[p].flush()
         except Exception as exc:  # surfaced below, not swallowed by the thread
             errors.append(exc)
@@ -128,15 +134,18 @@ def _run_round(chans, owned, steps, timeout=10.0, send_rows=(1, 3),
     return runners
 
 
+@pytest.mark.parametrize("frames", FRAMES)
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_empty_send_idx_exchanges_cleanly(transport):
+def test_empty_send_idx_exchanges_cleanly(transport, frames):
+    delta, rounds = FRAMES[frames]
     ch0, ch1 = make_pair(transport)
     owned0 = np.arange(6, dtype=np.float64).reshape(3, 2)
     owned1 = np.arange(100, 108, dtype=np.float64).reshape(4, 2)
     steps = (_CopyStep(), _CopyStep())
-    runners = _run_round((ch0, ch1), (owned0, owned1), steps)
+    runners = _run_round((ch0, ch1), (owned0, owned1), steps, delta=delta,
+                         rounds=rounds)
     assert runners[0].halo_values == 0
-    assert runners[1].halo_values == 4  # 2 rows x batch width 2
+    assert runners[1].halo_values == 4 * rounds  # 2 rows x batch width 2
     assert np.array_equal(steps[0].seen[:3], owned0)
     assert np.array_equal(steps[0].seen[3:], owned1[[1, 3]])
     assert np.array_equal(steps[1].seen, owned1)  # no ghosts on block 1
@@ -145,25 +154,28 @@ def test_empty_send_idx_exchanges_cleanly(transport):
 
 def test_byte_totals_identical_across_transports_for_zero_row_frames():
     """The frames are encoded transport-independently, so every transport
-    must book the same logical bytes on both directions."""
-    totals = {}
-    for transport in TRANSPORTS:
-        ch0, ch1 = make_pair(transport)
-        _run_round((ch0, ch1), (np.zeros((3, 2)), np.ones((4, 2))),
-                   (_CopyStep(), _CopyStep()))
-        totals[transport] = (ch0.bytes_sent, ch1.bytes_sent)
-        ch0.close(), ch1.close()
-    assert len(set(totals.values())) == 1, totals
+    must book the same logical bytes on both directions, dense or delta."""
+    for frames, (delta, rounds) in FRAMES.items():
+        totals = {}
+        for transport in TRANSPORTS:
+            ch0, ch1 = make_pair(transport)
+            _run_round((ch0, ch1), (np.zeros((3, 2)), np.ones((4, 2))),
+                       (_CopyStep(), _CopyStep()), delta=delta, rounds=rounds)
+            totals[transport] = (ch0.bytes_sent, ch1.bytes_sent)
+            ch0.close(), ch1.close()
+        assert len(set(totals.values())) == 1, (frames, totals)
 
 
+@pytest.mark.parametrize("frames", FRAMES)
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_round_sends_fresh_row_copies(transport):
+def test_round_sends_fresh_row_copies(transport, frames):
     """The send rows are a snapshot: block 1 overwrites its owned rows
     before block 0 reads the halo frame, and block 0 still receives the
     pre-overwrite values — even over loopback, which delivers buffers by
     reference.  The rows are contiguous and wide enough (8 KiB each) to
     leave the pickle stream out-of-band, so a sent view of the slab
-    would alias it."""
+    would alias it.  The delta encoder keeps the same rows as its
+    snapshot, so the frame must not alias the slab there either."""
     ch0, ch1 = make_pair(transport)
     scribbled = threading.Event()
     width = 1024
@@ -172,7 +184,7 @@ def test_round_sends_fresh_row_copies(transport):
     expected = owned1[[1, 2]].copy()
     steps = (_CopyStep(), _CopyStep(scribble=scribbled))
     _run_round((_HeldReceiver(ch0, scribbled), ch1), (owned0, owned1), steps,
-               send_rows=(1, 2))
+               send_rows=(1, 2), delta=FRAMES[frames][0])
     assert np.array_equal(steps[0].seen[3:], expected)
     ch0.close(), ch1.close()
 
@@ -186,30 +198,42 @@ EXPECTED_SPANS = (
 )
 
 
+@pytest.mark.parametrize("frames", FRAMES)
 @pytest.mark.parametrize("transport", TRANSPORTS)
-def test_traced_round_records_phase_spans_and_matches_untraced(transport):
+def test_traced_round_records_phase_spans_and_matches_untraced(transport, frames):
     """One round body serves both: with an enabled recorder it emits one
     span per halo send/wait (carrying that link's frame-byte delta) and
-    per compute step, and the slab it computes from is the untraced one."""
-    owned = (np.arange(6, dtype=np.float64).reshape(3, 2),
-             np.arange(100, 108, dtype=np.float64).reshape(4, 2))
+    per compute step, and the slab it computes from is the untraced one.
+    Block 1's rows never change, so its first delta frame (round 2) is
+    smaller than the dense frames before it; the rows are wide enough
+    (512 bytes) for the saving to outweigh the frame's extra header."""
+    delta, rounds = FRAMES[frames]
+    owned = (np.arange(3 * 64, dtype=np.float64).reshape(3, 64),
+             np.arange(100, 100 + 4 * 64, dtype=np.float64).reshape(4, 64))
     plain = (_CopyStep(), _CopyStep())
     ch0, ch1 = make_pair(transport)
-    _run_round((ch0, ch1), owned, plain)
+    _run_round((ch0, ch1), owned, plain, delta=delta, rounds=rounds)
     ch0.close(), ch1.close()
 
     recs = [Recorder(enabled=True, role=f"block:{p}") for p in (0, 1)]
     traced = (_CopyStep(), _CopyStep())
     chans = make_pair(transport)
-    _run_round(chans, owned, traced, recorders=recs)
+    _run_round(chans, owned, traced, recorders=recs, delta=delta, rounds=rounds)
+    sent = {}
     for p in (0, 1):
         assert np.array_equal(traced[p].seen, plain[p].seen)
         spans = [ev for ev in recs[p].drain_events() if ev["ev"] == "span"]
         got = [(ev["name"], ev.get("link", ev.get("rows"))) for ev in spans]
-        assert got == EXPECTED_SPANS[p]
-        assert all(ev["round"] == 0 and ev["dur"] >= 0 for ev in spans)
-        by_name = {ev["name"]: ev for ev in spans}
-        assert by_name["halo_send"]["bytes"] == chans[p].bytes_sent
-        assert by_name["halo_wait"]["bytes"] == chans[p].bytes_received
+        assert got == EXPECTED_SPANS[p] * rounds
+        per_round = len(EXPECTED_SPANS[p])
+        assert all(ev["round"] == i // per_round and ev["dur"] >= 0
+                   for i, ev in enumerate(spans))
+        sent[p] = [ev["bytes"] for ev in spans if ev["name"] == "halo_send"]
+        assert sum(sent[p]) == chans[p].bytes_sent
+        assert sum(ev["bytes"] for ev in spans
+                   if ev["name"] == "halo_wait") == chans[p].bytes_received
+    if delta:
+        assert sent[1][2] < sent[1][0] == sent[1][1]
+        assert sent[0][0] == sent[0][1] == sent[0][2]  # zero rows stay dense
     for ch in chans:
         ch.close()

@@ -589,7 +589,8 @@ class TestOverlapAndDeltaFrames:
         for t, snap in enumerate(expected):
             assert np.array_equal(snap, trace.snapshots[t][0]), f"round {t}"
 
-    def test_delta_frames_match_serial_and_count_fewer_bytes(self):
+    @pytest.mark.parametrize("transport", ["mp-pipe", "tcp"])
+    def test_delta_frames_match_serial_and_count_fewer_bytes(self, transport):
         """Near convergence most discrete rows stop changing: delta frames
         ship fewer bytes while trajectories stay identical."""
         topo = torus_2d(8, 8)
@@ -602,7 +603,7 @@ class TestOverlapAndDeltaFrames:
             psim = PartitionedSimulator(
                 DiffusionBalancer(topo, mode="discrete"), partitions=3,
                 strategy="bfs", stopping=[MaxRounds(30)], keep_snapshots=True,
-                mode="process", delta_frames=delta,
+                mode="process", transport=transport, delta_frames=delta,
             )
             trace = psim.run(loads.copy())
             for t, snap in enumerate(expected):
@@ -610,6 +611,23 @@ class TestOverlapAndDeltaFrames:
             totals[delta] = psim.halo_stats["halo_bytes"]
             assert psim.halo_stats["delta_frames"] is delta
         assert totals[True] < totals[False]
+
+    def test_delta_frames_are_an_explicit_kwarg(self, monkeypatch):
+        """One halo schedule, no environment switches: the retired
+        ``REPRO_OVERLAP`` / ``REPRO_DELTA`` variables change nothing, delta
+        frames come only from the kwarg, and ``overlap=`` is no option."""
+        topo = torus_2d(4, 4)
+        bal = DiffusionBalancer(topo)
+        monkeypatch.setenv("REPRO_OVERLAP", "1")
+        monkeypatch.setenv("REPRO_DELTA", "true")
+        sim = PartitionedSimulator(bal, partitions=2, mode="process")
+        assert sim.delta_frames is False
+        assert not hasattr(sim, "overlap")
+        sim = PartitionedSimulator(bal, partitions=2, mode="process",
+                                   delta_frames=True)
+        assert sim.delta_frames is True
+        with pytest.raises(TypeError):
+            PartitionedSimulator(bal, partitions=2, mode="process", overlap=True)
 
     def test_delta_degenerates_to_dense_on_full_churn(self):
         """Continuous loads change every row every round, so the delta
