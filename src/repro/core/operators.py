@@ -395,17 +395,9 @@ class EdgeOperator:
         """
         if out is loads and out is not None:
             raise ValueError("out must not alias the input vector")
+        A = self.incidence_csr(dtype=loads.dtype if loads.dtype == np.int64 else np.float64)
         if out is None:
             out = np.empty_like(loads)
-        flows = np.asarray(flows)
-        if loads.dtype == np.int64 and flows.dtype == np.int64:
-            # Exact integers: every fold order gives the same bits, so the
-            # scatter accumulates straight into a copy of the loads.
-            np.copyto(out, loads)
-            return self.kernels.accumulate_matvec(
-                self.incidence_csr(np.int64), np.ascontiguousarray(flows), out
-            )
-        A = self.incidence_csr(dtype=loads.dtype if loads.dtype == np.int64 else np.float64)
         return self.kernels.add_matvec(A, loads, flows, out)
 
     # ------------------------------------------------------------------

@@ -838,15 +838,17 @@ def dispatch_partitioned(
     checkpoint_every: int | None = None,
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     stats_interval: float | None = None,
+    delta_frames: bool = False,
 ) -> tuple[EnsembleTrace, dict]:
     """Run a partition-capable balancer as halo-exchanging blocks on
     remote workers; returns ``(trace, distributed_stats)``.
 
     Accepts the same engine knobs as
-    :class:`~repro.simulation.partitioned.PartitionedSimulator` plus the
-    worker addresses (or pre-connected :class:`WorkerHandle` objects),
-    and the fault-tolerance knobs: ``authkey`` (HMAC rendezvous + signed
-    peer links), ``heartbeat``/``miss_budget`` (bounded-time liveness),
+    :class:`~repro.simulation.partitioned.PartitionedSimulator`
+    (``delta_frames`` included) plus the worker addresses (or
+    pre-connected :class:`WorkerHandle` objects), and the fault-tolerance
+    knobs: ``authkey`` (HMAC rendezvous + signed peer links),
+    ``heartbeat``/``miss_budget`` (bounded-time liveness),
     and ``checkpoint_every`` (opt-in round-boundary snapshots enabling
     replay on the survivors instead of an abort, bounded by
     ``retry_budget`` recoveries).  The trace is bit-for-bit identical to
@@ -874,6 +876,7 @@ def dispatch_partitioned(
         mode="process",
         backend=backend,
         transport="tcp",
+        delta_frames=delta_frames,
     )
     executor_box: list[_RemoteBlockExecutor] = []
 

@@ -150,11 +150,14 @@ def run_partitioned_mpi(
     replicas: int | None = None,
     comm=None,
     timeout: float | None = None,
+    delta_frames: bool = False,
 ):
     """Run a partitioned ensemble across MPI ranks; collective entry point.
 
-    Every rank calls this (the ``mpi-run`` CLI does).  Rank 0 returns
-    ``(trace, stats)`` — the same shape
+    Every rank calls this (the ``mpi-run`` CLI does); the engine knobs,
+    ``delta_frames`` included, are those of
+    :class:`~repro.simulation.partitioned.PartitionedSimulator`.  Rank 0
+    returns ``(trace, stats)`` — the same shape
     :func:`~repro.distributed.dispatcher.dispatch_partitioned` returns,
     with ``stats`` extending ``halo_stats`` with the rank roster and
     control-traffic counters; block ranks return ``None`` after serving.
@@ -180,6 +183,7 @@ def run_partitioned_mpi(
         mode="process",
         backend=backend,
         transport="mp-pipe",  # engine bookkeeping only; channels are MPI
+        delta_frames=delta_frames,
     )
     executor_box: list[_MpiBlockExecutor] = []
 

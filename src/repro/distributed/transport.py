@@ -190,8 +190,10 @@ __all__ = [
 #: peer-link headers, and the ``start_round`` block-payload field that
 #: checkpoint replay resumes from; version 5 replaced the positional
 #: block-payload tuple with the typed ``BlockJob`` record; version 6 did
-#: the same for shard payloads with ``ShardJob``.
-PROTOCOL_VERSION = 6
+#: the same for shard payloads with ``ShardJob``; version 7 dropped
+#: the block payload's overlap flag when split-phase became the only
+#: block round.
+PROTOCOL_VERSION = 7
 
 #: Channel backends that are always available (the core ``transport=``
 #: choices).  ``mpi`` joins via :func:`available_transports` when

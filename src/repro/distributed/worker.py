@@ -58,6 +58,7 @@ from repro.distributed.transport import (
     TransportTimeout,
     answer_challenge,
     deliver_challenge,
+    encode_frame,
     format_address,
     loopback_pair,
     parse_address,
@@ -163,9 +164,10 @@ class _SlabRunner:
     Delta frames (opt-in): each link remembers the rows it sent in the
     last *two* rounds — the receiver's double-buffered ghost slice holds
     the round ``r - 2`` values — and ships only the changed rows as a
-    ``("delta", vals, idx)`` frame when that is smaller than the dense
-    payload.  Snapshots reset whenever the block's :class:`BlockLocal`
-    changes (dynamic topologies), falling back to dense frames.
+    ``("delta", vals, idx)`` frame when that whole encoded frame is
+    smaller than the dense one.  Snapshots reset whenever the block's
+    :class:`BlockLocal` changes (dynamic topologies), falling back to
+    dense frames.
 
     :meth:`save` / :meth:`restore` copy out and reinstate everything a
     round reads — both slabs, the bound :class:`BlockLocal` and the
@@ -243,9 +245,13 @@ class _SlabRunner:
                 # vals first: a dense frame's single out-of-band buffer is
                 # what recv_into may land in place; a true delta's vals
                 # buffer is strictly smaller than the ghost slice, so it
-                # can never be mistaken for one.
+                # can never be mistaken for one.  The delta also carries a
+                # second array's header, so only a smaller whole frame
+                # replaces the dense one (narrow rows stay dense).
                 if vals.nbytes + changed.nbytes < rows.nbytes:
-                    payload = ("delta", vals, changed)
+                    sparse = ("delta", vals, changed)
+                    if encode_frame(sparse).nbytes < encode_frame(payload).nbytes:
+                        payload = sparse
             self._snap[link.peer][r % 2] = rows
         ch.send_nowait(payload)
         if self.recorder.enabled:

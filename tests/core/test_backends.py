@@ -177,8 +177,8 @@ class TestPrimitiveParity:
             assert np.array_equal(op.fos_round(alpha, X), ref.fos_round(alpha, X))
         flows = ref.differences(x) / ref.denominators
         assert np.array_equal(op.apply_flows(x, flows), ref.apply_flows(x, flows))
-        # Integer flows on loads near 2**60 (past float64's exact range):
-        # the bits of the old ``base + A @ flows`` scatter, (n,) and (n, B).
+        # Integer flows on loads near 2**60 (past float64's exact range)
+        # scatter exactly on every backend, (n,) and (n, B).
         A = ref.incidence_csr(np.int64)
         for big in (xi + 2**60, Xi + 2**60):
             diff = ref.differences(big)

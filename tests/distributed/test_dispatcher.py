@@ -224,6 +224,30 @@ class TestSpeculativeRewind:
         assert spec["replayed_rounds"] > 0 and lock["replayed_rounds"] == 0
         assert lock["chunks"] == lockstep.rounds > spec["chunks"]
 
+    def test_delta_frames_match_inprocess_through_rewinds(self, workers, topo):
+        """``delta_frames`` reaches the remote blocks; rewinds and
+        checkpoint snapshots carry the delta snapshots along, so the run
+        is the in-process run's, bit for bit, in fewer halo bytes."""
+        rules = SPECULATIVE_RULES["stagnation"]
+        expected = self._inprocess(topo, rules())
+        runs = {
+            delta: dispatch_partitioned(
+                DiffusionBalancer(topo, mode="discrete"), _staggered_batch(topo), workers,
+                partitions=4, stopping=rules(), checkpoint_every=50, delta_frames=delta,
+            )
+            for delta in (False, True)
+        }
+        trace, stats = runs[True]
+        dense = runs[False][1]
+        assert np.array_equal(trace.rounds_vector, expected.rounds_vector)
+        assert trace.stopped_by == expected.stopped_by
+        assert np.array_equal(trace.final_loads, expected.final_loads)
+        assert np.array_equal(trace.potentials_matrix, expected.potentials_matrix)
+        assert stats["delta_frames"] is True and dense["delta_frames"] is False
+        assert stats["replayed_rounds"] > 0
+        assert stats["halo_values"] == dense["halo_values"]
+        assert stats["halo_bytes"] < dense["halo_bytes"]
+
 
 class TestShardedDispatchParity:
     """Remote shard runs == local sharded == single-process ensemble."""
@@ -389,7 +413,7 @@ class TestRendezvous:
     def test_previous_protocol_version_refused(self, workers):
         """A dispatcher that would still ship positional block payloads
         (protocol 4) is refused at hello, before any job arrives."""
-        assert PROTOCOL_VERSION == 6
+        assert PROTOCOL_VERSION == 7
         channel = tcp_connect(parse_address(workers[0]))
         try:
             channel.send(("hello", 4, {}))
@@ -403,7 +427,18 @@ class TestRendezvous:
         (protocol 5) is refused at hello, before any job arrives."""
         channel = tcp_connect(parse_address(workers[0]))
         try:
-            channel.send(("hello", PROTOCOL_VERSION - 1, {}))
+            channel.send(("hello", 5, {}))
+            reply = channel.recv(timeout=10.0)
+            assert reply[0] == "error" and "version" in reply[1]
+        finally:
+            channel.close()
+
+    def test_overlap_flag_protocol_refused(self, workers):
+        """A dispatcher that would still ship ``BlockJob.overlap``
+        (protocol 6) is refused at hello, before any job arrives."""
+        channel = tcp_connect(parse_address(workers[0]))
+        try:
+            channel.send(("hello", 6, {}))
             reply = channel.recv(timeout=10.0)
             assert reply[0] == "error" and "version" in reply[1]
         finally:

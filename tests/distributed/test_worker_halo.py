@@ -5,9 +5,10 @@ Real partitions of undirected graphs never produce an empty ``send_idx``
 path is exercised here with stub locals: one direction of a link ships a
 ``(0, B)`` slab while the other ships real rows.  Each block runs one
 :meth:`_SlabRunner.round` on its own thread, with dense frames and with
-delta frames (three rounds, so the last one ships a true delta against
-the round-0 snapshot).  The round must stay deadlock-free, deliver exact
-values, and account bytes identically over loopback, mp-pipe and TCP.
+delta frames (three rounds, so the last one is encoded against the
+round-0 snapshot and ships a delta wherever that frame is smaller).
+The round must stay deadlock-free, deliver exact values, and account
+bytes identically over loopback, mp-pipe and TCP.
 """
 
 import threading
@@ -204,12 +205,11 @@ def test_traced_round_records_phase_spans_and_matches_untraced(transport, frames
     """One round body serves both: with an enabled recorder it emits one
     span per halo send/wait (carrying that link's frame-byte delta) and
     per compute step, and the slab it computes from is the untraced one.
-    Block 1's rows never change, so its first delta frame (round 2) is
-    smaller than the dense frames before it; the rows are wide enough
-    (512 bytes) for the saving to outweigh the frame's extra header."""
+    No delta-encoded frame is ever larger than the first (dense) frame
+    of its link."""
     delta, rounds = FRAMES[frames]
-    owned = (np.arange(3 * 64, dtype=np.float64).reshape(3, 64),
-             np.arange(100, 100 + 4 * 64, dtype=np.float64).reshape(4, 64))
+    owned = (np.arange(6, dtype=np.float64).reshape(3, 2),
+             np.arange(100, 108, dtype=np.float64).reshape(4, 2))
     plain = (_CopyStep(), _CopyStep())
     ch0, ch1 = make_pair(transport)
     _run_round((ch0, ch1), owned, plain, delta=delta, rounds=rounds)
@@ -232,8 +232,33 @@ def test_traced_round_records_phase_spans_and_matches_untraced(transport, frames
         assert sum(sent[p]) == chans[p].bytes_sent
         assert sum(ev["bytes"] for ev in spans
                    if ev["name"] == "halo_wait") == chans[p].bytes_received
-    if delta:
-        assert sent[1][2] < sent[1][0] == sent[1][1]
-        assert sent[0][0] == sent[0][1] == sent[0][2]  # zero rows stay dense
+        assert all(b <= sent[p][0] for b in sent[p])
     for ch in chans:
         ch.close()
+
+
+@pytest.mark.parametrize("width", [2, 64])
+def test_delta_frame_never_larger_than_dense(width):
+    """Block 1's rows never change, so from round 2 on its encoder may
+    ship an empty delta against the round-0 snapshot.  It does so only
+    when that whole frame is smaller than the dense one: for two 2-column
+    rows (32 bytes) the delta's second array header outweighs the saving
+    and the dense frame goes out; for 64-column rows the delta wins."""
+    owned = (np.zeros((3, width)),
+             np.arange(100, 100 + 4 * width, dtype=np.float64).reshape(4, width))
+    sent = {}
+    for delta in (False, True):
+        recs = [Recorder(enabled=True, role=f"block:{p}") for p in (0, 1)]
+        steps = (_CopyStep(), _CopyStep())
+        chans = make_pair("loopback")
+        _run_round(chans, owned, steps, recorders=recs, delta=delta, rounds=3)
+        sent[delta] = [ev["bytes"] for ev in recs[1].drain_events()
+                       if ev["ev"] == "span" and ev["name"] == "halo_send"]
+        assert np.array_equal(steps[0].seen[3:], owned[1][[1, 3]])
+        for ch in chans:
+            ch.close()
+    dense = sent[False]
+    assert len(set(dense)) == 1
+    assert all(b <= d for b, d in zip(sent[True], dense))
+    assert sent[True][:2] == dense[:2]
+    assert (sent[True][2] < dense[2]) == (width > 2)
