@@ -124,12 +124,16 @@ def _initial_loads(n: int, discrete: bool) -> np.ndarray:
 
 
 def _time_serial(topo, mode, scheme, loads, replicas: int, rounds: int, backend=None) -> float:
-    """Seconds for ``replicas`` sequential Simulator.run calls of ``rounds`` rounds."""
+    """Seconds for ``replicas`` sequential Simulator.run calls of ``rounds`` rounds.
+
+    The runs record every series (``record="full"``), as the serial side
+    did when the committed floors were recorded.
+    """
     bal = _make_balancer(topo, mode, scheme, backend)
     rngs = spawn_rngs(SEED, replicas)
     start = time.perf_counter()
     for b in range(replicas):
-        Simulator(bal, stopping=[MaxRounds(rounds)]).run(loads, rngs[b])
+        Simulator(bal, stopping=[MaxRounds(rounds)], record="full").run(loads, rngs[b])
     return time.perf_counter() - start
 
 
@@ -790,7 +794,7 @@ def measure_telemetry_overhead(side, mode, rounds, repeats: int = 5,
         # Verbatim pre-telemetry Simulator.run (same attribute-access
         # patterns — a locals-hoisted copy would flatter the plain side).
         sim = Simulator(_make_balancer(topo, mode, "diffusion", backend),
-                        stopping=[MaxRounds(rounds)], check_conservation=False)
+                        stopping=[MaxRounds(rounds)], check_conservation=False, record="full")
         start = time.perf_counter()
         rng = np.random.default_rng(SEED)
         sim.balancer.reset()
@@ -812,7 +816,8 @@ def measure_telemetry_overhead(side, mode, rounds, repeats: int = 5,
 
     def run_instrumented() -> float:
         bal = _make_balancer(topo, mode, "diffusion", backend)
-        sim = Simulator(bal, stopping=[MaxRounds(rounds)], check_conservation=False)
+        sim = Simulator(bal, stopping=[MaxRounds(rounds)], check_conservation=False,
+                        record="full")
         start = time.perf_counter()
         sim.run(loads.copy(), SEED)
         return time.perf_counter() - start
@@ -871,7 +876,8 @@ def measure_endpoints_overhead(side, mode, rounds, repeats: int = 5,
 
     def run_once() -> float:
         bal = _make_balancer(topo, mode, "diffusion", backend)
-        sim = Simulator(bal, stopping=[MaxRounds(rounds)], check_conservation=False)
+        sim = Simulator(bal, stopping=[MaxRounds(rounds)], check_conservation=False,
+                        record="full")
         start = time.perf_counter()
         sim.run(loads.copy(), SEED)
         return time.perf_counter() - start

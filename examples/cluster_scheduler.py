@@ -26,7 +26,8 @@ SEED = 42
 
 
 def run_scheme(name: str, balancer, loads, rounds: int, seed: int):
-    trace = simulation.run_balancer(balancer, loads, rounds=rounds, seed=seed, keep_snapshots=True)
+    trace = simulation.run_balancer(balancer, loads, rounds=rounds, seed=seed, keep_snapshots=True,
+                                    record="full")
     return name, trace
 
 

@@ -70,7 +70,7 @@ def main() -> None:
     n = 512
     items = simulation.point_load(n, total=3_000_000, discrete=True)
     bal = core.RandomPartnerBalancer(mode="discrete")
-    trace = simulation.run_balancer(bal, items, rounds=300, seed=SEED)
+    trace = simulation.run_balancer(bal, items, rounds=300, seed=SEED, record="full")
     thr = 3200 * n
     t_thr = trace.rounds_to_potential(thr)
     print(f"discrete fleet (n={n}, {items.sum()} items): Phi0={trace.initial_potential:.3g}")

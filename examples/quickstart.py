@@ -48,7 +48,9 @@ def main() -> None:
     int_loads = simulation.point_load(topo.n, total=70_000, discrete=True)
     phi_star = core.theorem6_threshold(topo.n, topo.max_degree, lam2).value
     d_balancer = core.DiffusionBalancer(topo, mode="discrete")
-    d_trace = simulation.run_balancer(d_balancer, int_loads, rounds=2_000, seed=SEED)
+    # record="full": the table below reads the discrepancy series too.
+    d_trace = simulation.run_balancer(d_balancer, int_loads, rounds=2_000, seed=SEED,
+                                      record="full")
     t_thr = d_trace.rounds_to_potential(phi_star)
     d_bound = core.theorem6_rounds(topo.n, topo.max_degree, lam2, d_trace.initial_potential)
     print(f"discrete: Phi0 = {d_trace.initial_potential:.4g}, threshold Phi* = {phi_star:.4g}")

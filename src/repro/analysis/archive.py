@@ -77,8 +77,10 @@ def load_table(path: str | Path) -> Table:
 def save_trace(trace: Trace, path: str | Path) -> Path:
     """Write a trace to ``path``.
 
-    Snapshots are included only if the trace recorded them (they dominate
-    the file size; the scalar series are always present).
+    Only the series the trace recorded are written: the potentials and
+    load sums always, the discrepancies and net movements when the run
+    recorded them (``record="full"``, or a rule that reads them), and
+    snapshots when it kept them (they dominate the file size).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -87,10 +89,12 @@ def save_trace(trace: Trace, path: str | Path) -> Path:
         "balancer": trace.balancer_name,
         "stopped_by": trace.stopped_by,
         "potentials": trace.potentials,
-        "discrepancies": trace.discrepancies,
         "load_sums": trace.load_sums.tolist(),
-        "net_movements": trace.net_movements.tolist(),
     }
+    if trace.record_discrepancies:
+        doc["discrepancies"] = trace.discrepancies
+    if trace.record_movements:
+        doc["net_movements"] = trace.net_movements.tolist()
     if trace.keep_snapshots:
         doc["snapshots"] = [s.tolist() for s in trace.snapshots]
     path.write_text(json.dumps(doc, allow_nan=True))
@@ -101,17 +105,21 @@ def load_trace(path: str | Path) -> Trace:
     """Read a trace written by :func:`save_trace`.
 
     Reconstructs the recorded series directly (it does not re-run
-    anything); snapshot-backed traces restore their snapshots.
+    anything), with the record flags of the run that wrote them: a
+    series the file lacks raises the trace's "not recorded" error.
+    Snapshot-backed traces restore their snapshots.
     """
     doc = json.loads(Path(path).read_text())
     if doc.get("schema") != _SCHEMA_TRACE:
         raise ValueError(f"{path} is not a repro trace artifact")
-    trace = Trace(balancer_name=doc["balancer"], keep_snapshots="snapshots" in doc)
-    trace.stopped_by = doc["stopped_by"]
+    trace = Trace(balancer_name=doc["balancer"], keep_snapshots="snapshots" in doc,
+                  stopped_by=doc["stopped_by"],
+                  record_discrepancies="discrepancies" in doc,
+                  record_movements="net_movements" in doc)
     trace._potentials = [float(x) for x in doc["potentials"]]
-    trace._discrepancies = [float(x) for x in doc["discrepancies"]]
     trace._sums = [float(x) for x in doc["load_sums"]]
-    trace._movements = [float(x) for x in doc["net_movements"]]
+    trace._discrepancies = [float(x) for x in doc.get("discrepancies", ())]
+    trace._movements = [float(x) for x in doc.get("net_movements", ())]
     if "snapshots" in doc:
         trace._snapshots = [np.asarray(s) for s in doc["snapshots"]]
     return trace

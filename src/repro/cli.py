@@ -47,7 +47,6 @@ import numpy as np
 # Only what the parser and the shared request helpers need is imported
 # here; each command imports the rest itself, so ``repro-lb worker`` never
 # loads the report tables, the experiments or SciPy's linear algebra.
-from repro.core.potential import discrepancy
 from repro.core.protocols import get_balancer, registered_balancers
 from repro.graphs.generators import by_name
 from repro.graphs.partition import parse_partitions
@@ -499,8 +498,8 @@ def _run_request(args: argparse.Namespace):
     """``(balancer, loads, options)`` of a ``run``, ``dispatch`` or ``mpi-run``.
 
     The balancer runs on ``--backend``; the options are the stopping rules
-    (the engines' default ``record="auto"`` keeps what they read, and a
-    one-replica summary takes its final discrepancy from the final loads).
+    (the engines' default ``record="auto"`` keeps what they and the
+    summary read).
     None after printing a refused value.
     """
     from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
@@ -534,17 +533,10 @@ def _partition_capable(args: argparse.Namespace, bal) -> bool:
 
 
 def _run_summary(trace) -> dict:
-    """A run's summary: one replica reports its own series, more the ensemble's.
-
-    A one-replica run that did not record discrepancies reports that of
-    its final loads.
-    """
+    """A run's summary: one replica reports its own series, more the ensemble's."""
     if trace.replicas > 1:
         return trace.summary()
-    summary = trace.replica_trace(0).summary()
-    if not trace.record_discrepancies:
-        summary["discrepancy_final"] = discrepancy(trace.final_loads[0])
-    return summary
+    return trace.replica_trace(0).summary()
 
 
 def _print_run_summary(trace) -> None:

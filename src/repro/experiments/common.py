@@ -61,8 +61,9 @@ def small_suite(seed: int = SEED) -> list[Topology]:
 
 
 def _one_run(balancer: Balancer, loads: np.ndarray, rule, max_rounds: int, seed: int) -> Trace:
-    """One run until ``rule`` fires (or the safety cap), every statistic recorded."""
-    trace, _ = simulate(balancer, loads, [rule, MaxRounds(max_rounds)], seed=seed, record="full")
+    """One run until ``rule`` fires (or the safety cap); the experiments
+    read only its potentials, so it records what the rule reads."""
+    trace, _ = simulate(balancer, loads, [rule, MaxRounds(max_rounds)], seed=seed)
     return trace.replica_trace(0)
 
 

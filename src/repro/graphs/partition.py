@@ -116,7 +116,9 @@ def bfs_assignment(topo: Topology, blocks: int) -> np.ndarray:
     Deterministic; when the boundary empties (the reachable component is
     exhausted) the block re-seeds at the next smallest unassigned node,
     so disconnected graphs — including dynamic-round subgraphs with
-    failed edges — always get a total assignment.
+    failed edges — always get a total assignment.  The last block's
+    target is every node still unassigned, so it takes them without
+    growing.
     """
     n = topo.n
     if not 1 <= blocks <= n:
@@ -130,7 +132,7 @@ def bfs_assignment(topo: Topology, blocks: int) -> np.ndarray:
     heappush, heappop = heapq.heappush, heapq.heappop
     seed = 0  # every node below it is assigned; assignments never revert
     base, extra = divmod(n, blocks)
-    for p in range(blocks):
+    for p in range(blocks - 1):
         target = base + (1 if p < extra else 0)
         in_p = [0] * n
         heap: list[tuple[int, int]] = []
@@ -157,7 +159,9 @@ def bfs_assignment(topo: Topology, blocks: int) -> np.ndarray:
                 inside = in_p[nb] = in_p[nb] + 1
                 if assignment[nb] < 0:
                     heappush(heap, (degrees[nb] - inside, nb))
-    return np.asarray(assignment, dtype=np.int64)
+    out = np.asarray(assignment, dtype=np.int64)
+    out[out < 0] = blocks - 1
+    return out
 
 
 _ASSIGNERS = {"contiguous": contiguous_assignment, "bfs": bfs_assignment}

@@ -79,6 +79,9 @@ _STALL_PATIENCE = 5
 class ConvergenceMonitor:
     """Track per-round potential drops against the paper's guarantees."""
 
+    #: the trace series :meth:`observe` is fed (always recorded)
+    reads = frozenset({"potentials"})
+
     def __init__(
         self,
         rec: Recorder,

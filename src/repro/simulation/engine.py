@@ -13,8 +13,10 @@ draws its rounds from ``np.random.default_rng(seed)``; ``B`` replicas
 from ``spawn_rngs(seed, B)``; explicit generators are used as given.
 
 The one-replica forms return a :class:`~repro.simulation.trace.Trace`,
-the one-replica view of the record type every engine shares, with every
-statistic recorded:
+the one-replica view of the record type every engine shares.  Like every
+engine they record ``record="auto"`` by default — the potentials and
+load sums, plus what the stopping rules declare they read — and
+``record="full"`` records the discrepancy and net-movement series too:
 
 - :class:`Simulator` wires a :class:`~repro.core.protocols.Balancer` to
   a list of stopping rules and runs :func:`simulate`'s one-replica
@@ -50,8 +52,10 @@ class Simulator(EnsembleSimulator):
     """Run a balancer until a stopping rule fires: :func:`simulate`'s
     one-replica run, read back as a :class:`Trace`.
 
-    Parameters are those of :class:`~repro.simulation.ensemble.RoundEngine`;
-    the trace always records every statistic (``record="full"``).
+    Parameters are those of :class:`~repro.simulation.ensemble.RoundEngine`.
+    With the default ``record="auto"`` the trace keeps the potentials and
+    load sums plus what the stopping rules read; pass ``record="full"`` to
+    read its ``discrepancies`` or ``net_movements``.
     """
 
     def __init__(
@@ -62,9 +66,10 @@ class Simulator(EnsembleSimulator):
         check_conservation: bool = True,
         cons_tol: float = 1e-6,
         backend: str | None = None,
+        record: str = "auto",
     ) -> None:
         super().__init__(
-            balancer, stopping, record="full", keep_snapshots=keep_snapshots,
+            balancer, stopping, record=record, keep_snapshots=keep_snapshots,
             check_conservation=check_conservation, cons_tol=cons_tol, backend=backend,
         )
 
@@ -81,6 +86,7 @@ def run_balancer(
     seed: int | np.random.Generator = 0,
     keep_snapshots: bool = False,
     stopping: Sequence[StoppingRule] | None = None,
+    record: str = "auto",
 ) -> Trace:
     """Convenience wrapper: run exactly ``rounds`` rounds.
 
@@ -95,10 +101,12 @@ def run_balancer(
     passing e.g. ``[Stagnation(patience=5)]`` deliberately re-enables
     early exit; the trace's ``stopped_by`` records which rule actually
     fired.  Use :class:`Simulator` directly for fully custom rule lists.
+    ``record`` is :class:`Simulator`'s: ``"full"`` to read the
+    discrepancy or net-movement series.
     """
     rules: list[StoppingRule] = list(stopping) if stopping else []
     rules.append(MaxRounds(rounds))
-    sim = Simulator(balancer, stopping=rules, keep_snapshots=keep_snapshots)
+    sim = Simulator(balancer, stopping=rules, keep_snapshots=keep_snapshots, record=record)
     return sim.run(loads, seed)
 
 

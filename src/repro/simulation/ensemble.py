@@ -41,14 +41,16 @@ the serial :class:`~repro.simulation.trace.Trace` is its one-replica
 view.  A one-replica ensemble runs the serial stepper straight into its
 own trace, whose rows are then scalars.  It is the only driver of a
 local one-replica run: :class:`~repro.simulation.engine.Simulator` is
-this run with ``record="full"``.  Recorded statistics are computed once
-per round across the whole batch.  ``record="auto"`` keeps the
-throughput-critical minimum (potentials and load sums, plus
-discrepancies when a discrepancy rule is installed); ``record="full"``
-adds discrepancies and per-round net movement, matching everything a
-serial :class:`Trace` records.  Derived statistics of a batch may differ from the serial ones
-in the last float ulp (different summation order); recorded *loads*
-never do.
+this run read back as a :class:`Trace`.  Recorded statistics are
+computed once per round across the whole batch.  ``record="auto"`` (the
+default everywhere) records only what the run's readers read: the
+potentials and load sums every run keeps, plus the series each stopping
+rule declares in its ``reads`` (discrepancies for a
+:class:`~repro.simulation.stopping.DiscrepancyBelow`).
+``record="full"`` records every series, adding discrepancies and
+per-round net movement.  Derived statistics of a batch may differ from
+the serial ones in the last float ulp (different summation order);
+recorded *loads* never do.
 
 Both steppers validate at the engine boundary only: :func:`initial_batch`
 checks the initial state once, and each round runs the scheme's
@@ -74,13 +76,8 @@ import numpy as np
 from repro.core.protocols import Balancer
 from repro.observability.recorder import get_recorder
 from repro.simulation.montecarlo import trial_rngs
-from repro.simulation.stopping import (
-    DiscrepancyBelow,
-    MaxRounds,
-    StoppingRule,
-    first_satisfied,
-)
-from repro.simulation.trace import EnsembleTrace
+from repro.simulation.stopping import MaxRounds, StoppingRule, first_satisfied
+from repro.simulation.trace import ALWAYS_RECORDED, SERIES, EnsembleTrace
 
 __all__ = ["EnsembleSimulator", "EnsembleTrace", "RoundEngine", "initial_batch", "spawn_rngs"]
 
@@ -178,8 +175,9 @@ class RoundEngine:
         Stopping rules checked in order after every round.  A
         :class:`MaxRounds` safety net is appended automatically if absent.
     record:
-        Which statistics the trace keeps (see :class:`EnsembleSimulator`);
-        :class:`~repro.simulation.engine.Simulator` keeps all.
+        Which series the trace keeps: ``"auto"`` the union of what the
+        stopping rules declare and :data:`~repro.simulation.trace.ALWAYS_RECORDED`,
+        ``"full"`` all of them (see :meth:`recorded_series`).
     keep_snapshots:
         Record the full load state after every round (memory-heavy).
     check_conservation:
@@ -206,14 +204,14 @@ class RoundEngine:
         balancer: Balancer,
         stopping: Sequence[StoppingRule] | None = None,
         *,
-        record: str = "full",
+        record: str = "auto",
         keep_snapshots: bool = False,
         check_conservation: bool = True,
         cons_tol: float = 1e-6,
         backend: str | None = None,
     ) -> None:
-        if record not in ("auto", "light", "full"):
-            raise ValueError(f"record must be 'auto', 'light' or 'full', got {record!r}")
+        if record not in ("auto", "full"):
+            raise ValueError(f"record must be 'auto' or 'full', got {record!r}")
         self.balancer = balancer
         if backend is not None:
             balancer.backend = backend
@@ -228,18 +226,21 @@ class RoundEngine:
         self.check_conservation = check_conservation
         self.cons_tol = cons_tol
 
-    def _record_disc(self) -> bool:
-        """Whether the engine's traces record discrepancies under ``record``."""
-        return self.record == "full" or (
-            self.record == "auto" and any(isinstance(r, DiscrepancyBelow) for r in self.stopping)
-        )
+    def recorded_series(self) -> frozenset[str]:
+        """The series this engine's traces record: every one under
+        ``record="full"``; under ``"auto"`` the potentials and load sums
+        plus the union of the stopping rules' ``reads``."""
+        if self.record == "full":
+            return SERIES
+        return ALWAYS_RECORDED.union(*(rule.reads for rule in self.stopping))
 
     def _new_trace(self, replicas: int) -> EnsembleTrace:
+        series = self.recorded_series()
         return EnsembleTrace(
             balancer_name=self.balancer.name,
             replicas=replicas,
-            record_discrepancies=self._record_disc(),
-            record_movements=self.record == "full",
+            record_discrepancies="discrepancies" in series,
+            record_movements="movements" in series,
             keep_snapshots=self.keep_snapshots,
         )
 
@@ -319,10 +320,10 @@ class EnsembleSimulator(RoundEngine):
         On more than one replica, every rule's ``should_stop`` must return
         a per-replica mask (every built-in rule does).
     record:
-        ``"auto"`` (default) records potentials and load sums — plus
-        discrepancies when a :class:`DiscrepancyBelow` rule is installed;
-        ``"light"`` records only potentials and sums; ``"full"`` adds
-        discrepancies and per-round net movement.
+        ``"auto"`` (default) records potentials and load sums plus the
+        series the stopping rules declare (discrepancies for a
+        :class:`~repro.simulation.stopping.DiscrepancyBelow`); ``"full"``
+        adds discrepancies and per-round net movement.
     serial_singleton:
         Run ``B = 1`` on the serial stepper (default), straight into the
         run's one-replica trace: its rows are scalars, so the round pays

@@ -804,6 +804,7 @@ class PartitionedSimulator(RoundEngine):
         continue the round counter, ``telemetry`` asks the block for
         per-phase spans.
         """
+        series = self.recorded_series()
         return BlockJob(
             balancer=self.balancer,
             assignment=assignment,
@@ -811,8 +812,8 @@ class PartitionedSimulator(RoundEngine):
             block_id=block_id,
             owned=owned,
             backend=self.backend,
-            want_disc=self._record_disc(),
-            want_mov=self.record == "full",
+            want_disc="discrepancies" in series,
+            want_mov="movements" in series,
             delta=self.delta_frames,
             start_round=start_round,
             telemetry=telemetry,

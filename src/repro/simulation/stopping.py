@@ -16,6 +16,13 @@ expression is a boolean mask over replicas, evaluated without a Python
 loop.  A custom rule that returns a single verdict for a multi-replica
 trace has no batched form, and the ensemble engines refuse it.
 
+Each rule declares the trace series its verdict reads in ``reads``
+(``"potentials"``, ``"discrepancies"``, ``"movements"``; the round
+counts are always there).  An engine on ``record="auto"`` records only
+the union of its rules' declarations, plus the potentials and load
+totals it always keeps, so a rule that reads a series it did not declare
+fails with the trace's "not recorded" error.
+
 A rule may also give a ``rounds_hint``: a conservative count of rounds
 that can run before it fires for any active replica.  The partitioned
 coordinator sizes its speculative chunks from these hints; a rule
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -45,6 +52,9 @@ __all__ = [
 
 class StoppingRule(ABC):
     """Predicate over the evolving trace; see module docstring."""
+
+    #: the trace series ``should_stop`` and ``rounds_hint`` read
+    reads: ClassVar[frozenset[str]] = frozenset()
 
     @abstractmethod
     def should_stop(self, trace):
@@ -65,6 +75,8 @@ class StoppingRule(ABC):
 @dataclass
 class MaxRounds(StoppingRule):
     """Stop after ``rounds`` balancing rounds (safety net; always include one)."""
+
+    reads: ClassVar[frozenset[str]] = frozenset()
 
     rounds: int
 
@@ -88,6 +100,8 @@ class MaxRounds(StoppingRule):
 class PotentialBelow(StoppingRule):
     """Stop once ``Phi <= threshold`` (e.g. Theorem 6's ``Phi*``)."""
 
+    reads: ClassVar[frozenset[str]] = frozenset({"potentials"})
+
     threshold: float
 
     def should_stop(self, trace):
@@ -104,6 +118,8 @@ class PotentialBelow(StoppingRule):
 @dataclass
 class PotentialFractionBelow(StoppingRule):
     """Stop once ``Phi <= eps * Phi_0`` (Theorem 4's criterion)."""
+
+    reads: ClassVar[frozenset[str]] = frozenset({"potentials"})
 
     eps: float
 
@@ -128,6 +144,8 @@ class PotentialFractionBelow(StoppingRule):
 class DiscrepancyBelow(StoppingRule):
     """Stop once ``max load - min load <= threshold`` (RSW's criterion)."""
 
+    reads: ClassVar[frozenset[str]] = frozenset({"discrepancies"})
+
     threshold: float
 
     def should_stop(self, trace):
@@ -146,6 +164,8 @@ class Stagnation(StoppingRule):
     without waiting for the max-round cap.  ``min_rel_drop`` is the
     relative improvement below which a round counts as stagnant.
     """
+
+    reads: ClassVar[frozenset[str]] = frozenset({"potentials"})
 
     patience: int = 10
     min_rel_drop: float = 0.0

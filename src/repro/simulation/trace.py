@@ -4,7 +4,12 @@ One record type holds the per-round potential ``Phi_t`` of every engine.
 An :class:`EnsembleTrace` keeps ``B`` replicas' statistics as one row per
 recorded state — the potential, the load total (for conservation
 checks), and optionally the discrepancy, the per-round net movement and
-full load snapshots.  :class:`Trace` is its one-replica view: the same
+full load snapshots.  Which optional series a run records is the
+engine's ``record`` policy: ``"auto"`` records what the run's readers
+declare (:data:`ALWAYS_RECORDED` plus each stopping rule's ``reads``),
+``"full"`` every series in :data:`SERIES`; reading a series that was
+not recorded raises a ``ValueError`` that names ``record="full"``.
+:class:`Trace` is its one-replica view: the same
 storage, read back as scalars, with the extraction helpers the serial
 theorems pose ("after how many rounds was the potential below x?", "what
 was the average per-round drop factor?").
@@ -45,9 +50,21 @@ from collections import Counter
 
 import numpy as np
 
-from repro.core.potential import _as_vector, square_sum
+from repro.core.potential import _as_vector, discrepancy, square_sum
 
-__all__ = ["EnsembleTrace", "Trace"]
+__all__ = ["ALWAYS_RECORDED", "SERIES", "EnsembleTrace", "Trace"]
+
+#: Every series a trace can record; ``record="full"`` records them all.
+SERIES = frozenset({"potentials", "load_sums", "discrepancies", "movements"})
+#: The series every run records: the per-round guard and the conservation
+#: audit read them, and so do the convergence monitor and the summaries.
+ALWAYS_RECORDED = frozenset({"potentials", "load_sums"})
+
+
+def _not_recorded(series: str) -> ValueError:
+    return ValueError(
+        f"{series} were not recorded for this trace; run with record=\"full\" to record them"
+    )
 
 
 class EnsembleTrace:
@@ -250,7 +267,7 @@ class EnsembleTrace:
     @property
     def last_discrepancies(self):
         if not self.record_discrepancies:
-            raise ValueError("discrepancies were not recorded for this trace")
+            raise _not_recorded("discrepancies")
         return self._discrepancies[-1]
 
     @property
@@ -305,7 +322,7 @@ class EnsembleTrace:
     def net_movements(self) -> np.ndarray:
         """Net load movement of each round (communication lower bound)."""
         if not self.record_movements:
-            raise ValueError("movements were not recorded for this trace")
+            raise _not_recorded("movements")
         return np.asarray(self._movements, dtype=np.float64)
 
     @property
@@ -316,7 +333,7 @@ class EnsembleTrace:
     @property
     def discrepancies_matrix(self) -> np.ndarray:
         if not self.record_discrepancies:
-            raise ValueError("discrepancies were not recorded for this trace")
+            raise _not_recorded("discrepancies")
         return np.asarray(self._discrepancies, dtype=np.float64).reshape(-1, self.replicas)
 
     @property
@@ -393,9 +410,9 @@ class EnsembleTrace:
         """
         upto = self.replica_rounds(b) + 1
         t = Trace(balancer_name=self.balancer_name, keep_snapshots=self.keep_snapshots,
-                  stopped_by=self.stopped_by[b])
-        t.record_discrepancies = self.record_discrepancies
-        t.record_movements = self.record_movements
+                  stopped_by=self.stopped_by[b],
+                  record_discrepancies=self.record_discrepancies,
+                  record_movements=self.record_movements)
         t._potentials = self.potentials_matrix[:upto, b].tolist()
         t._sums = self.load_sums_matrix[:upto, b].tolist()
         if self.record_discrepancies:
@@ -408,6 +425,10 @@ class EnsembleTrace:
             t._final_loads = self._final_loads[b : b + 1]
             t._last_loads = t._final_loads[0]
         return t
+
+    #: the series :meth:`summary` reads (the one-replica summary takes
+    #: ``discrepancy_final`` from the final loads when it has no series)
+    summary_reads = frozenset({"potentials"})
 
     def summary(self) -> dict[str, float | int | str]:
         """Compact aggregate dict used by reports and the CLI."""
@@ -429,13 +450,15 @@ class Trace(EnsembleTrace):
 
     Storage, recording and the conservation views are the
     :class:`EnsembleTrace`'s; this view reads them back as scalars.  A
-    serial trace records every statistic.
+    trace built directly records every series unless told otherwise; an
+    engine's records what its ``record`` policy keeps.
     """
 
     def __init__(self, balancer_name: str = "", keep_snapshots: bool = False,
-                 stopped_by: str = "") -> None:
-        super().__init__(balancer_name, 1, record_discrepancies=True, record_movements=True,
-                         keep_snapshots=keep_snapshots)
+                 stopped_by: str = "", record_discrepancies: bool = True,
+                 record_movements: bool = True) -> None:
+        super().__init__(balancer_name, 1, record_discrepancies=record_discrepancies,
+                         record_movements=record_movements, keep_snapshots=keep_snapshots)
         self._rounds = None
         self.stopped_by = stopped_by
 
@@ -463,7 +486,7 @@ class Trace(EnsembleTrace):
     @property
     def discrepancies(self) -> list[float]:
         if not self.record_discrepancies:
-            raise ValueError("discrepancies were not recorded for this trace")
+            raise _not_recorded("discrepancies")
         return self._discrepancies
 
     @property
@@ -540,13 +563,24 @@ class Trace(EnsembleTrace):
         return float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-300)))))
 
     def summary(self) -> dict[str, float | int | str]:
-        """Compact dict used by reports."""
+        """Compact dict used by reports and the CLI.
+
+        It reads the potentials, which every trace records; an unrecorded
+        discrepancy series leaves ``discrepancy_final`` to the final loads
+        (the same value the series would end on), or NaN without them.
+        """
+        if self.record_discrepancies:
+            disc_final = self.last_discrepancy
+        elif self._last_loads is not None:
+            disc_final = discrepancy(self._last_loads)
+        else:
+            disc_final = math.nan
         return {
             "balancer": self.balancer_name,
             "rounds": self.rounds,
             "phi0": self.initial_potential,
             "phi_final": self.last_potential,
-            "discrepancy_final": self.last_discrepancy if self.record_discrepancies else math.nan,
+            "discrepancy_final": disc_final,
             "mean_drop_factor": self.mean_drop_factor(),
             "stopped_by": self.stopped_by,
         }

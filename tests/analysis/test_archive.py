@@ -88,3 +88,30 @@ class TestTraceRoundTrip:
         )
         loaded = load_trace(save_trace(trace, tmp_path / "run.trace.json"))
         assert loaded.potentials == trace.potentials
+
+    @pytest.mark.parametrize("record", ["auto", "full"])
+    def test_engine_trace_roundtrip_keeps_what_was_recorded(self, tmp_path, torus, record):
+        """A file holds only the recorded series, and the loaded trace
+        records (and refuses) exactly what the run did."""
+        import json
+
+        from repro.core.diffusion import DiffusionBalancer
+        from repro.simulation.engine import run_balancer
+        from repro.simulation.initial import point_load
+
+        trace = run_balancer(DiffusionBalancer(torus, mode="discrete"),
+                             point_load(torus.n, total=1600), rounds=30, record=record)
+        path = save_trace(trace, tmp_path / "run.trace.json")
+        full = record == "full"
+        assert ("discrepancies" in json.loads(path.read_text())) == full
+        loaded = load_trace(path)
+        assert (loaded.record_discrepancies, loaded.record_movements) == (full, full)
+        assert loaded.potentials == trace.potentials
+        assert np.array_equal(loaded.load_sums, trace.load_sums)
+        if full:
+            assert loaded.discrepancies == trace.discrepancies
+            assert np.array_equal(loaded.net_movements, trace.net_movements)
+        else:
+            for series in ("discrepancies", "net_movements"):
+                with pytest.raises(ValueError, match='record="full"'):
+                    getattr(loaded, series)

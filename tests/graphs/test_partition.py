@@ -1,9 +1,11 @@
 """Invariants of node-axis partitions: covers, ghosts, halo-plan symmetry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.graphs.generators import hypercube, random_regular, torus_2d
+from repro.graphs.generators import by_name, hypercube, random_regular, torus_2d
 from repro.graphs.partition import (
     PARTITION_STRATEGIES,
     Partition,
@@ -18,6 +20,13 @@ TOPOLOGIES = [
     hypercube(6),
     random_regular(60, 4, np.random.default_rng(7)),
 ]
+
+
+def _half_failed(topo, seed):
+    """``topo`` with about half its edges failed (all of them for seed None)."""
+    if seed is None:
+        return topo.subgraph_with_edges(np.zeros(topo.m, dtype=bool))
+    return topo.subgraph_with_edges(np.random.default_rng(seed).random(topo.m) < 0.5)
 
 
 def _check_invariants(topo, part):
@@ -160,6 +169,34 @@ class TestPartitionInvariants:
         a = bfs_assignment(empty, 4)
         assert (a >= 0).all()
         assert np.bincount(a, minlength=4).min() > 0
+
+    @pytest.mark.parametrize(
+        "build, P, digest",
+        [
+            (lambda: torus_2d(256, 256), 2,
+             "1b3160a4d1aedb090046134e213782f1cf06356b8dbb05b9c3314e10b5ee78cb"),
+            (lambda: torus_2d(64, 64), 4,
+             "fca9dce19f407d8c610dab30dd18504584d07be73a3ae85a6f87bf90281507fc"),
+            (lambda: by_name("hypercube:10"), 3,
+             "38766c9a020f907b4785a1a16aaa21f19d1752f1d2ff4ac2b0d9bd4628337165"),
+            (lambda: by_name("cycle:101"), 5,
+             "6ff1f3106342775695e1e978517ed1ef95a36d55170c11ac3ec1c31353ea60fe"),
+            (lambda: _half_failed(torus_2d(12, 12), 5), 3,
+             "a906b3b806ba50ed940b3222c956f74558396d69e54cc7b4959d1f0811ddb899"),
+            (lambda: _half_failed(torus_2d(6, 6), None), 4,
+             "fbf7238b2da41a274a7d3e38dc64df7b07c2d41ad358da22e288d47d96c35f4f"),
+            (lambda: torus_2d(16, 16), 1,
+             "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad"),
+        ],
+        ids=["torus256-P2", "torus64-P4", "hypercube10-P3", "cycle101-P5",
+             "torus12-half-failed-P3", "torus6-no-edges-P4", "torus16-P1"],
+    )
+    def test_bfs_assignment_pinned(self, build, P, digest):
+        """The grower's output is pinned bit for bit (int64 node -> block),
+        so a faster grower cannot move a block boundary."""
+        a = bfs_assignment(build(), P)
+        assert a.dtype == np.int64
+        assert hashlib.sha256(a.tobytes()).hexdigest() == digest
 
     def test_caching_per_topology(self):
         topo = torus_2d(4, 4)

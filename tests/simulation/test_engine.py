@@ -51,6 +51,28 @@ class TestBasicRun:
         short = run_balancer(DiffusionBalancer(torus), point_load(torus.n, discrete=False), 2)
         assert short.final_loads.shape == (1, torus.n)
 
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_default_record_is_auto(self, torus, mode):
+        """A default ``Simulator`` records only what its rules read; an
+        unrecorded series names the mode that records it, and the summary's
+        final discrepancy (from the final loads) equals a full run's."""
+        loads = point_load(torus.n, discrete=mode == "discrete", total=1600)
+        rules = [PotentialFractionBelow(0.01), MaxRounds(500)]
+        trace = Simulator(DiffusionBalancer(torus, mode=mode), stopping=rules).run(loads, 0)
+        assert not trace.record_movements and not trace.record_discrepancies
+        for series in ("net_movements", "discrepancies"):
+            with pytest.raises(ValueError, match='record="full"'):
+                getattr(trace, series)
+        full = Simulator(DiffusionBalancer(torus, mode=mode), stopping=rules,
+                         record="full").run(loads, 0)
+        assert full.record_movements and full.record_discrepancies
+        assert full.potentials == trace.potentials
+        assert np.array_equal(full.load_sums, trace.load_sums)
+        assert trace.summary() == full.summary()
+        assert trace.summary()["discrepancy_final"] == full.discrepancies[-1]
+        short = run_balancer(DiffusionBalancer(torus, mode=mode), loads, 3, record="full")
+        assert len(short.net_movements) == 3
+
     def test_seed_accepts_generator(self, torus):
         bal = DiffusionBalancer(torus)
         rng = np.random.default_rng(3)

@@ -269,8 +269,8 @@ class TestPerReplicaStopping:
 
 
 class TestRecordingModes:
-    def test_light_mode_skips_discrepancies(self, torus):
-        ens = EnsembleSimulator(DiffusionBalancer(torus), stopping=[MaxRounds(3)], record="light")
+    def test_auto_mode_skips_unread_series(self, torus):
+        ens = EnsembleSimulator(DiffusionBalancer(torus), stopping=[MaxRounds(3)], record="auto")
         trace = ens.run(point_load(torus.n, discrete=False), seed=0, replicas=2)
         with pytest.raises(ValueError):
             trace.discrepancies_matrix
@@ -283,9 +283,8 @@ class TestRecordingModes:
             DiffusionBalancer(torus, mode="discrete"), stopping=[MaxRounds(20)], record="full"
         )
         trace = ens.run(loads, seed=0, replicas=2)
-        serial = Simulator(DiffusionBalancer(torus, mode="discrete"), stopping=[MaxRounds(20)]).run(
-            loads, spawn_rngs(0, 2)[0]
-        )
+        serial = Simulator(DiffusionBalancer(torus, mode="discrete"), stopping=[MaxRounds(20)],
+                           record="full").run(loads, spawn_rngs(0, 2)[0])
         rep = trace.replica_trace(0)
         assert rep.rounds == serial.rounds
         assert np.allclose(rep.potential_array, serial.potential_array, rtol=1e-9, atol=1e-6)
@@ -314,8 +313,9 @@ class TestRecordingModes:
 class TestReplicaTrace:
     def test_default_record_reads_back_what_was_recorded(self, torus):
         """A ``record="auto"`` ensemble records neither movements nor
-        discrepancies: its replica traces still summarize, report the
-        final loads' exact totals, and refuse the series never recorded."""
+        discrepancies: its replica traces still summarize (the final
+        discrepancy from the final loads), report the final loads' exact
+        totals, and refuse the series never recorded."""
         bal = DiffusionBalancer(torus, mode="discrete")
         trace = EnsembleSimulator(bal, stopping=[MaxRounds(5)]).run(
             point_load(torus.n, total=1600), seed=0, replicas=3)
@@ -324,7 +324,8 @@ class TestReplicaTrace:
             s = rep.summary()
             assert s["rounds"] == 5 and s["stopped_by"] == "max-rounds(5)"
             assert s["phi_final"] == trace.potentials_matrix[5, b]
-            assert math.isnan(s["discrepancy_final"])
+            final = trace.final_loads[b]
+            assert s["discrepancy_final"] == float(final.max() - final.min())
             assert rep.last_totals == trace.final_loads[b].sum()
             assert rep.last_totals.dtype == trace.final_loads.dtype
             for series in ("net_movements", "discrepancies"):
@@ -338,7 +339,8 @@ class TestReplicaTrace:
         same records a serial run makes, read through the ensemble views."""
         loads = point_load(torus.n, total=1600, discrete=False)
         rules = [PotentialFractionBelow(1e-3), MaxRounds(500)]
-        serial = Simulator(DiffusionBalancer(torus), stopping=rules).run(loads, spawn_rngs(2, 1)[0])
+        serial = Simulator(DiffusionBalancer(torus), stopping=rules, record="full").run(
+            loads, spawn_rngs(2, 1)[0])
         trace = EnsembleSimulator(DiffusionBalancer(torus), stopping=rules, record="full").run(
             loads, seed=2)
         assert trace.rounds_vector.tolist() == [serial.rounds]

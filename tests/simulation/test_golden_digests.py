@@ -60,7 +60,7 @@ CASES = {
 def run_case(name: str) -> str:
     make_balancer, make_loads, rounds, _ = CASES[name]
     bal = make_balancer()
-    trace = run_balancer(bal, make_loads(), rounds, seed=11, keep_snapshots=True)
+    trace = run_balancer(bal, make_loads(), rounds, seed=11, keep_snapshots=True, record="full")
     assert trace.rounds == rounds
     return _series_digest(trace, trace.snapshots[-1])
 

@@ -81,7 +81,8 @@ def _simulated(name: str, kind: str) -> Trace:
     topo = by_name("torus:8x8")
     bal = get_balancer(name, topo)
     loads = _loads(kind, topo.n, bal.mode == "discrete")
-    return Simulator(bal, stopping=[MaxRounds(ROUNDS)], keep_snapshots=True).run(loads, 7)
+    return Simulator(bal, stopping=[MaxRounds(ROUNDS)], keep_snapshots=True,
+                     record="full").run(loads, 7)
 
 
 def _step_driven(name: str, kind: str) -> Trace:

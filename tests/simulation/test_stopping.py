@@ -9,15 +9,21 @@ mask whose every entry must be that same verdict).
 import numpy as np
 import pytest
 
+from repro.core.diffusion import DiffusionBalancer
+from repro.graphs.generators import torus_2d
+from repro.observability.convergence import ConvergenceMonitor
+from repro.simulation.ensemble import EnsembleSimulator
+from repro.simulation.initial import point_load
 from repro.simulation.stopping import (
     DiscrepancyBelow,
     MaxRounds,
     PotentialBelow,
     PotentialFractionBelow,
     Stagnation,
+    StoppingRule,
     first_satisfied,
 )
-from repro.simulation.trace import EnsembleTrace, Trace
+from repro.simulation.trace import ALWAYS_RECORDED, SERIES, EnsembleTrace, Trace
 
 B = 3
 
@@ -225,3 +231,69 @@ class TestRoundsHint:
             t += k
             chunks += 1
         assert chunks < 60
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+#: one instance of every built-in rule, none of which fires within 6 rounds
+BUILT_IN_RULES = [MaxRounds(50), PotentialBelow(1e-9), PotentialFractionBelow(1e-9),
+                  DiscrepancyBelow(1e-9), Stagnation(patience=20)]
+
+
+class TestDeclaredSeries:
+    """``record="auto"`` records the union of what the readers declare."""
+
+    def test_every_rule_declares_its_series(self):
+        built_in = [c for c in _subclasses(StoppingRule) if c.__module__.startswith("repro.")]
+        assert {type(r) for r in BUILT_IN_RULES} == set(built_in)
+        for cls in built_in:
+            assert "reads" in vars(cls), f"{cls.__name__} does not declare the series it reads"
+            assert cls.reads <= SERIES
+
+    def test_always_recorded_covers_the_other_readers(self):
+        """The monitor and the summaries read only what every run records."""
+        assert ConvergenceMonitor.reads <= ALWAYS_RECORDED
+        assert EnsembleTrace.summary_reads <= ALWAYS_RECORDED
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("rule", BUILT_IN_RULES, ids=lambda r: type(r).__name__)
+    def test_auto_records_exactly_the_declared_series(self, rule, replicas):
+        topo = torus_2d(4, 4)
+        ens = EnsembleSimulator(DiffusionBalancer(topo), [rule, MaxRounds(6)], record="auto")
+        trace = ens.run(point_load(topo.n, discrete=False), seed=0, replicas=replicas)
+        assert trace.rounds == 6
+        recorded = {"potentials", "load_sums"}
+        if trace.record_discrepancies:
+            recorded.add("discrepancies")
+            assert trace.discrepancies_matrix.shape == (7, replicas)
+        else:
+            with pytest.raises(ValueError, match='record="full"'):
+                trace.discrepancies_matrix
+        if trace.record_movements:
+            recorded.add("movements")
+        else:
+            with pytest.raises(ValueError, match='record="full"'):
+                trace.movements_matrix
+        assert recorded == ALWAYS_RECORDED | type(rule).reads
+        assert trace.potentials_matrix.shape == trace.load_sums_matrix.shape == (7, replicas)
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_custom_rule_declaration_joins_the_union(self, replicas):
+        class _MovedLittle(StoppingRule):
+            reads = frozenset({"movements"})
+
+            def should_stop(self, trace):
+                if trace.rounds == 0:
+                    return np.zeros(trace.replicas, dtype=bool)
+                return trace.movements_matrix[-1] <= 0.0
+
+        topo = torus_2d(4, 4)
+        ens = EnsembleSimulator(DiffusionBalancer(topo), [_MovedLittle(), MaxRounds(4)])
+        trace = ens.run(point_load(topo.n, discrete=False), seed=0, replicas=replicas)
+        assert trace.record_movements and not trace.record_discrepancies
+        assert trace.movements_matrix.shape == (4, replicas)
+        assert trace.stopped_by == ["max-rounds(4)"] * replicas

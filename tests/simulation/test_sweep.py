@@ -126,7 +126,8 @@ class TestTraceMovement:
 
         topo = torus_2d(4, 4)
         loads = point_load(topo.n, total=1600, discrete=True)
-        trace = run_balancer(DiffusionBalancer(topo, mode="discrete"), loads, rounds=30)
+        trace = run_balancer(DiffusionBalancer(topo, mode="discrete"), loads, rounds=30,
+                             record="full")
         per_round = trace.net_movements
         assert (per_round >= 0).all()
         # No round can move more than the total load.

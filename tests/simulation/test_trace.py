@@ -158,7 +158,8 @@ from repro.simulation.engine import run_balancer
 from repro.simulation.initial import point_load
 
 topo = torus_2d(256, 256)
-trace = run_balancer(DiffusionBalancer(topo), point_load(topo.n, discrete=False), rounds=20)
+trace = run_balancer(DiffusionBalancer(topo), point_load(topo.n, discrete=False), rounds=20,
+                     record="full")
 print([x.hex() for x in trace.potentials + trace._sums + trace.discrepancies + trace._movements])
 """
 

@@ -61,7 +61,8 @@ class TestCommands:
         topo = by_name("torus:8x8")
         loads = make_loads("point", topo.n, rng=np.random.default_rng(2), discrete=True)
         rules = [MaxRounds(300)] if not eps else [PotentialFractionBelow(1e-3), MaxRounds(300)]
-        full = engine.Simulator(get_balancer("diffusion-discrete", topo), rules).run(loads, 2)
+        full = engine.Simulator(get_balancer("diffusion-discrete", topo), rules,
+                                record="full").run(loads, 2)
         assert printed["discrepancy_final"] == str(full.last_discrepancy)
         assert printed["rounds"] == str(full.rounds)
 
