@@ -40,7 +40,7 @@ from repro.analysis.statistics import (
     one_sided_mean_test,
     wilson_interval,
 )
-from repro.analysis.archive import load_table, load_trace, save_table, save_trace
+from repro.analysis.archive import load_table, save_table
 
 __all__ = [
     "DropFactorStats",
@@ -67,7 +67,5 @@ __all__ = [
     "one_sided_mean_test",
     "wilson_interval",
     "load_table",
-    "load_trace",
     "save_table",
-    "save_trace",
 ]

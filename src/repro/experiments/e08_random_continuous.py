@@ -67,9 +67,9 @@ def _metrics_from_potentials(pots: list[float], target: float, t_bound: int) -> 
 class _DropAndRoundsTrial:
     """One Algorithm-2 run: per-round drop ratios and rounds-to-target.
 
-    A module-level instance (picklable) so :func:`monte_carlo` can fan it
-    out over a process pool; :meth:`run_batch` is the vectorized backend
-    running every trial in lockstep through an ensemble.
+    Calling it runs one trial serially (``monte_carlo``'s reference
+    loop); :meth:`run_batch` runs every trial in lockstep through
+    :func:`simulate`, in this process or as ``workers`` shards.
     """
 
     def __call__(self, rng: np.random.Generator, n: int, c: float, max_rounds: int) -> dict[str, float]:
@@ -88,14 +88,18 @@ class _DropAndRoundsTrial:
             pots.append(potential(x))
         return _metrics_from_potentials(pots, target, t_bound)
 
-    def run_batch(self, rngs, n: int, c: float, max_rounds: int) -> dict[str, np.ndarray]:
-        """All trials at once through one lockstep ensemble."""
+    def run_batch(
+        self, rngs, n: int, c: float, max_rounds: int, workers: int = 1
+    ) -> dict[str, np.ndarray]:
+        """All trials at once through one lockstep ensemble (``workers`` shards)."""
         loads = point_load(n, total=100 * n, discrete=False)
         phi = potential(loads)
         target = math.exp(-c)
         t_bound = int(math.ceil(120.0 * c * math.log(phi)))
         rules = [PotentialBelow(target), MaxRounds(max_rounds)]
-        trace, _ = simulate(RandomPartnerBalancer(), loads, rules, seed=rngs, replicas=len(rngs))
+        trace, _ = simulate(
+            RandomPartnerBalancer(), loads, rules, seed=rngs, replicas=len(rngs), workers=workers
+        )
         per_trial = [
             _metrics_from_potentials(trace.replica_potentials(b), target, t_bound)
             for b in range(len(rngs))

@@ -56,7 +56,9 @@ def _metrics_from_potentials(pots: list[float], threshold: float, t_bound: int) 
 
 
 class _DiscretePartnerTrial:
-    """One discrete Algorithm-2 run (picklable; ``run_batch`` vectorizes)."""
+    """One discrete Algorithm-2 run; ``run_batch`` runs every trial in
+    lockstep through :func:`simulate`, in this process or as ``workers``
+    shards."""
 
     def __call__(self, rng: np.random.Generator, n: int, total: int, c: float, max_rounds: int) -> dict[str, float]:
         loads = point_load(n, total=total, discrete=True)
@@ -74,15 +76,18 @@ class _DiscretePartnerTrial:
             pots.append(potential(x))
         return _metrics_from_potentials(pots, threshold, t_bound)
 
-    def run_batch(self, rngs, n: int, total: int, c: float, max_rounds: int) -> dict[str, np.ndarray]:
-        """All trials at once through one lockstep ensemble."""
+    def run_batch(
+        self, rngs, n: int, total: int, c: float, max_rounds: int, workers: int = 1
+    ) -> dict[str, np.ndarray]:
+        """All trials at once through one lockstep ensemble (``workers`` shards)."""
         loads = point_load(n, total=total, discrete=True)
         threshold = 3200.0 * n
         phi = potential(loads)
         t_bound = int(math.ceil(240.0 * c * math.log(phi / threshold))) if phi > threshold else 0
         rules = [PotentialBelow(threshold), MaxRounds(max_rounds)]
         trace, _ = simulate(
-            RandomPartnerBalancer(mode="discrete"), loads, rules, seed=rngs, replicas=len(rngs)
+            RandomPartnerBalancer(mode="discrete"), loads, rules,
+            seed=rngs, replicas=len(rngs), workers=workers,
         )
         per_trial = [
             _metrics_from_potentials(trace.replica_potentials(b), threshold, t_bound)

@@ -318,7 +318,7 @@ class Topology:
         Everything in ``__dict__`` (cached degrees, CSR arrays, spectral
         results, the per-topology :class:`EdgeOperator` with its scratch
         buffers and sparse matrices) is pure derived data rebuilt on
-        demand — shipping a warmed topology to a pool worker would
+        demand — shipping a warmed topology to a shard worker would
         otherwise serialize tens of MB per shard payload.
         """
         return {"n": self._n, "edges": self._edges, "name": self._name}

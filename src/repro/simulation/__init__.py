@@ -14,8 +14,9 @@
 - :mod:`repro.simulation.superstep` — the BSP / message-passing substrate
   in which each node runs the *local* protocol with mailboxes (fidelity
   reference for the vectorized engine);
-- :mod:`repro.simulation.montecarlo` — seed sweeps: serial, process pool,
-  vectorized through the ensemble engine, or sharded (both composed);
+- :mod:`repro.simulation.montecarlo` — seed sweeps: the serial loop, or
+  a trial's ``run_batch`` in this process or sharded over ``workers``
+  processes;
 - :mod:`repro.simulation.sharding` — the sharded execution layer: split a
   replica batch into per-worker blocks, run each block as a process-local
   lockstep ensemble, merge the traces;
@@ -58,7 +59,6 @@ from repro.simulation.sharding import (
     merge_ensemble_traces,
     parse_workers,
     run_sharded_ensemble,
-    sharded_run_batch,
     split_shards,
 )
 from repro.simulation.partitioned import BlockLocal, PartitionedSimulator, block_local
@@ -96,7 +96,6 @@ __all__ = [
     "merge_ensemble_traces",
     "parse_workers",
     "run_sharded_ensemble",
-    "sharded_run_batch",
     "split_shards",
     "BlockLocal",
     "PartitionedSimulator",

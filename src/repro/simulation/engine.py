@@ -7,7 +7,7 @@ everywhere.  ``partitions > 1`` on a partition-capable scheme runs the
 :class:`~repro.simulation.partitioned.PartitionedSimulator` (process
 mode when ``workers > 1``); several replicas of a scheme without a
 batched kernel run one at a time and merge; several replicas with
-``workers > 1`` are sharded over a process pool; anything else is one
+``workers > 1`` are sharded over worker processes; anything else is one
 :class:`~repro.simulation.ensemble.EnsembleSimulator` run.  One replica
 draws its rounds from ``np.random.default_rng(seed)``; ``B`` replicas
 from ``spawn_rngs(seed, B)``; explicit generators are used as given.

@@ -1,55 +1,51 @@
-"""Monte-Carlo replication over seeds: serial, process-parallel or vectorized.
+"""Monte-Carlo replication over seeds: serial, vectorized or sharded.
 
 Theorems 12 and 14 are probabilistic ("with probability at least ..."),
 and Lemmas 9/11/13 bound expectations — verifying them needs many
 independent runs.  :func:`monte_carlo` executes a user-provided trial
-function over a range of seeds and aggregates the results; replications
-are independent, so they fan out over a ``ProcessPoolExecutor`` when
-``workers > 1`` — the embarrassingly-parallel axis worth parallelizing
-(each trial is itself vectorized NumPy).
+function over a range of seeds and aggregates the results.  It owns no
+processes: spreading replicas over processes is the one job of
+:func:`~repro.simulation.engine.simulate`, which a batched trial calls.
 
 Execution modes
 ---------------
-``workers`` selects among four composable backends:
+``workers`` selects among three modes:
 
-- ``workers=1`` (default) — one process, serial kernels: the reference
+- ``workers=1`` (default) — the serial reference loop, one
+  ``trial(rng, *args, **kwargs)`` call per trial in this process: the
   loop every other mode must reproduce.
-- ``workers=K`` — ``ProcessPoolExecutor`` with ``K`` processes, one
-  trial per task, serial kernels inside each.  The embarrassingly
-  parallel axis; right when trials are individually heavy or the trial
-  has no batched form.
-- ``workers="vectorized"`` — one process, batched kernels: a trial
-  object that implements ``run_batch(rngs, *args, **kwargs)`` (typically
-  by pushing all replicas through an
-  :class:`~repro.simulation.ensemble.EnsembleSimulator` in lockstep)
-  receives every replica's generator at once and returns the per-trial
-  metric arrays in one call — no process pool, no per-trial Python round
-  loops.
-- ``workers="KxVectorized"`` (e.g. ``"4xvectorized"``, or the tuple
-  ``(4, "vectorized")``) — the composed *sharded* mode: trials split
-  into ``K`` contiguous blocks, each block runs as one lockstep ensemble
-  in its own pool process (:mod:`repro.simulation.sharding`), results
-  concatenate in trial order.  Multiplies the batched kernels by
-  process-level parallelism.
+- ``workers="vectorized"`` — a trial object that implements
+  ``run_batch(rngs, *args, workers=1, **kwargs)`` (typically by pushing
+  all replicas through :func:`~repro.simulation.engine.simulate` in
+  lockstep) receives every replica's generator at once, in this
+  process, and returns the per-trial metric arrays in one call.
+- ``workers=K`` or ``workers="KxVectorized"`` (e.g. ``"4xvectorized"``)
+  with ``K > 1`` — the same ``run_batch`` call with ``workers=K``
+  forwarded as a keyword, like ``backend=`` and ``partitions=``.  The
+  trial passes it on to ``simulate(..., workers=K)``, which splits the
+  replicas into ``K`` contiguous shards, runs each as one lockstep
+  ensemble in its own worker process
+  (:func:`~repro.simulation.sharding.run_sharded_ensemble`) and merges
+  the traces in replica order.
 
-Trials without ``run_batch`` transparently fall back to the serial or
-pool backend, so the vectorized modes are always safe to request.
+A trial without ``run_batch`` always runs the serial loop, whatever
+``workers`` asks for, so every mode is safe to request.
 
 Seeds are derived from a root seed via ``SeedSequence.spawn`` so that
 
 - trials are statistically independent,
-- results are identical whichever backend runs them (per-trial load
+- results are identical whichever mode runs them (per-trial load
   trajectories are bit-for-bit reproduced; derived statistics may differ
   in the last float ulp from summation order), and
 - any single trial can be reproduced in isolation from its index.
 
-The trial function must be a module-level callable (picklable) taking a
-``numpy.random.Generator`` and returning a float or a dict of floats.
+The trial function takes a ``numpy.random.Generator`` and returns a
+float or a dict of floats; ``run_batch`` returns a dict of per-trial
+arrays.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -98,12 +94,13 @@ class MonteCarloResult:
 
 
 def trial_rng(root_seed: int, index: int) -> np.random.Generator:
-    """Trial ``index``'s generator — THE seed derivation of every backend.
+    """Trial ``index``'s generator — THE seed derivation of every mode.
 
     Equivalent to ``SeedSequence(root_seed).spawn(...)[index]`` but O(1).
-    The serial loop, the pool workers, the vectorized ensemble and the
-    sharded shards all call this one function, so the cross-backend
-    reproducibility contract cannot silently desynchronize.
+    The serial loop and the ensemble engines' per-replica streams (so
+    the vectorized and sharded modes too) all derive from this one
+    function, so the cross-mode reproducibility contract cannot silently
+    desynchronize.
     """
     return np.random.default_rng(np.random.SeedSequence(entropy=root_seed, spawn_key=(index,)))
 
@@ -111,20 +108,10 @@ def trial_rng(root_seed: int, index: int) -> np.random.Generator:
 def trial_rngs(root_seed: int, trials: int) -> list[np.random.Generator]:
     """Independent generators for ``trials`` replications of ``root_seed``.
 
-    Uses the same ``spawn_key`` derivation as the pool workers, so
-    ``trial_rngs(s, k)[i]`` reproduces trial ``i`` of ``monte_carlo`` runs
-    with root seed ``s`` exactly.
+    ``trial_rngs(s, k)[i]`` reproduces trial ``i`` of ``monte_carlo``
+    runs with root seed ``s`` exactly.
     """
     return [trial_rng(root_seed, i) for i in range(trials)]
-
-
-def _run_one(args: tuple[TrialFn, int, int, tuple, dict]) -> Mapping[str, float]:
-    fn, root_seed, index, extra_args, extra_kwargs = args
-    rng = trial_rng(root_seed, index)
-    out = fn(rng, *extra_args, **extra_kwargs)
-    if isinstance(out, Mapping):
-        return dict(out)
-    return {"value": float(out)}
 
 
 def monte_carlo(
@@ -139,11 +126,12 @@ def monte_carlo(
 ) -> MonteCarloResult:
     """Run ``trial(rng, *trial_args, **trial_kwargs)`` for many seeds.
 
-    ``workers`` picks the execution mode — ``1`` (serial), ``K`` (process
-    pool), ``"vectorized"`` (one lockstep ensemble) or ``"KxVectorized"``
-    (``K`` process-local ensemble shards); see the module docstring's
-    *Execution modes*.  Results are aggregated in trial order in every
-    mode, so the output is independent of the execution strategy.
+    ``workers`` picks the execution mode — ``1`` (serial loop),
+    ``"vectorized"`` (one ``run_batch`` call) or ``K`` /
+    ``"KxVectorized"`` (one ``run_batch`` call with ``workers=K``); see
+    the module docstring's *Execution modes*.  Results are aggregated in
+    trial order in every mode, so the output is independent of the
+    execution strategy.
 
     ``backend`` selects the *kernel* backend (numpy/scipy/numba) and is
     forwarded to the trial as a ``backend=`` keyword — shorthand for
@@ -159,7 +147,7 @@ def monte_carlo(
     setting (partitioned trajectories are bit-for-bit the global ones).
     """
     from repro.graphs.partition import parse_partitions
-    from repro.simulation.sharding import parse_workers, sharded_run_batch
+    from repro.simulation.sharding import parse_workers
 
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -170,32 +158,23 @@ def monte_carlo(
         parse_partitions(partitions)  # fail fast on malformed specs
         kwargs.setdefault("partitions", partitions)
     processes, vectorized = parse_workers(workers)
-    if vectorized:
-        run_batch = getattr(trial, "run_batch", None)
-        if run_batch is not None:
-            if processes > 1:
-                samples = sharded_run_batch(
-                    trial, trials, root_seed, processes, tuple(trial_args), kwargs
+    run_batch = getattr(trial, "run_batch", None)
+    if run_batch is not None and (vectorized or processes > 1):
+        if processes > 1:
+            kwargs.setdefault("workers", processes)
+        out = run_batch(trial_rngs(root_seed, trials), *trial_args, **kwargs)
+        samples = {str(k): np.asarray(v, dtype=np.float64) for k, v in dict(out).items()}
+        for key, arr in samples.items():
+            if arr.shape != (trials,):
+                raise ValueError(
+                    f"run_batch returned {arr.shape} samples for {key!r}, expected ({trials},)"
                 )
-            else:
-                out = run_batch(trial_rngs(root_seed, trials), *tuple(trial_args), **kwargs)
-                samples = {str(k): np.asarray(v, dtype=np.float64) for k, v in dict(out).items()}
-            for key, arr in samples.items():
-                if arr.shape != (trials,):
-                    raise ValueError(
-                        f"run_batch returned {arr.shape} samples for {key!r}, expected ({trials},)"
-                    )
-            return MonteCarloResult(samples=samples, trials=trials)
-        workers = processes  # no batched form: degrade to the pool backend
-    else:
-        workers = processes
-    jobs = [(trial, root_seed, i, tuple(trial_args), kwargs) for i in range(trials)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, jobs))
-    else:
-        outcomes = [_run_one(job) for job in jobs]
+        return MonteCarloResult(samples=samples, trials=trials)
 
+    outcomes = []
+    for i in range(trials):
+        out = trial(trial_rng(root_seed, i), *trial_args, **kwargs)
+        outcomes.append(dict(out) if isinstance(out, Mapping) else {"value": float(out)})
     keys = sorted({k for o in outcomes for k in o})
     samples = {k: np.asarray([o.get(k, np.nan) for o in outcomes], dtype=np.float64) for k in keys}
     return MonteCarloResult(samples=samples, trials=trials)

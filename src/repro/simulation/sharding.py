@@ -1,28 +1,28 @@
 """Sharded ensemble execution: K process-local ``(n, B/K)`` replica blocks.
 
-PR 1's :class:`~repro.simulation.ensemble.EnsembleSimulator` amortizes the
-per-round engine overhead across a replica batch, but only within one
-process — ``monte_carlo`` forced a choice between a process pool running
-*serial* kernels (``workers=K``) and one process running *batched* kernels
-(``workers="vectorized"``).  This module composes the two axes: a replica
-batch is split into contiguous per-worker shards, each shard advances in
-lockstep through its own ``EnsembleSimulator`` in a pool process (the
-baseline execution model of distributed assessments such as Demiralp et
-al., arXiv:2208.07553), and the per-shard traces merge back into one
+The one way replicas spread over local processes: a replica batch is
+split into contiguous per-worker shards, each shard advances in lockstep
+through its own :class:`~repro.simulation.ensemble.EnsembleSimulator` in
+a worker process (the baseline execution model of distributed
+assessments such as Demiralp et al., arXiv:2208.07553), and the
+per-shard traces merge back into one
 :class:`~repro.simulation.ensemble.EnsembleTrace`.
+:func:`~repro.simulation.engine.simulate` runs it for ``workers=K``, and
+``monte_carlo`` reaches it by forwarding ``workers`` to a trial's
+``run_batch``.
 
 Equivalence contract
 --------------------
 Replica ``b`` consumes the RNG stream
 ``SeedSequence(entropy=seed, spawn_key=(b,))`` no matter which shard it
-lands in — the same derivation the serial Monte-Carlo loop, the
-single-process ensemble, and the pool workers use.  Per-replica **load
-trajectories are bit-for-bit identical** across the serial, vectorized
-and sharded paths (the property tests assert this).  Derived statistics
-(potentials, sums) may differ from the other paths in the last float ulp
-because vectorized reductions over an ``(n, B)`` block depend on the
-block's width; stopping decisions compare those statistics against
-thresholds, so they agree except on measure-zero ties.
+lands in — the same derivation the serial Monte-Carlo loop and the
+single-process ensemble use.  Per-replica **load trajectories are
+bit-for-bit identical** across the serial, vectorized and sharded paths
+(the property tests assert this).  Derived statistics (potentials, sums)
+may differ from the other paths in the last float ulp because
+vectorized reductions over an ``(n, B)`` block depend on the block's
+width; stopping decisions compare those statistics against thresholds,
+so they agree except on measure-zero ties.
 
 Shard merging pads each shard's row records up to the longest shard's
 round count by repeating the frozen rows — exactly what a single
@@ -39,8 +39,7 @@ or ``tcp`` sockets, the same wire
 :func:`repro.distributed.dispatcher.dispatch_sharded` uses to send the
 *identical* payloads to remote hosts.  Payloads travel as protocol-5
 frames (pickled metadata, numpy slabs as zero-copy out-of-band
-buffers), so trials and balancers must be module-level/picklable
-exactly as ``monte_carlo(workers=K)`` already requires.
+buffers), so balancers and stopping rules must be picklable.
 """
 
 from __future__ import annotations
@@ -49,9 +48,8 @@ import multiprocessing as mp
 import os
 import re
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +58,6 @@ from repro.distributed.transport import TransportError, make_pair
 from repro.distributed.worker import ShardJob
 from repro.observability.recorder import get_recorder
 from repro.simulation.ensemble import EnsembleSimulator, EnsembleTrace, replica_rngs
-from repro.simulation.montecarlo import trial_rng
 from repro.simulation.stopping import StoppingRule
 
 __all__ = [
@@ -71,7 +68,6 @@ __all__ = [
     "shard_payloads",
     "run_shard_payload",
     "run_sharded_ensemble",
-    "sharded_run_batch",
 ]
 
 #: transports the local shard pool can run over (loopback queues cannot
@@ -79,28 +75,23 @@ __all__ = [
 SHARD_TRANSPORTS = ("mp-pipe", "tcp")
 
 
-def parse_workers(workers: int | str | tuple) -> tuple[int, bool]:
+def parse_workers(workers: int | str) -> tuple[int, bool]:
     """Normalize a ``workers`` spec to ``(processes, vectorized)``.
 
     Accepted forms::
 
-        1, 4            -> (1, False), (4, False)   process pool, serial kernels
+        1, 4            -> (1, False), (4, False)   in-process, 4 processes
         "vectorized"    -> (1, True)                one process, batched kernels
         "4xvectorized"  -> (4, True)                4-process sharded ensembles
         "4x"            -> (4, True)                shorthand for the above
-        (4, "vectorized") -> (4, True)
 
-    ``processes`` is the pool size (1 means in-process execution) and
+    ``processes`` is the process count (1 means in-process execution) and
     ``vectorized`` selects the batched kernels.  Zero or negative counts
     are rejected with an explicit message (``--workers 0`` is a common
     "disable" guess — the spelling for that is ``1``); a count beyond
-    the host's usable cores emits a ``RuntimeWarning`` (the pool still
-    runs, it just cannot parallelize past the hardware).
+    the host's usable cores emits a ``RuntimeWarning`` (the processes
+    still run, they just cannot parallelize past the hardware).
     """
-    if isinstance(workers, tuple):
-        if len(workers) == 2 and workers[1] == "vectorized":
-            return parse_workers(workers[0])[0], True
-        raise ValueError(f"workers tuple must be (K, 'vectorized'), got {workers!r}")
     if isinstance(workers, str):
         spec = workers.strip().lower()
         if spec == "vectorized":
@@ -321,8 +312,8 @@ def run_sharded_ensemble(
     explicit generator sequence — and returns one merged
     :class:`EnsembleTrace`.  With ``workers <= 1`` (or a single shard) it
     degrades to the in-process ensemble, so callers can pass the parsed
-    pool size straight through.  ``backend`` pins the kernel backend on
-    the balancer before it ships to the pool workers (the attribute
+    process count straight through.  ``backend`` pins the kernel backend
+    on the balancer before it ships to the shard workers (the attribute
     travels with the pickled balancer), so every shard runs the same —
     bit-for-bit interchangeable — kernels.  ``transport`` selects the
     channel backend each shard's payload/trace travels over (``mp-pipe``
@@ -372,11 +363,6 @@ def _run_shards_local(payloads: list[ShardJob], transport: str = "mp-pipe") -> l
     """
     from repro.distributed.worker import shard_process_main
 
-    if transport not in SHARD_TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {SHARD_TRANSPORTS}, got {transport!r} "
-            "(loopback channels cannot cross a process boundary)"
-        )
     ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else "spawn")
     workers = []
     try:
@@ -405,57 +391,3 @@ def _run_shards_local(payloads: list[ShardJob], transport: str = "mp-pipe") -> l
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.terminate()
-
-
-def _run_batch_shard(payload: tuple) -> dict[str, np.ndarray]:
-    """Pool worker: one shard of Monte-Carlo trials through ``run_batch``.
-
-    Rebuilds the shard's generators from the *global* trial indices so a
-    trial's stream does not depend on the shard decomposition.
-    """
-    trial, root_seed, start, stop, args, kwargs = payload
-    rngs = [trial_rng(root_seed, i) for i in range(start, stop)]
-    out = trial.run_batch(rngs, *args, **kwargs)
-    return {str(k): np.asarray(v, dtype=np.float64) for k, v in dict(out).items()}
-
-
-def sharded_run_batch(
-    trial,
-    trials: int,
-    root_seed: int,
-    workers: int,
-    trial_args: tuple = (),
-    trial_kwargs: Mapping | None = None,
-) -> dict[str, np.ndarray]:
-    """Fan a batched trial's replicas out over a process pool.
-
-    Splits ``range(trials)`` into contiguous shards, calls
-    ``trial.run_batch(shard_rngs, *trial_args, **trial_kwargs)`` in each
-    pool process, and concatenates the per-key metric arrays in trial
-    order — the sharded backend behind
-    ``monte_carlo(workers="KxVectorized")``.
-    """
-    kwargs = dict(trial_kwargs or {})
-    shards = split_shards(trials, max(int(workers), 1))
-    payloads = [
-        (trial, root_seed, start, stop, tuple(trial_args), kwargs) for start, stop in shards
-    ]
-    if len(payloads) == 1:
-        outcomes = [_run_batch_shard(payloads[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            outcomes = list(pool.map(_run_batch_shard, payloads))
-    keys = list(outcomes[0])
-    for (start, stop), shard_out in zip(shards, outcomes):
-        if sorted(shard_out) != sorted(keys):
-            raise ValueError(
-                f"run_batch shard [{start}:{stop}) returned keys {sorted(shard_out)}, "
-                f"expected {sorted(keys)}"
-            )
-        for key, val in shard_out.items():
-            if val.shape != (stop - start,):
-                raise ValueError(
-                    f"run_batch shard [{start}:{stop}) returned {val.shape} samples "
-                    f"for {key!r}, expected ({stop - start},)"
-                )
-    return {key: np.concatenate([o[key] for o in outcomes]) for key in keys}

@@ -1,5 +1,7 @@
 """Unit tests for Monte-Carlo replication."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,50 @@ class TestVectorizedBackend:
             assert np.allclose(
                 serial.samples[key], vec.samples[key], rtol=1e-9, equal_nan=True
             ), key
+
+
+class _WorkersProbeTrial:
+    """Reports the ``workers`` its ``run_batch`` was handed (0 when the
+    serial loop called the trial instead)."""
+
+    def __call__(self, rng):
+        return {"workers": 0.0}
+
+    def run_batch(self, rngs, workers=1):
+        return {"workers": np.full(len(rngs), float(workers))}
+
+
+def pid_trial(rng):
+    return float(os.getpid())
+
+
+class TestWorkersForwarding:
+    """``monte_carlo`` owns no processes: ``workers`` reaches ``run_batch``."""
+
+    @pytest.mark.filterwarnings("ignore:workers=3 exceeds:RuntimeWarning")
+    @pytest.mark.parametrize("spec,expected", [
+        (3, 3.0), ("3xvectorized", 3.0), ("vectorized", 1.0), (1, 0.0),
+    ])
+    def test_workers_forwarded_to_run_batch(self, spec, expected):
+        res = monte_carlo(_WorkersProbeTrial(), trials=4, workers=spec)
+        assert (res.samples["workers"] == expected).all()
+
+    def test_trial_without_run_batch_runs_in_calling_process(self):
+        res = monte_carlo(pid_trial, trials=3, workers=2)
+        assert (res.samples["value"] == float(os.getpid())).all()
+
+    def test_e09_trial_sharded_matches_vectorized(self):
+        from repro.experiments.e09_random_discrete import trial_discrete_partner
+
+        kw = {"n": 32, "total": 3300, "c": 1.0, "max_rounds": 200}
+        vec = monte_carlo(trial_discrete_partner, trials=5, root_seed=8,
+                          workers="vectorized", trial_kwargs=kw)
+        sha = monte_carlo(trial_discrete_partner, trials=5, root_seed=8,
+                          workers="2xvectorized", trial_kwargs=kw)
+        for key in ("rounds_to_threshold", "success_at_bound"):
+            assert np.array_equal(vec.samples[key], sha.samples[key], equal_nan=True), key
+        assert np.allclose(vec.samples["mean_ratio"], sha.samples["mean_ratio"],
+                           rtol=1e-12, equal_nan=True)
 
 
 class TestStatistics:
