@@ -46,6 +46,7 @@ arrays.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -157,7 +158,11 @@ def monte_carlo(
     if partitions is not None:
         parse_partitions(partitions)  # fail fast on malformed specs
         kwargs.setdefault("partitions", partitions)
-    processes, vectorized = parse_workers(workers)
+    with warnings.catch_warnings():
+        # the oversubscription warning is simulate's, given once when it
+        # starts the shard processes; a trial without run_batch starts none
+        warnings.simplefilter("ignore", RuntimeWarning)
+        processes, vectorized = parse_workers(workers)
     run_batch = getattr(trial, "run_batch", None)
     if run_batch is not None and (vectorized or processes > 1):
         if processes > 1:

@@ -1,6 +1,7 @@
 """Unit tests for Monte-Carlo replication."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -172,7 +173,6 @@ def pid_trial(rng):
 class TestWorkersForwarding:
     """``monte_carlo`` owns no processes: ``workers`` reaches ``run_batch``."""
 
-    @pytest.mark.filterwarnings("ignore:workers=3 exceeds:RuntimeWarning")
     @pytest.mark.parametrize("spec,expected", [
         (3, 3.0), ("3xvectorized", 3.0), ("vectorized", 1.0), (1, 0.0),
     ])
@@ -183,6 +183,29 @@ class TestWorkersForwarding:
     def test_trial_without_run_batch_runs_in_calling_process(self):
         res = monte_carlo(pid_trial, trials=3, workers=2)
         assert (res.samples["value"] == float(os.getpid())).all()
+
+    def test_sharded_spec_warns_once(self, monkeypatch):
+        """Only ``simulate``, which starts the shard processes, warns of
+        oversubscription; ``monte_carlo`` does not warn a second time."""
+        from repro.experiments.e08_random_continuous import trial_drop_and_rounds
+        from repro.simulation import sharding
+
+        monkeypatch.setattr(sharding, "usable_cpus", lambda: 1)
+        kw = {"n": 32, "c": 1.0, "max_rounds": 300}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            monte_carlo(trial_drop_and_rounds, trials=4, root_seed=6,
+                        workers="2xvectorized", trial_kwargs=kw)
+        assert sum("exceeds" in str(w.message) for w in caught) == 1
+
+    def test_trial_without_run_batch_does_not_warn(self, monkeypatch):
+        from repro.simulation import sharding
+
+        monkeypatch.setattr(sharding, "usable_cpus", lambda: 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = monte_carlo(pid_trial, trials=3, workers=8)
+        assert res.trials == 3
 
     def test_e09_trial_sharded_matches_vectorized(self):
         from repro.experiments.e09_random_discrete import trial_discrete_partner

@@ -19,6 +19,13 @@ from repro.simulation.sharding import (
 from repro.simulation.stopping import MaxRounds, PotentialFractionBelow
 
 
+class _BrokenTrial:
+    """Module-level trial returning the wrong number of samples."""
+
+    def run_batch(self, rngs, workers=1):
+        return {"v": np.zeros(max(1, len(rngs) - 1))}
+
+
 def _plain_trial(rng):
     return float(rng.random())
 
@@ -36,7 +43,9 @@ class TestParseWorkers:
     def test_accepted_forms(self, spec, expected):
         assert parse_workers(spec) == expected
 
-    @pytest.mark.parametrize("spec", [0, -2, "fast", "x4", "4y", 1.5, True])
+    @pytest.mark.parametrize("spec", [
+        0, -2, "fast", "x4", "4y", (4, "serial"), 1.5, True, (4, "vectorized"), (4, True),
+    ])
     def test_rejected_forms(self, spec):
         with pytest.raises(ValueError):
             parse_workers(spec)
@@ -442,6 +451,10 @@ class TestShardedMonteCarlo:
                 np.nan_to_num(vec.samples[key], nan=-1.0),
                 np.nan_to_num(sha.samples[key], nan=-1.0),
             ), key
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            monte_carlo(_BrokenTrial(), trials=4, root_seed=0, workers=2)
 
     def test_trial_without_run_batch_degrades_to_pool(self):
         from repro.simulation.montecarlo import trial_rngs
