@@ -206,6 +206,24 @@ class Balancer(ABC):
         arr = np.asarray(loads)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"loads must be a non-empty 1-D vector, got shape {arr.shape}")
+        return self._checked_loads(arr)
+
+    def validate_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`validate_loads` for every row of a ``(B, n)`` batch at once.
+
+        The batch is checked and cast as one matrix: one ``min``/``max``,
+        one cast and one equality check in place of ``B`` vector calls,
+        with the same errors.
+        """
+        arr = np.asarray(rows)
+        if arr.ndim != 2 or arr.shape[0] == 0:
+            raise ValueError(f"loads must be (B, n) rows with B >= 1, got shape {arr.shape}")
+        if arr.shape[1] == 0:
+            raise ValueError(f"loads must be a non-empty 1-D vector, got shape {arr.shape[1:]}")
+        return self._checked_loads(arr)
+
+    def _checked_loads(self, arr: np.ndarray) -> np.ndarray:
+        """The checks and cast of :meth:`validate_loads`, on any non-empty shape."""
         # min and max propagate NaN, and an inf is one of them.
         lo, hi = arr.min(), arr.max()
         if arr.dtype.kind == "f" and not (np.isfinite(lo) and np.isfinite(hi)):
@@ -216,7 +234,7 @@ class Balancer(ABC):
             if arr.dtype.kind == "u" and int(hi) > _INT64_MAX:
                 raise ValueError(f"discrete loads must fit in int64, got {int(hi)}")
             cast = arr.astype(np.int64)
-            if not np.array_equal(cast.astype(arr.dtype, copy=False), arr):
+            if arr.dtype != cast.dtype and not np.array_equal(cast.astype(arr.dtype, copy=False), arr):
                 raise ValueError("discrete balancer requires integer loads")
             return cast
         return arr.astype(np.float64)

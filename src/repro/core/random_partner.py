@@ -24,27 +24,33 @@ One round, any batch: the round reads and writes replica-major
 when an ensemble holds it replica-major (the class sets
 ``replica_major_batch``) or when it has one column; any other batch,
 such as a C-ordered matrix from a direct caller, is copied into held
-rows and back.  Every replica draws its picks with its own generator
-into one replica-major ``(B, n)`` matrix, held as flat *slots*
-``b * n + p`` so that all replicas share one index space.  Node ``i``'s
-pick already is its link, so the round builds no link list: one gather
-``ps[ps]`` finds the mutual picks, degrees are ``1 + bincount(ps) -
-mutual``, and each kept pick carries one flow from its node to its
-partner.
+rows and back.  The rows run in *blocks* of whole replicas, about
+:data:`BLOCK_SLOTS` slots each (one replica when ``n`` is larger), so
+that every per-slot work array of a block stays in L2; the work arrays
+are sized to one block and reused by every block and round.  A block's
+replicas draw their picks, each with its own generator, into the held
+``(B, n)`` picks as flat *slots* ``r * n + p`` of the block, so its
+replicas share one index space.  Node ``i``'s pick already is its link,
+so the round builds no link list: one gather ``ps[ps]`` finds the
+mutual picks (about one pair per replica, kept as a short index list),
+degrees are ``1 + bincount(ps)`` less one at each mutual pick, and each
+kept pick carries one flow from its node to its partner.
 
 - Discrete rounds truncate that flow with the biased reciprocal of
   ``4k`` from a small per-``n`` table (exact below
   :data:`~repro.core.operators.RECIP_DIV_LIMIT`; larger loads take int64
-  floor division, as Algorithm 1 does) and apply it as ``l - f`` plus
-  one ``np.add.at`` over the partner slots.  Integer addition does not
-  depend on order, so nothing is sorted.
+  floor division, as Algorithm 1 does), truncating in the multiply, and
+  apply it as ``l - f`` plus one ``np.add.at`` over the partner slots.
+  Integer addition does not depend on order, so nothing is sorted.
 - Continuous rounds keep the float summation order of the canonical
   link list: the kept picks are packed into keys ``lo_slot * n + (hi -
-  lo)``, sorted once across all replicas, and scattered with
-  ``subtract.at`` then ``add.at``.
+  lo)``, sorted once per block, and scattered with ``subtract.at`` then
+  ``add.at``.
 
-Each replica's stream is consumed exactly as a serial run consumes it,
-so batched runs are bit-for-bit identical to ``B`` serial runs.
+A link never crosses replicas, so the blocks change no per-slot
+summation order, and each replica's stream is consumed exactly as a
+serial run consumes it: batched runs are bit-for-bit identical to ``B``
+serial runs, whatever the block size.
 """
 
 from __future__ import annotations
@@ -93,15 +99,30 @@ def _check_key_range(n: int, replicas: int = 1) -> None:
         )
 
 
+#: Slots in one replica block of a round: 8 replicas at ``n = 4096``, so
+#: every per-slot work array of a block (256 KB of int64) stays in L2.
+BLOCK_SLOTS = 1 << 15
+
+
 # The work arrays of a round live in a ``work`` dict, one per name (and
 # each name one dtype), and are reused by the next round that passes the
-# same dict: a fresh ``(B n,)`` array per step costs more in page faults
-# than most steps.
+# same dict: a fresh array per step costs more in page faults than most
+# steps.  The ``(B, n)`` picks and row buffers take the batch's shape;
+# the flat per-slot arrays are sized to one block, only grow, and a
+# partial last block uses their head.
 def _work_buffer(work: dict, name: str, shape, dtype=np.int64) -> np.ndarray:
     buf = work.get(name)
     if buf is None or buf.shape != shape:
         buf = work[name] = np.empty(shape, dtype)
     return buf
+
+
+def _slot_buffer(work: dict, name: str, size: int, dtype=np.int64) -> np.ndarray:
+    """The first ``size`` slots of the flat work array ``name``."""
+    buf = work.get(name)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size, dtype)
+    return buf[:size]
 
 
 def _gather(values: np.ndarray, ps: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -113,35 +134,34 @@ def _gather(values: np.ndarray, ps: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _slot_ids(work: dict, size: int) -> np.ndarray:
     """``np.arange(size)``, kept in ``work``."""
     ids = work.get("ids")
-    if ids is None or ids.size != size:
+    if ids is None or ids.size < size:
         ids = work["ids"] = np.arange(size)
-    return ids
+    return ids[:size]
 
 
-def _pick_graph(ps: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray, int]:
+def _pick_graph(ps: np.ndarray, work: dict) -> tuple[np.ndarray, np.ndarray]:
     """Degrees and dropped picks of flat partner slots ``ps``.
 
     Slot ``s = b * n + i`` is replica ``b``'s node ``i`` and picks slot
     ``ps[s]``; every pick is a link, except that a mutual pair (``s``
     picks ``t`` and ``t`` picks ``s``) is one link, kept as the lower
     slot's pick.  Returns each slot's degree (its own pick plus every
-    pick of it, a mutual pair counted once), the ``dropped`` mask of
-    upper mutual picks, and the number of links.
+    pick of it, a mutual pair counted once) and the sorted slots of the
+    ``dropped`` upper mutual picks.  A replica has about one mutual pair,
+    so they are handled as a short index list.
     """
     size = ps.size
     ids = _slot_ids(work, size)
-    back = _gather(ps, ps, _work_buffer(work, "gather", (size,)))
-    mutual = np.equal(back, ids, out=_work_buffer(work, "mutual", (size,), bool))
-    deg = _work_buffer(work, "degrees", (size,))
+    back = _gather(ps, ps, _slot_buffer(work, "gather", size))
+    mutual = np.flatnonzero(np.equal(back, ids, out=_slot_buffer(work, "flag", size, bool)))
+    deg = _slot_buffer(work, "degrees", size)
     deg.fill(1)
     np.add.at(deg, ps, 1)
-    deg -= mutual
-    dropped = np.greater(ids, ps, out=_work_buffer(work, "dropped", (size,), bool))
-    dropped &= mutual
-    return deg, dropped, size - int(np.count_nonzero(dropped))
+    deg[mutual] -= 1
+    return deg, mutual[mutual > ps[mutual]]
 
 
-def _sorted_links(ps: np.ndarray, dropped: np.ndarray, links: int, n: int, work: dict):
+def _sorted_links(ps: np.ndarray, dropped: np.ndarray, n: int, work: dict):
     """The links of flat picks as slot arrays ``(lo, hi)``, ``lo < hi``.
 
     Both slots of a link share a replica, so the packed keys ``lo * n +
@@ -150,31 +170,39 @@ def _sorted_links(ps: np.ndarray, dropped: np.ndarray, links: int, n: int, work:
     accumulates flows in.  Dropped picks get the largest key and are cut
     off after the one sort.
     """
-    ids = _slot_ids(work, ps.size)
-    keys = np.minimum(ids, ps, out=_work_buffer(work, "keys", ps.shape))
+    size = ps.size
+    links = size - dropped.size
+    ids = _slot_ids(work, size)
+    keys = np.minimum(ids, ps, out=_slot_buffer(work, "keys", size))
     keys *= n
-    gap = np.subtract(ps, ids, out=_work_buffer(work, "gap", ps.shape))
+    gap = np.subtract(ps, ids, out=_slot_buffer(work, "gap", size))
     keys += np.abs(gap, out=gap)
-    np.copyto(keys, _INT64_MAX, where=dropped)
+    keys[dropped] = _INT64_MAX
     keys.sort()
-    lo = _work_buffer(work, "lo", ps.shape)[:links]
+    lo = _slot_buffer(work, "lo", links)
     hi = gap[:links]
     np.divmod(keys[:links], n, out=(lo, hi))
     hi += lo
     return lo, hi
 
 
+def _flat_slots(picks: np.ndarray, rows: int) -> np.ndarray:
+    """Held ``(B, n)`` picks, block slots of ``rows``-replica blocks, as
+    flat slots ``b * n + partner`` of the whole batch."""
+    B, n = picks.shape
+    return (picks + (np.arange(B) // rows * rows * n)[:, None]).reshape(-1)
+
+
 def _canonical_links(ps: np.ndarray, n: int) -> list[np.ndarray]:
-    """Each replica's canonical ``(m_b, 2)`` node-id links of flat picks ``ps``.
+    """Each replica's canonical ``(m_b, 2)`` node-id links of flat slots ``ps``.
 
     Rows are ``(lo, hi)`` with ``lo < hi`` in strictly increasing
     lexicographic order; the arrays are C-contiguous int64.
     """
-    replicas = ps.size // n
-    _check_key_range(n, replicas)
+    _check_key_range(n, ps.size // n)
     work: dict = {}
-    _, dropped, m = _pick_graph(ps, work)
-    lo, hi = _sorted_links(ps, dropped, m, n, work)
+    _, dropped = _pick_graph(ps, work)
+    lo, hi = _sorted_links(ps, dropped, n, work)
     offset = lo // n * n
     links = np.stack([lo - offset, hi - offset], axis=1)
     return np.split(links, np.searchsorted(offset, np.arange(n, ps.size, n)))
@@ -228,30 +256,68 @@ def _quarter_reciprocals(n: int) -> np.ndarray:
     return table
 
 
-def _draw_slots(n: int, rngs: list, ps: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Every replica's picks, drawn from its own generator, as flat slots.
+def _draw_block(n: int, rngs, picks: np.ndarray, work: dict) -> np.ndarray:
+    """A block's picks, drawn from each replica's own generator, as flat slots.
 
-    Row ``b`` of the ``(B, n)`` int64 buffer ``ps`` is drawn exactly as
-    :func:`sample_partners` draws it, so each stream is consumed as a
-    serial round consumes it; the shift trick and the replica offsets
-    ``b * n`` then apply to the whole matrix at once (``ids`` is
-    ``arange(B n)``).
+    Row ``r`` of the block's ``(R, n)`` picks is drawn exactly as
+    :func:`sample_partners` draws it, shifted by the row's slot offset
+    ``r * n`` (which moves every value and consumes the stream the
+    same), so each stream is consumed as a serial round consumes it; the
+    shift trick then applies to the whole block at once.  The picks are
+    left as block slots ``r * n + partner`` and returned flat.
     """
-    for row, rng in zip(ps, rngs):
-        row[:] = rng.integers(0, n - 1, size=n)
-    ps += ps >= ids[:n]
-    ps += ids[: ps.size : n, None]
-    return ps.reshape(-1)
+    for r, (row, rng) in enumerate(zip(picks, rngs)):
+        row[:] = rng.integers(r * n, (r + 1) * n - 1, size=n)
+    ps = picks.reshape(-1)
+    ps += np.greater_equal(ps, _slot_ids(work, ps.size), out=_slot_buffer(work, "flag", ps.size, bool))
+    return ps
+
+
+def _block_round(lf: np.ndarray, new: np.ndarray, ps: np.ndarray, n: int,
+                 discrete: bool, work: dict) -> None:
+    """One round of a block's flat loads ``lf`` with picks ``ps`` into ``new``."""
+    size = ps.size
+    deg, dropped = _pick_graph(ps, work)
+    if discrete:
+        # One flow per kept pick, from the node to its partner.
+        dmax = _gather(deg, ps, _slot_buffer(work, "dmax", size))
+        np.maximum(dmax, deg, out=dmax)
+        diff = _gather(lf, ps, _slot_buffer(work, "diff", size))
+        np.subtract(lf, diff, out=diff)
+        # max - min bounds every |diff|, as in Algorithm 1's round.
+        if int(lf.max()) - int(lf.min()) < RECIP_DIV_LIMIT:
+            dmax[dropped] = 0  # table[0] = 0: no flow
+            q = _gather(_quarter_reciprocals(n), dmax, _slot_buffer(work, "q", size, np.float64))
+            flows = dmax
+            np.multiply(q, diff, out=flows, casting="unsafe")  # trunc toward zero
+        else:
+            diff[dropped] = 0
+            flows = np.sign(diff) * (np.abs(diff) // (4 * dmax))
+        np.subtract(lf, flows, out=new)
+        np.add.at(new, ps, flows)
+    else:
+        lo, hi = _sorted_links(ps, dropped, n, work)
+        links = lo.size
+        denom = _gather(deg, lo, _slot_buffer(work, "dmax", links))
+        hi_deg = _gather(deg, hi, _slot_buffer(work, "gather", links))
+        np.maximum(denom, hi_deg, out=denom)
+        denom *= 4
+        flows = _gather(lf, lo, _slot_buffer(work, "flows", links, np.float64))
+        flows -= _gather(lf, hi, _slot_buffer(work, "q", links, np.float64))
+        flows /= denom
+        np.copyto(new, lf)
+        np.subtract.at(new, lo, flows)
+        np.add.at(new, hi, flows)
 
 
 def _round(
     loads: np.ndarray, rngs, discrete: bool, work: dict, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """One partner round of replica-major ``(B, n)`` loads, one generator each.
 
-    Writes the new loads into ``out`` (a fresh array when ``None``) and
-    returns them with the flat partner slots drawn (see the module
-    docstring for the two scatters).
+    Writes the new loads into ``out`` (C-contiguous rows; a fresh array
+    when ``None``) and returns them with the ``(B, n)`` picks drawn, as
+    block slots, and the replicas per block (see the module docstring).
     """
     B, n = loads.shape
     rngs = list(rngs)
@@ -259,44 +325,16 @@ def _round(
         raise ValueError(f"{B} replicas need {B} generators, got {len(rngs)}")
     if n < 2:
         raise ValueError("need at least two nodes to pick partners")
+    rows = min(B, max(1, BLOCK_SLOTS // n))
     if not discrete:
-        _check_key_range(n, B)
-    size = B * n
-    ps = _draw_slots(n, rngs, _work_buffer(work, "picks", (B, n)), _slot_ids(work, size))
-    deg, dropped, links = _pick_graph(ps, work)
-    lf = loads.reshape(-1)
-    new = np.empty_like(lf) if out is None else out.reshape(-1)
-    if discrete:
-        # One flow per kept pick, from the node to its partner.
-        dmax = _gather(deg, ps, _work_buffer(work, "dmax", (size,)))
-        np.maximum(dmax, deg, out=dmax)
-        diff = _gather(lf, ps, _work_buffer(work, "diff", (size,)))
-        np.subtract(lf, diff, out=diff)
-        # max - min bounds every |diff|, as in Algorithm 1's round.
-        if int(lf.max()) - int(lf.min()) < RECIP_DIV_LIMIT:
-            np.copyto(dmax, 0, where=dropped)  # table[0] = 0: no flow
-            q = _gather(_quarter_reciprocals(n), dmax, _work_buffer(work, "q", (size,), np.float64))
-            np.multiply(q, diff, out=q)
-            flows = dmax
-            np.copyto(flows, q, casting="unsafe")  # trunc toward zero
-        else:
-            np.copyto(diff, 0, where=dropped)
-            flows = np.sign(diff) * (np.abs(diff) // (4 * dmax))
-        np.subtract(lf, flows, out=new)
-        np.add.at(new, ps, flows)
-    else:
-        lo, hi = _sorted_links(ps, dropped, links, n, work)
-        denom = _gather(deg, lo, _work_buffer(work, "dmax", (size,))[:links])
-        hi_deg = _gather(deg, hi, _work_buffer(work, "gather", (size,))[:links])
-        np.maximum(denom, hi_deg, out=denom)
-        denom *= 4
-        flows = _gather(lf, lo, _work_buffer(work, "flows", (size,), np.float64)[:links])
-        flows -= _gather(lf, hi, _work_buffer(work, "q", (size,), np.float64)[:links])
-        flows /= denom
-        np.copyto(new, lf)
-        np.subtract.at(new, lo, flows)
-        np.add.at(new, hi, flows)
-    return new.reshape(B, n), ps
+        _check_key_range(n, rows)
+    new = np.empty(loads.shape, loads.dtype) if out is None else out
+    picks = _work_buffer(work, "picks", (B, n))
+    for b in range(0, B, rows):
+        block = slice(b, b + rows)
+        ps = _draw_block(n, rngs[block], picks[block], work)
+        _block_round(loads[block].reshape(-1), new[block].reshape(-1), ps, n, discrete, work)
+    return new, picks, rows
 
 
 def _round_any(loads: np.ndarray, rng, discrete: bool) -> np.ndarray:
@@ -352,32 +390,32 @@ class RandomPartnerBalancer(Balancer):
         state["_work"] = {}
         return state
 
-    def _hold(self, ps: np.ndarray, n: int, batched: bool) -> None:
-        self._picks = (ps, n, batched)
+    def _hold(self, picks: np.ndarray, rows: int, batched: bool) -> None:
+        self._picks = (picks, rows, batched)
         self._links = self._degrees = None
 
     @property
     def last_links(self) -> np.ndarray | list[np.ndarray] | None:
         if self._links is None and self._picks is not None:
-            ps, n, batched = self._picks
-            links = _canonical_links(ps, n)
+            picks, rows, batched = self._picks
+            links = _canonical_links(_flat_slots(picks, rows), picks.shape[1])
             self._links = links if batched else links[0]
         return self._links
 
     @property
     def last_degrees(self) -> np.ndarray | list[np.ndarray] | None:
         if self._degrees is None and self._picks is not None:
-            ps, n, batched = self._picks
-            deg = _pick_graph(ps, {})[0]
-            degrees = np.split(deg, ps.size // n)
+            picks, rows, batched = self._picks
+            deg = _pick_graph(_flat_slots(picks, rows), {})[0]
+            degrees = np.split(deg, picks.shape[0])
             self._degrees = degrees if batched else degrees[0]
         return self._degrees
 
     def step(self, loads: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         loads = self.validate_loads(loads)
         self.advance_round()
-        new, ps = _round(loads[None], [rng], self.mode == DISCRETE, self._work)
-        self._hold(ps, loads.size, batched=False)
+        new, picks, rows = _round(loads[None], [rng], self.mode == DISCRETE, self._work)
+        self._hold(picks, rows, batched=False)
         return new[0]
 
     def step_batch(self, loads: np.ndarray, rngs, out: np.ndarray | None = None) -> np.ndarray:
@@ -398,8 +436,8 @@ class RandomPartnerBalancer(Balancer):
         rows, new = self._rows(src, "loads"), self._rows(dst, "new")
         if rows is not src:
             np.copyto(rows, src)
-        _, ps = _round(rows, rngs, self.mode == DISCRETE, self._work, new)
-        self._hold(ps, loads.shape[0], batched=True)
+        _, picks, block = _round(rows, rngs, self.mode == DISCRETE, self._work, new)
+        self._hold(picks, block, batched=True)
         if new is not dst:
             np.copyto(dst, new)
         return out

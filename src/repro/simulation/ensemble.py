@@ -77,13 +77,10 @@ from repro.core.protocols import Balancer
 from repro.observability.recorder import get_recorder
 from repro.simulation.montecarlo import trial_rngs
 from repro.simulation.stopping import MaxRounds, StoppingRule, first_satisfied
-from repro.simulation.trace import ALWAYS_RECORDED, SERIES, EnsembleTrace
+from repro.simulation.trace import ALWAYS_RECORDED, EXACT_FLOAT_TOTAL, SERIES, EnsembleTrace
 
 __all__ = ["EnsembleSimulator", "EnsembleTrace", "RoundEngine", "initial_batch", "spawn_rngs"]
 
-#: Float64 represents every integer total below this exactly; a discrete
-#: run starting at or above it audits its integer totals instead.
-EXACT_FLOAT_TOTAL = 2**53
 
 # Replica streams ARE Monte-Carlo trial streams: one derivation, so an
 # ensemble replica reproduces the corresponding serial trial bit-for-bit.
@@ -96,9 +93,10 @@ def initial_batch(
     """Validate initial loads into an ``(n, B)`` batch; column ``b`` is replica ``b``.
 
     Accepts a shared ``(n,)`` vector (repeated across ``replicas``
-    columns) or per-replica ``(B, n)`` states; every replica's vector
-    goes through ``balancer.validate_loads``.  Shared by the ensemble
-    and partitioned engines so their input contracts cannot drift.
+    columns), validated by ``balancer.validate_loads``, or per-replica
+    ``(B, n)`` states, validated as one matrix by
+    ``balancer.validate_rows``.  Shared by the ensemble and partitioned
+    engines so their input contracts cannot drift.
 
     The batch is C-ordered (node-major) unless :func:`replica_major`
     allows the transposed view of C-contiguous ``(B, n)`` rows; the
@@ -109,7 +107,7 @@ def initial_batch(
     if arr.ndim == 1:
         B = 1 if replicas is None else int(replicas)
         vec = balancer.validate_loads(arr)
-        if replica_major(balancer, [vec]):
+        if replica_major(balancer, vec[None]):
             return np.repeat(vec[None, :], B, axis=0).T, B
         return np.repeat(vec[:, None], B, axis=1), B
     if arr.ndim != 2:
@@ -117,14 +115,15 @@ def initial_batch(
     B = arr.shape[0]
     if replicas is not None and int(replicas) != B:
         raise ValueError(f"replicas={replicas} but loads has {B} rows")
-    cols = [balancer.validate_loads(arr[b]) for b in range(B)]
-    if replica_major(balancer, cols):
-        return np.stack(cols, axis=0).T, B
-    return np.ascontiguousarray(np.stack(cols, axis=1)), B
+    rows = balancer.validate_rows(arr)
+    if replica_major(balancer, rows):
+        return np.ascontiguousarray(rows).T, B
+    return np.ascontiguousarray(rows.T), B
 
 
-def replica_major(balancer: Balancer, cols: Sequence[np.ndarray]) -> bool:
-    """Whether an ensemble holds these validated replica vectors replica-major.
+def replica_major(balancer: Balancer, rows: np.ndarray) -> bool:
+    """Whether an ensemble holds these validated ``(B, n)`` replica rows
+    replica-major.
 
     The scheme must ask for it (``replica_major_batch``), and every row
     the trace records must be exact in any summation order, because a
@@ -136,9 +135,9 @@ def replica_major(balancer: Balancer, cols: Sequence[np.ndarray]) -> bool:
     """
     if not getattr(balancer, "replica_major_batch", False):
         return False
-    if cols[0].dtype.kind not in "iu" or getattr(balancer, "allows_negative", False):
+    if rows.dtype.kind not in "iu" or getattr(balancer, "allows_negative", False):
         return False
-    totals = np.array([c.sum(dtype=np.float64) for c in cols])
+    totals = rows.sum(axis=1, dtype=np.float64)
     return bool(np.all(totals * totals < EXACT_FLOAT_TOTAL))
 
 
@@ -446,9 +445,11 @@ def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
     Each round is guarded like the serial stepper's: a non-finite entry
     of the recorded sums row raises ``loads must be finite``, and a
     negative minimum of the whole batch ``loads must be non-negative``
-    unless the scheme is ``signed`` (its ``allows_negative``); a trace
-    that records discrepancies hands back the minimum row it computed
-    for them instead.  Errors name replicas from ``first`` on.
+    unless the scheme is ``signed`` (its ``allows_negative``).  The
+    guard reads the minimum the record computed when there is one: the
+    row a trace that records discrepancies takes, or an integer batch's
+    minimum, which its ``Phi`` row takes.  Errors name replicas from
+    ``first`` on.
     """
     yield L
     spare = np.empty_like(L)
@@ -461,7 +462,9 @@ def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
             frozen = ~active
             new[:, frozen] = L[:, frozen]
         lows = trace.record(new, prev=L)
-        guard_row(trace._sums[-1], new if lows is None else lows, floating, signed, first)
+        if lows is None or np.ndim(lows) == 0 and lows < 0:
+            lows = new  # the guard names the replica from the batch
+        guard_row(trace._sums[-1], lows, floating, signed, first)
         L, spare = new, L
         yield L
 
@@ -473,8 +476,9 @@ def guard_row(sums: np.ndarray, lows: np.ndarray, floating: bool, signed: bool,
     Raises ``validate_loads``' error for the first replica whose total
     in ``sums`` is not finite (``floating`` loads only) or, unless the
     scheme is ``signed``, whose minimum is negative.  ``lows`` is the
-    ``(B,)`` row of minima, or the ``(n, B)`` batch itself, whose column
-    minima are then taken only when the batch's minimum fails.  Replica
+    ``(B,)`` row of minima, the batch's non-negative minimum, or the
+    ``(n, B)`` batch itself, whose column minima are then taken only
+    when the batch's minimum fails.  Replica
     ``b`` is named ``first + b``.
     """
     if floating:

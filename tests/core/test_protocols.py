@@ -137,6 +137,46 @@ class TestValidation:
         assert bal.dtype == np.dtype(np.int64)
 
 
+
+class TestValidateRows:
+    """``validate_rows`` is ``validate_loads`` on every row, in one pass."""
+
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.float64])
+    def test_matches_per_row_validation(self, mode, dtype):
+        bal = _NoopBalancer()
+        bal.mode = mode
+        rows = np.random.default_rng(1).integers(0, 1000, (4, 9)).astype(dtype)
+        got = bal.validate_rows(rows)
+        want = np.stack([bal.validate_loads(r) for r in rows])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.c_contiguous and not np.shares_memory(got, rows)
+
+    @pytest.mark.parametrize(
+        "bad, dtype, match",
+        [
+            (np.nan, np.float64, "finite"),
+            (-1, np.int64, "non-negative"),
+            (1.5, np.float64, "requires integer loads"),
+            (2**63, np.uint64, "int64"),
+        ],
+    )
+    def test_same_errors_from_any_row(self, bad, dtype, match):
+        bal = _NoopBalancer()
+        bal.mode = "discrete"
+        rows = np.ones((3, 4), dtype=dtype)
+        rows[2, 1] = bad
+        with pytest.raises(ValueError, match=match):
+            bal.validate_loads(rows[2])
+        with pytest.raises(ValueError, match=match):
+            bal.validate_rows(rows)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (4,), (2, 2, 2)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="loads must be"):
+            _NoopBalancer().validate_rows(np.ones(shape))
+
+
 class TestState:
     def test_round_counter(self):
         bal = _NoopBalancer()

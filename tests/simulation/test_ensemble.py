@@ -9,7 +9,7 @@ from repro.core.diffusion import DiffusionBalancer
 from repro.core.random_partner import RandomPartnerBalancer
 from repro.graphs.generators import cycle
 from repro.simulation.engine import Simulator
-from repro.simulation.ensemble import EnsembleSimulator, spawn_rngs
+from repro.simulation.ensemble import EnsembleSimulator, initial_batch, spawn_rngs
 from repro.simulation.initial import point_load
 from repro.simulation.montecarlo import trial_rngs
 from repro.simulation.stopping import (
@@ -196,6 +196,31 @@ class TestRunBasics:
     def test_bad_record_mode_rejected(self, torus):
         with pytest.raises(ValueError, match="record"):
             EnsembleSimulator(DiffusionBalancer(torus), record="everything")
+
+
+
+class TestInitialBatch:
+    """Per-replica ``(B, n)`` states are validated as one matrix."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_rows_become_the_batch_columns(self, order, mode):
+        bal = RandomPartnerBalancer(mode)
+        rows = np.asarray(np.arange(24).reshape(3, 8), dtype=np.float64, order=order)
+        L, B = initial_batch(bal, rows, None)
+        assert B == 3 and L.dtype == bal.dtype
+        assert np.array_equal(L, rows.T)
+        # Small integer totals go replica-major; float batches node-major.
+        assert (L.T if mode == "discrete" else L).flags.c_contiguous
+        assert not np.shares_memory(L, rows)
+
+    def test_error_names_the_problem(self):
+        rows = np.ones((3, 8), dtype=np.int64)
+        rows[1, 4] = -1
+        with pytest.raises(ValueError, match="loads must be non-negative"):
+            initial_batch(RandomPartnerBalancer("discrete"), rows, None)
+        with pytest.raises(ValueError, match="non-empty"):
+            initial_batch(RandomPartnerBalancer("discrete"), np.ones((3, 0)), None)
 
 
 class TestPerReplicaStopping:

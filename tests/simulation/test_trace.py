@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.potential import DOT_CHUNK, discrepancy, potential, square_sum
-from repro.simulation.trace import Trace
+from repro.simulation.trace import EnsembleTrace, Trace
 
 
 def geometric_trace(phi0=1024.0, rate=0.5, rounds=10):
@@ -195,3 +195,37 @@ class TestThreadIndependentPotential:
                                   capture_output=True, text=True, timeout=120)
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestIntegerPotentialRow:
+    """An integer batch whose squares sum exactly takes its ``Phi`` row
+    from an int64 sum of squares; the bits are the float64 sum's."""
+
+    @staticmethod
+    def _float_row(loads):
+        sums = loads.sum(axis=0)
+        ss = np.einsum("ij,ij->j", loads, loads, dtype=np.float64)
+        return np.maximum(ss - sums * (sums / loads.shape[0]), 0.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("top", [1, 1000, 94_906_265 // 512])
+    def test_exact_batches_match_float_row(self, order, top):
+        loads = np.random.default_rng(top).integers(0, top, (512, 7), endpoint=True)
+        loads = np.asarray(loads, order=order)
+        t = EnsembleTrace("x", 7)
+        low = t.record(loads)
+        assert t._potentials[-1].tobytes() == self._float_row(loads).tobytes()
+        assert low == loads.min()
+
+    @pytest.mark.parametrize("loads", [
+        np.array([[2**40, 0], [3, 2**40]]),  # S**2 past 2**53
+        np.array([[-2**40, 1], [2**40, 2]]),  # S = 0, squares past int64
+    ], ids=["large-total", "negative"])
+    def test_other_batches_keep_the_float_row(self, loads):
+        t = EnsembleTrace("x", 2)
+        t.record(loads)
+        assert t._potentials[-1].tobytes() == self._float_row(loads).tobytes()
+
+    def test_discrepancy_row_is_returned(self):
+        t = EnsembleTrace("x", 2, record_discrepancies=True)
+        assert t.record(np.array([[4, 1], [2, 3]])).tolist() == [2, 1]

@@ -38,6 +38,20 @@ class TestCommittedRecord:
         # Title, header, every row and the claim note, as committed.
         assert table.to_markdown() in _record_section("e01")
 
+    @pytest.mark.parametrize("eid, claim", [
+        ("e06", "holds"),
+        ("e08", "lemma11_holds"),
+        ("e09", "lemma13_holds"),
+    ])
+    def test_algorithm2_tables_match_regenerated(self, eid, claim):
+        """Algorithm 2's Lemma 9 / Theorem 12 / Theorem 14 tables, as committed."""
+        table = EXPERIMENTS[eid]()
+        assert all(v is True for v in table.column(claim))
+        if "success_frac" in table.columns:
+            for got, want in zip(table.column("success_frac"), table.column("guar_prob")):
+                assert got >= want
+        assert table.to_markdown() in _record_section(eid)
+
 
 class TestE01Theorem4:
     def test_bound_holds_on_small_suite(self):
