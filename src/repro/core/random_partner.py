@@ -26,8 +26,8 @@ when an ensemble holds it replica-major (the class sets
 such as a C-ordered matrix from a direct caller, is copied into held
 rows and back.  The rows run in *blocks* of whole replicas, about
 :data:`BLOCK_SLOTS` slots each (one replica when ``n`` is larger), so
-that every per-slot work array of a block stays in L2; the work arrays
-are sized to one block and reused by every block and round.  A block's
+that a block's work arrays stay small enough to be cached; they are
+sized to one block and reused by every block and round.  A block's
 replicas draw their picks, each with its own generator, into the held
 ``(B, n)`` picks as flat *slots* ``r * n + p`` of the block, so its
 replicas share one index space.  Node ``i``'s pick already is its link,
@@ -99,8 +99,11 @@ def _check_key_range(n: int, replicas: int = 1) -> None:
         )
 
 
-#: Slots in one replica block of a round: 8 replicas at ``n = 4096``, so
-#: every per-slot work array of a block (256 KB of int64) stays in L2.
+#: Slots in one replica block of a round (8 replicas at ``n = 4096``).
+#: Timed at n=4096, B=64 on a Xeon with 4 MiB of L2 per core (median of
+#: 400 interleaved calls): discrete rounds took 5.16 / 5.10 / 5.35 ms
+#: and continuous ones 8.67 / 8.95 / 9.38 ms at 2**14 / 2**15 / 2**16
+#: slots, and discrete ones 6.2-6.8 ms at 2**17-2**18.
 BLOCK_SLOTS = 1 << 15
 
 

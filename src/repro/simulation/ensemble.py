@@ -445,11 +445,9 @@ def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
     Each round is guarded like the serial stepper's: a non-finite entry
     of the recorded sums row raises ``loads must be finite``, and a
     negative minimum of the whole batch ``loads must be non-negative``
-    unless the scheme is ``signed`` (its ``allows_negative``).  The
-    guard reads the minimum the record computed when there is one: the
-    row a trace that records discrepancies takes, or an integer batch's
-    minimum, which its ``Phi`` row takes.  Errors name replicas from
-    ``first`` on.
+    unless the scheme is ``signed`` (its ``allows_negative``); a trace
+    that records discrepancies hands back the minimum row it computed
+    for them instead.  Errors name replicas from ``first`` on.
     """
     yield L
     spare = np.empty_like(L)
@@ -462,9 +460,7 @@ def batch_rounds(trace: EnsembleTrace, L: np.ndarray, active: np.ndarray,
             frozen = ~active
             new[:, frozen] = L[:, frozen]
         lows = trace.record(new, prev=L)
-        if lows is None or np.ndim(lows) == 0 and lows < 0:
-            lows = new  # the guard names the replica from the batch
-        guard_row(trace._sums[-1], lows, floating, signed, first)
+        guard_row(trace._sums[-1], new if lows is None else lows, floating, signed, first)
         L, spare = new, L
         yield L
 
@@ -476,9 +472,8 @@ def guard_row(sums: np.ndarray, lows: np.ndarray, floating: bool, signed: bool,
     Raises ``validate_loads``' error for the first replica whose total
     in ``sums`` is not finite (``floating`` loads only) or, unless the
     scheme is ``signed``, whose minimum is negative.  ``lows`` is the
-    ``(B,)`` row of minima, the batch's non-negative minimum, or the
-    ``(n, B)`` batch itself, whose column minima are then taken only
-    when the batch's minimum fails.  Replica
+    ``(B,)`` row of minima, or the ``(n, B)`` batch itself, whose column
+    minima are then taken only when the batch's minimum fails.  Replica
     ``b`` is named ``first + b``.
     """
     if floating:

@@ -114,24 +114,19 @@ class EnsembleTrace:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _stats_row(self, loads: np.ndarray, lows: np.ndarray | None = None):
-        """``(Phi, sums, low)`` rows of an ``(n, B)`` batch; ``low`` is the
-        batch's minimum (None for float loads), from ``lows`` (the column
-        minima) when the caller has them."""
+    def _stats_row(self, loads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Phi via the shifted-square identity sum(l^2) - n*mean^2: two
         # streaming passes, no (n, B) temporary.  Clamped at 0 because the
         # cancellation can land a hair below; accuracy is ~eps * sum(l^2)
         # absolute, ample for stopping thresholds and reports (the float
         # rows' centered formula differs only at that level).
-        low = None
         if loads.dtype.kind in "iu":
             sums = loads.sum(axis=0)  # exact integer totals
-            low = loads.min() if lows is None else lows.min()
             # Non-negative loads whose total S has S**2 < 2**53: every
             # square and partial sum of squares is an integer at most
             # S**2, so the integer sum cast once has the float64 sum's
             # bits, in any order.
-            exact = low >= 0 and float(sums.max()) ** 2 < EXACT_FLOAT_TOTAL
+            exact = float(sums.max()) ** 2 < EXACT_FLOAT_TOTAL and loads.min() >= 0
         else:
             ones = self._ones
             if ones is None or ones.shape[0] != loads.shape[0]:
@@ -144,7 +139,7 @@ class EnsembleTrace:
         else:
             ss = np.einsum("ij,ij->j", loads, loads, dtype=np.float64)
         phis = np.maximum(ss - sums * (sums / loads.shape[0]), 0.0)
-        return phis, sums, low
+        return phis, sums
 
     def record(self, loads: np.ndarray,
                prev: np.ndarray | None = None) -> np.ndarray | np.generic | None:
@@ -152,8 +147,7 @@ class EnsembleTrace:
 
         An ``(n, B)`` batch appends one ``(B,)`` row per
         statistic and returns the per-replica minimum row when it
-        computed one for the discrepancies, else the batch's minimum when
-        the loads are integers (else None).  A load vector
+        computed one for the discrepancies (else None).  A load vector
         ``(n,)`` appends float rows that are
         bit-for-bit the values of :func:`~repro.core.potential.potential`,
         :func:`~repro.core.potential.discrepancy` and a float64 sum, from
@@ -173,18 +167,18 @@ class EnsembleTrace:
                     f"loads must be a 1-D vector or an (n, {self.replicas}) batch, "
                     f"got shape {loads.shape}"
                 )
+            phis, sums = self._stats_row(loads)
             lo = disc = None
             if self.record_discrepancies:
                 lo = loads.min(axis=0)
                 disc = loads.max(axis=0) - lo
-            phis, sums, low = self._stats_row(loads, lo)
             mov = None
             if self.record_movements and prev is not None:
                 mov = 0.5 * np.abs(loads - prev).sum(axis=0)
             # record_stats copies the snapshot: for B=1 the transpose would
             # alias the engine's recycled ping-pong buffer.
             self.record_stats(phis, sums, disc, mov, loads.T if self.keep_snapshots else None)
-            return low if lo is None else lo
+            return lo
         arr = _as_vector(loads)
         buf = self._scratch
         if buf is None:

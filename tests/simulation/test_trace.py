@@ -213,9 +213,8 @@ class TestIntegerPotentialRow:
         loads = np.random.default_rng(top).integers(0, top, (512, 7), endpoint=True)
         loads = np.asarray(loads, order=order)
         t = EnsembleTrace("x", 7)
-        low = t.record(loads)
+        assert t.record(loads) is None  # no discrepancy row to hand back
         assert t._potentials[-1].tobytes() == self._float_row(loads).tobytes()
-        assert low == loads.min()
 
     @pytest.mark.parametrize("loads", [
         np.array([[2**40, 0], [3, 2**40]]),  # S**2 past 2**53
